@@ -16,7 +16,8 @@ stream S of C distinct elements:
 
 Total oracle insertions are 2C plus the two intermediate set sizes,
 i.e. O(C): the attack costs the same order of work as honestly
-inserting C elements.
+inserting C elements. Each pass is one ``CardinalityOracle.scan``, which
+queries the estimate once per insertion plus once at the start.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class PhaseReport:
     produces on a fresh oracle (dropped elements never change a
     register). ``insertions_performed`` counts the phase's scan loop
     only — the phase-2 preload is part of total attack cost but not of
-    the scan.
+    the scan. ``estimate_queries`` is ``insertions_performed + 1``: one
+    query after each insertion and one before the first.
     """
 
     phase: int
@@ -169,7 +171,11 @@ class AttackSet:
 
 
 class AttackAborted(RuntimeError):
-    """Raised when the oracle fails mid-phase; carries the partial set."""
+    """Raised when the oracle fails mid-phase; carries the partial set.
+
+    The partial set's ``achieved_estimate`` is -1 (unknown): the failed
+    phase never finished.
+    """
 
     def __init__(self, message: str, partial: AttackSet):
         super().__init__(message)
@@ -186,38 +192,27 @@ def _scan(
 ) -> tuple[int, int, int]:
     """Insert each element, keeping those that raise the integer estimate.
 
-    Returns (final estimate, insertions, estimate queries). On oracle
+    Returns (final estimate, insertions, estimate queries); a scan observes
+    the estimate once per insertion plus once at the start. On oracle
     failure raises AttackAborted carrying what was kept so far.
     """
-    insertions = 0
-    queries = 0
-    last = 0
+    # An object with only reset/insert/estimate gets the reference loop.
+    scan = getattr(type(oracle), "scan", CardinalityOracle.scan)
     try:
-        estimate = oracle.estimate
-        insert = oracle.insert
-        append = kept.append
-        for element in elements:
-            before = estimate()
-            insert(element)
-            after = estimate()
-            insertions += 1
-            queries += 2
-            if after > before:
-                append(element)
-            last = after
+        last, insertions = scan(oracle, elements, kept)
     except Exception as exc:
         partial = AttackSet(
             elements=kept,
             phase=phase,
             target_cardinality=target_cardinality,
-            achieved_estimate=last,
+            achieved_estimate=-1,
             source_seed=seed,
         )
         raise AttackAborted(
-            f"oracle failed during phase {phase} after {insertions} insertions: {exc}",
+            f"oracle failed during phase {phase} after keeping {len(kept)} elements: {exc}",
             partial,
         ) from exc
-    return last, insertions, queries
+    return last, insertions, insertions + 1
 
 
 def phase1(

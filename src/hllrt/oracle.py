@@ -3,12 +3,15 @@
 The oracle contract is deliberately tiny: reset, insert, integer
 estimate. The attack code is written against this interface alone, so
 anything implementing it (in-process sketch, remote Redis key) is a
-valid target.
+valid target. ``scan``, the attack's unit of work, is built from those
+three calls; an oracle may override it only with a loop that observes
+the same estimates.
 """
 
 from __future__ import annotations
 
 import abc
+from typing import Iterable
 
 from .sketch import HllParams, HllSketch
 
@@ -29,6 +32,33 @@ class CardinalityOracle(abc.ABC):
     @abc.abstractmethod
     def estimate(self) -> int:
         """Current integer cardinality estimate (side-effect free)."""
+
+    def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
+        """Insert every element in order, keeping those that raise the estimate.
+
+        Appends to ``kept`` each element whose insertion left the estimate
+        above the one just before it, and returns (final estimate,
+        insertions). The estimate is observed once at the start and once
+        after each insertion. If this raises, ``kept`` holds only elements
+        whose after-estimate was observed.
+
+        This loop uses nothing but ``insert`` and ``estimate``, so it is the
+        reference the overrides must match, and it runs on any object that
+        has those two methods.
+        """
+        insert = self.insert
+        estimate = self.estimate
+        append = kept.append
+        last = estimate()
+        insertions = 0
+        for element in elements:
+            insert(element)
+            insertions += 1
+            after = estimate()
+            if after > last:
+                append(element)
+            last = after
+        return last, insertions
 
 
 class InProcessOracle(CardinalityOracle):
@@ -61,6 +91,25 @@ class InProcessOracle(CardinalityOracle):
 
     def estimate(self) -> int:
         return self._estimate()
+
+    def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
+        # The estimate is a function of the registers alone, so an insertion
+        # that changed no register (increment 0) cannot have moved it.
+        insert = self._insert
+        estimate = self._estimate
+        append = kept.append
+        last = estimate()
+        insertions = 0
+        for element in elements:
+            if not element:
+                raise ValueError("element must be non-empty")
+            insertions += 1
+            if insert(element):
+                after = estimate()
+                if after > last:
+                    append(element)
+                last = after
+        return last, insertions
 
 
 def make_oracle(params: HllParams) -> InProcessOracle:

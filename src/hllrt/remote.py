@@ -6,12 +6,22 @@ connection, strictly sequential or pipelined FIFO. The oracle maps the
 black-box contract onto those commands (reset = DEL, insert = PFADD,
 estimate = PFCOUNT).
 
-Batched mode amortizes round trips: insertions are queued and flushed
-together with the next PFCOUNT as one pipeline, and an estimate taken
-with no intervening insertion reuses the last server reply (sound under
-the one-client-per-key model this oracle assumes). PFADD's changed
-bit is ignored on the attack path — the adversarial model only grants
-estimate differences — unless ``strict=False`` records it.
+Batched mode amortizes round trips. Insertions are queued and flushed
+together with the next PFCOUNT as one pipeline. A scan sends the same
+commands whatever the replies are, so ``RemoteOracle.scan`` pipelines
+it whole: ``PFADD e`` / ``PFCOUNT`` pairs, ``max_pipeline`` commands per
+round trip, the count after each PFADD read from its pair (sound under
+the one-writer-per-key model this oracle assumes). Every PFCOUNT goes
+to the server; no estimate is cached. PFADD's changed bit is ignored on
+the attack path — the adversarial model only grants estimate
+differences — unless ``strict=False`` records it.
+
+A dropped connection is reopened and the failed pipeline sent once more
+only when its replies cannot change: PFADD, DEL and PING are
+idempotent, and a PFCOUNT sent last counts the same registers either
+way. A pipeline with a PFCOUNT before its last command (a scan's) is
+never replayed, because the server may have applied later PFADDs before
+the drop; it raises instead.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ from __future__ import annotations
 import io
 import socket
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from .oracle import CardinalityOracle
 
@@ -109,11 +120,17 @@ def encode_value(value: RespValue) -> bytes:
 
 
 class RespStream:
-    """Buffered reader of RESP replies from a socket or file-like source."""
+    """Buffered reader of RESP replies from a socket or file-like source.
+
+    Reads by offset into one ``bytearray``; consumed bytes are dropped
+    only when the buffer is refilled, so a burst of pipelined replies is
+    decoded without copying the rest of the buffer after each one.
+    """
 
     def __init__(self, source) -> None:
         self._source = source
-        self._buffer = b""
+        self._buffer = bytearray()
+        self._pos = 0
 
     def _fill(self) -> None:
         if isinstance(self._source, socket.socket):
@@ -122,20 +139,24 @@ class RespStream:
             chunk = self._source.read(65536)
         if not chunk:
             raise ProtocolError("unexpected end of stream")
+        del self._buffer[: self._pos]
+        self._pos = 0
         self._buffer += chunk
 
     def _read_line(self) -> bytes:
         while True:
-            pos = self._buffer.find(b"\r\n")
-            if pos >= 0:
-                line, self._buffer = self._buffer[:pos], self._buffer[pos + 2 :]
+            end = self._buffer.find(b"\r\n", self._pos)
+            if end >= 0:
+                line = bytes(self._buffer[self._pos : end])
+                self._pos = end + 2
                 return line
             self._fill()
 
     def _read_exact(self, n: int) -> bytes:
-        while len(self._buffer) < n:
+        while len(self._buffer) - self._pos < n:
             self._fill()
-        data, self._buffer = self._buffer[:n], self._buffer[n:]
+        data = bytes(self._buffer[self._pos : self._pos + n])
+        self._pos += n
         return data
 
     def read_value(self) -> RespValue:
@@ -242,7 +263,6 @@ class RemoteOracle(CardinalityOracle):
         self._sock: socket.socket | None = None
         self._stream: RespStream | None = None
         self._pending: list[bytes] = []  # queued PFADD elements (batch mode)
-        self._cached_estimate: int | None = None
 
     # -- connection management -------------------------------------------
 
@@ -271,8 +291,10 @@ class RemoteOracle(CardinalityOracle):
     def _exchange(self, commands: list[Sequence[bytes]]) -> list[RespValue]:
         """Send a pipeline and read one reply per command.
 
-        One automatic reconnect with a full replay (every command used
-        here is idempotent); a second failure propagates.
+        On a connection failure, reconnect and replay the pipeline once,
+        unless a PFCOUNT precedes its last command: the server may have
+        applied PFADDs after that count before the drop, so replayed
+        counts would be skewed. That failure, and a second one, propagate.
         """
         payload = b"".join(resp_encode(command) for command in commands)
         for attempt in (0, 1):
@@ -284,7 +306,7 @@ class RemoteOracle(CardinalityOracle):
                 return [self._stream.read_value() for _ in commands]
             except (ConnectionError, TimeoutError, ProtocolError, OSError):
                 self.close()
-                if attempt == 1:
+                if attempt == 1 or any(command[0] == b"PFCOUNT" for command in commands[:-1]):
                     raise
         raise AssertionError("unreachable")
 
@@ -304,16 +326,19 @@ class RemoteOracle(CardinalityOracle):
 
     def reset(self) -> None:
         self._pending.clear()
-        self._cached_estimate = None
         reply = self._exchange([[b"DEL", self.endpoint.key.encode("utf-8")]])[0]
         self._expect_int(reply, "DEL")
 
-    def insert(self, element: bytes) -> None:
+    @staticmethod
+    def _element(element: bytes | str) -> bytes:
         if isinstance(element, str):
             element = element.encode("utf-8")
         if not element:
             raise ValueError("element must be non-empty")
-        self._cached_estimate = None
+        return element
+
+    def insert(self, element: bytes) -> None:
+        element = self._element(element)
         if self.batch:
             self._pending.append(element)
             if len(self._pending) >= 2 * self.max_pipeline:
@@ -339,8 +364,6 @@ class RemoteOracle(CardinalityOracle):
                 self._expect_int(reply, "PFADD")
 
     def estimate(self) -> int:
-        if self.batch and self._cached_estimate is not None:
-            return self._cached_estimate
         self._flush_pending(keep=self.max_pipeline - 1)
         key = self.endpoint.key.encode("utf-8")
         commands: list[Sequence[bytes]] = [
@@ -351,6 +374,36 @@ class RemoteOracle(CardinalityOracle):
         self._pending.clear()
         for reply in replies[:-1]:
             self._expect_int(reply, "PFADD")
-        value = self._expect_int(replies[-1], "PFCOUNT")
-        self._cached_estimate = value
-        return value
+        return self._expect_int(replies[-1], "PFCOUNT")
+
+    def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
+        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``max_pipeline`` commands a round trip.
+
+        Batch mode only; otherwise the reference loop (one round trip per
+        command). The first count also flushes any queued preload. A
+        pipeline needs room for one pair, so ``max_pipeline`` 1 also
+        takes the reference loop.
+        """
+        if not self.batch or self.max_pipeline < 2:
+            return super().scan(elements, kept)
+        last = self.estimate()
+        key = self.endpoint.key.encode("utf-8")
+        count = [b"PFCOUNT", key]
+        expect_int = self._expect_int
+        append = kept.append
+        insertions = 0
+        elements = iter(elements)
+        while chunk := [self._element(e) for e in islice(elements, self.max_pipeline // 2)]:
+            commands: list[Sequence[bytes]] = []
+            for element in chunk:
+                commands.append([b"PFADD", key, element])
+                commands.append(count)
+            replies = self._exchange(commands)
+            for element, added, counted in zip(chunk, replies[::2], replies[1::2]):
+                expect_int(added, "PFADD")
+                after = expect_int(counted, "PFCOUNT")
+                if after > last:
+                    append(element)
+                last = after
+            insertions += len(chunk)
+        return last, insertions

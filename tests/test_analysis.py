@@ -55,7 +55,6 @@ def missed_registers(params, seed, n):
     switch_at = None
     threshold = params.switch_factor * params.register_count
     for k, element in enumerate(gen.stream(n)):
-        sketch.insert(element)
         split = hash_split(element, params)
         if split.index not in first_arrival:
             first_arrival[split.index] = (split.rank, k)
@@ -63,6 +62,8 @@ def missed_registers(params, seed, n):
         if current is None or split.rank > current[0]:
             best[split.index] = (split.rank, k)
         if switch_at is None:
+            # The sketch only locates the end of the low-range window.
+            sketch.insert(element)
             if sketch.zero_register_count() == 0 or sketch.linear_counting_estimate() > threshold:
                 switch_at = k
     if switch_at is None:

@@ -1,6 +1,7 @@
 """Attack construction: phase mechanics, invariants, files, aborts."""
 
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,7 +71,11 @@ def test_phase1_keeps_exactly_the_estimate_raisers():
             expected.append(element)
     assert y1.elements == expected
     assert report.insertions_performed == 200
-    assert report.estimate_queries == 400
+    assert report.estimate_queries == 201
+    # An object with only the three oracle methods gets the reference scan.
+    inner = make_oracle(params)
+    bare = SimpleNamespace(reset=inner.reset, insert=inner.insert, estimate=inner.estimate)
+    assert phase1(bare, gen, 200)[0].elements == expected
 
 
 def test_phase1_requires_positive_target():

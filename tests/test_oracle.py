@@ -56,6 +56,10 @@ def test_estimate_tracks_large_cardinality():
 def test_insert_rejects_empty():
     with pytest.raises(ValueError):
         make_oracle(HllParams(64)).insert(b"")
+    kept = []
+    with pytest.raises(ValueError):
+        make_oracle(HllParams(64)).scan([b"a", b""], kept)
+    assert kept == [b"a"]
 
 
 def test_counting_oracle_counts_calls():

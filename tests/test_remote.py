@@ -1,14 +1,26 @@
 """RESP codec and remote oracle against an in-process mini server."""
 
 import io
+import random
 import socket
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hllrt import HllParams, HllSketch, make_oracle, run_attack, verify
+from hllrt import (
+    AttackAborted,
+    CountingOracle,
+    ElementGenerator,
+    HllParams,
+    HllSketch,
+    make_oracle,
+    run_attack,
+    verify,
+)
+from hllrt.attack import phase1
 from hllrt.remote import (
     BulkString,
     ErrorReply,
@@ -67,6 +79,29 @@ def test_decode_consumes_exactly_one_reply():
     assert stream.read_value() == 1
     assert stream.read_value() == 2
     assert stream.read_value() == SimpleString("OK")
+
+
+class Trickle:
+    """File-like source handing out 1-7 bytes per read."""
+
+    def __init__(self, data, seed):
+        self._data = io.BytesIO(data)
+        self._rng = random.Random(seed)
+
+    def read(self, n):
+        return self._data.read(min(n, self._rng.randint(1, 7)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decode_pipelined_replies_from_short_reads(seed):
+    bulk = bytes(range(256)) * 3 + b"\r\n in the payload"
+    values = [k * 37 for k in range(200)] + [BulkString(bulk), SimpleString("OK"), -1, BulkString(b"")]
+    values += [RespArray((BulkString(b"x" * 40), 7)), ErrorReply("ERR late"), 123456789]
+    stream = RespStream(Trickle(b"".join(encode_value(v) for v in values), seed))
+    for value in values:
+        assert stream.read_value() == value
+    with pytest.raises(ProtocolError, match="end of stream"):
+        stream.read_value()
 
 
 def test_decode_malformed_framing():
@@ -166,7 +201,7 @@ def test_pipelined_batch_equals_sequential():
             for e in elements:
                 batched.insert(e)
             assert batched.estimate() == expected
-            # cached while clean, refreshed after the next insertion
+            # a repeated count asks the server again and reads the same value
             assert batched.estimate() == expected
             batched.insert(b"one-more")
             assert batched.estimate() >= expected
@@ -196,12 +231,63 @@ def test_non_strict_mode_reports_the_change_bit():
 
 
 def test_oracle_reconnects_once_after_a_drop():
-    with running_server(register_count=1024, drop_after=5) as server:
-        with RemoteOracle(server.url()) as oracle:
+    # Unbatched, the drop hits a lone PFADD; batched, a pipeline of PFADDs
+    # ending in its only PFCOUNT. Both are replayed once.
+    for batch in (False, True):
+        with running_server(register_count=1024, drop_after=5) as server:
+            with RemoteOracle(server.url(), batch=batch) as oracle:
+                oracle.reset()
+                for e in (b"a", b"b", b"c", b"d", b"e", b"f", b"g"):
+                    oracle.insert(e)
+                assert oracle.estimate() == 7
+
+
+def test_dropped_scan_aborts_with_a_prefix_of_the_true_set():
+    # A scan pipeline holds many PFCOUNTs; replaying it after the server
+    # applied part of it would read skewed counts, so it must not replay.
+    params = HllParams(256, 6)
+    gen = ElementGenerator(8)
+    expected, _ = phase1(make_oracle(params), gen, 2000)
+    with running_server(register_count=256, drop_after=300) as server:
+        with RemoteOracle(server.url(), batch=True, max_pipeline=64) as oracle:
             oracle.reset()
-            for e in (b"a", b"b", b"c", b"d", b"e", b"f", b"g"):
-                oracle.insert(e)
-            assert oracle.estimate() == 7
+            with pytest.raises(AttackAborted) as excinfo:
+                phase1(oracle, gen, 2000)
+    partial = excinfo.value.partial.elements
+    assert 0 < len(partial) < len(expected.elements)
+    assert partial == expected.elements[: len(partial)]
+    assert isinstance(excinfo.value.__cause__, (ConnectionError, ProtocolError, OSError))
+
+
+def test_scan_paths_agree_and_query_once_per_insertion():
+    # The reference loop (through CountingOracle), the in-process scan and
+    # both remote modes keep byte-identical phase sets, and each scan
+    # observes the estimate once per insertion plus once at the start.
+    params = HllParams(256, 6)
+    c = 2000
+    with running_server(register_count=256) as server:
+        for seed in (1, 2, 3):
+            counters = []
+
+            def counting():
+                counters.append(CountingOracle(make_oracle(params)))
+                return counters[-1]
+
+            runs = [run_attack(counting, seed, c), run_attack(lambda: make_oracle(params), seed, c)]
+            assert sum(o.insertions for o in counters) == runs[0].total_insertions
+            assert sum(o.estimate_queries for o in counters) == sum(r.estimate_queries for r in runs[0].reports)
+            for batch in (True, False):
+                with RemoteOracle(server.url(f"parity-{batch}"), batch=batch) as oracle:
+                    start = len(server.commands_seen)
+                    runs.append(run_attack(lambda: oracle, seed, c))
+                seen = Counter(server.commands_seen[start:])
+                assert seen[b"PFADD"] == runs[-1].total_insertions
+                assert seen[b"PFCOUNT"] == sum(r.estimate_queries for r in runs[-1].reports)
+            for run in runs:
+                assert [s.elements for s in run.phase_sets] == [s.elements for s in runs[0].phase_sets]
+                for report in run.reports:
+                    assert report.estimate_queries == report.insertions_performed + 1
+            assert len(runs[0].phase_sets[1]) > len(runs[0].phase_sets[0])
 
 
 def test_oracle_times_out_on_a_silent_server():
