@@ -33,11 +33,9 @@ from .defense import DetectionReport, SnsGuard, StatsMonitor, default_divergence
 from .oracle import CardinalityOracle, CountingOracle, InProcessOracle, make_oracle
 from .remote import RemoteOracle, parse_endpoint
 from .sketch import (
-    HashSplit,
     HllParams,
     HllSketch,
     alpha_for_registers,
-    hash_split,
     kernel_backend,
     merge,
     witness_subset,
@@ -48,9 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "HllParams",
     "HllSketch",
-    "HashSplit",
     "alpha_for_registers",
-    "hash_split",
     "merge",
     "witness_subset",
     "kernel_backend",

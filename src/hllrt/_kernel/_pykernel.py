@@ -15,11 +15,18 @@ Z = sum(2**-r_i) is maintained incrementally as the integer
 Z_scaled = sum(2**(63 - r_i)), which is exact because ranks never exceed
 63 (a 64-bit hash cannot produce a longer run of leading zeros, and
 loaded snapshots are validated against the same bound).
+
+Interpreter overhead, not arithmetic, sets this kernel's speed, so the
+per-element path is flat: ``hash64`` reads the element once as one
+integer and shifts its 8-byte words off, rotations and avalanche inline;
+``stream_element`` mixes each seed once (cached), not once per element.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import repeat
 
 MASK64 = (1 << 64) - 1
 
@@ -32,26 +39,15 @@ _P2 = 0xC2B2AE3D27D4EB4F
 _P3 = 0x165667B19E3779F9
 _P4 = 0x85EBCA77C2B2AE63
 _P5 = 0x27D4EB2F165667C5
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
     """One round of the splitmix64 mixer (a bijection on 64-bit ints)."""
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = (x + _GAMMA) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
-
-
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & MASK64
-
-
-def _fmix64(h: int) -> int:
-    h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & MASK64
-    h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & MASK64
-    return h ^ (h >> 33)
 
 
 def hash64(data: bytes, salt: int = 0) -> int:
@@ -60,18 +56,31 @@ def hash64(data: bytes, salt: int = 0) -> int:
     Multiply-rotate chain over 8-byte little-endian words with a strong
     final avalanche. Changing the salt re-keys the whole mapping.
     """
-    salt &= MASK64
     n = len(data)
-    acc = (salt * _P1 + n * _P5 + _P4) & MASK64
-    i = 0
-    while i + 8 <= n:
-        w = int.from_bytes(data[i : i + 8], "little")
-        acc = (_rotl(acc ^ ((w * _P2) & MASK64), 31) * _P1 + _P4) & MASK64
-        i += 8
-    if i < n:
-        w = int.from_bytes(data[i:n], "little")
-        acc = (_rotl(acc ^ ((w * _P3) & MASK64), 27) * _P2 + _P5) & MASK64
-    return _fmix64(acc)
+    acc = ((salt & MASK64) * _P1 + n * _P5 + _P4) & MASK64
+    # Each step hashes the low word of w, then shifts it out. Bits above 64
+    # of a factor only reach bits above 64 of the product, so neither the
+    # word nor the rotation needs a mask before its multiply.
+    w = int.from_bytes(data, "little")
+    while n >= 8:
+        x = acc ^ ((w * _P2) & MASK64)
+        acc = ((((x << 31) | (x >> 33)) * _P1) + _P4) & MASK64
+        w >>= 64
+        n -= 8
+    if n:
+        x = acc ^ ((w * _P3) & MASK64)
+        acc = ((((x << 27) | (x >> 37)) * _P2) + _P5) & MASK64
+    acc ^= acc >> 33
+    acc = (acc * 0xFF51AFD7ED558CCD) & MASK64
+    acc ^= acc >> 33
+    acc = (acc * 0xC4CEB9FE1A85EC53) & MASK64
+    return acc ^ (acc >> 33)
+
+
+@lru_cache(maxsize=64)
+def _stream_base(seed: int) -> int:
+    # splitmix64(seed) plus the increment of the element's own round.
+    return splitmix64(seed & MASK64) + _GAMMA
 
 
 def stream_element(seed: int, k: int) -> bytes:
@@ -81,7 +90,10 @@ def stream_element(seed: int, k: int) -> bytes:
     distinct k because splitmix64 is a bijection, and the seed is mixed
     first so nearby seeds yield unrelated streams.
     """
-    return b"%016x" % splitmix64((splitmix64(seed & MASK64) + k) & MASK64)
+    x = (_stream_base(seed) + k) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return b"%016x" % (x ^ (x >> 31))
 
 
 class RegisterFile:
@@ -135,22 +147,22 @@ class RegisterFile:
     def hash_split(self, element: bytes) -> tuple[int, int]:
         """Map an element to its (register index, rank) pair."""
         h = hash64(element, self.salt)
-        index = h & (self.register_count - 1)
-        g = h >> self._bits
-        rank = 1 + (64 - self._bits) - g.bit_length()
+        bits = self._bits
+        rank = 65 - bits - (h >> bits).bit_length()
         if rank > self._max_reg:
             rank = self._max_reg
-        return index, rank
+        return h & (self.register_count - 1), rank
 
     # -- updates ---------------------------------------------------------
 
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
         index, rank = self.hash_split(element)
-        old = self._regs[index]
+        regs = self._regs
+        old = regs[index]
         if rank <= old:
             return 0
-        self._regs[index] = rank
+        regs[index] = rank
         if old == 0:
             self._zero -= 1
         self._zs -= (1 << (63 - old)) - (1 << (63 - rank))
@@ -167,13 +179,9 @@ class RegisterFile:
 
     def insert_span(self, seed: int, start: int, count: int) -> int:
         """Insert ``count`` stream elements starting at index ``start``."""
-        changed = 0
-        insert = self.insert
-        base = splitmix64(seed & MASK64)
-        for k in range(start, start + count):
-            if insert(b"%016x" % splitmix64((base + k) & MASK64)):
-                changed += 1
-        return changed
+        return self.insert_many(
+            map(stream_element, repeat(seed, count), range(start, start + count))
+        )
 
     # -- estimates -------------------------------------------------------
 
@@ -201,10 +209,25 @@ class RegisterFile:
     def zero_registers(self) -> int:
         return self._zero
 
+    def _check_dump(self, data: bytes) -> None:
+        if len(data) != self.register_count:
+            raise ValueError(
+                f"expected {self.register_count} register bytes, got {len(data)}"
+            )
+        for value in data:
+            if value > self._max_reg:
+                raise ValueError(
+                    f"register value {value} outside supported range 0..{self._max_reg}"
+                )
+
     def get_register(self, index: int) -> int:
+        if not 0 <= index < self.register_count:  # no negative indexing
+            raise IndexError(index)
         return self._regs[index]
 
     def set_register(self, index: int, value: int) -> None:
+        if not 0 <= index < self.register_count:
+            raise IndexError(index)
         if not 0 <= value <= self._max_reg:
             raise ValueError(
                 f"register value {value} outside supported range 0..{self._max_reg}"
@@ -223,25 +246,14 @@ class RegisterFile:
         return bytes(self._regs)
 
     def load_registers(self, data: bytes) -> None:
-        if len(data) != self.register_count:
-            raise ValueError(
-                f"expected {self.register_count} register bytes, got {len(data)}"
-            )
-        for value in data:
-            if value > self._max_reg:
-                raise ValueError(
-                    f"register value {value} outside supported range 0..{self._max_reg}"
-                )
+        self._check_dump(data)
         self._regs = bytearray(data)
         self._zero = sum(1 for v in data if v == 0)
         self._zs = sum(1 << (63 - v) for v in data)
 
     def merge_registers(self, data: bytes) -> None:
         """Take the elementwise maximum with another register dump."""
-        if len(data) != self.register_count:
-            raise ValueError(
-                f"expected {self.register_count} register bytes, got {len(data)}"
-            )
+        self._check_dump(data)
         for index, value in enumerate(data):
             if value > self._regs[index]:
                 self.set_register(index, value)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator
 
 from ._kernel import stream_element
@@ -62,8 +63,7 @@ class ElementGenerator:
         return stream_element(self.seed, k)
 
     def stream(self, count: int) -> Iterator[bytes]:
-        seed = self.seed
-        return (stream_element(seed, k) for k in range(count))
+        return map(stream_element, repeat(self.seed, count), range(count))
 
 
 @dataclass

@@ -16,16 +16,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ._kernel import BACKEND, RegisterFile, hash64
+from ._kernel import BACKEND, RegisterFile
 
 __all__ = [
     "HllParams",
     "HllSketch",
-    "HashSplit",
     "alpha_for_registers",
-    "hash_split",
     "merge",
     "witness_subset",
     "kernel_backend",
@@ -99,41 +97,12 @@ class HllParams:
         return self.salt or 0
 
     @property
-    def index_bits(self) -> int:
-        return self.register_count.bit_length() - 1
-
-    @property
     def max_register(self) -> int:
         return (1 << self.register_width) - 1
 
     @property
     def alpha(self) -> float:
         return alpha_for_registers(self.register_count)
-
-
-@dataclass(frozen=True)
-class HashSplit:
-    """Register index and rank an element maps to."""
-
-    index: int
-    rank: int
-
-
-def hash_split(element: bytes, params: HllParams) -> HashSplit:
-    """Split an element's 64-bit hash into (register index, rank).
-
-    The low log2(R) bits select the register; the rank is one plus the
-    leading-zero count of the remaining bits, clamped to the register's
-    maximum storable value.
-    """
-    if not element:
-        raise ValueError("element must be non-empty")
-    h = hash64(element, params.salt_value)
-    bits = params.index_bits
-    index = h & (params.register_count - 1)
-    g = h >> bits
-    rank = 1 + (64 - bits) - g.bit_length()
-    return HashSplit(index, min(rank, params.max_register, 63))
 
 
 def _make_core(params: HllParams) -> RegisterFile:
@@ -161,6 +130,17 @@ class HllSketch:
 
     # -- updates ---------------------------------------------------------
 
+    def hash_split(self, element: bytes) -> tuple[int, int]:
+        """The (register index, rank) an element maps to, without inserting it.
+
+        The low log2(R) bits of the element's 64-bit hash select the
+        register; the rank is one plus the leading-zero count of the
+        remaining bits, clamped to the register's maximum storable value.
+        """
+        if not element:
+            raise ValueError("element must be non-empty")
+        return self._core.hash_split(element)
+
     def insert(self, element: bytes) -> bool:
         """Insert an element; True iff a register value increased."""
         if not element:
@@ -174,7 +154,13 @@ class HllSketch:
         return self._core.insert(element)
 
     def insert_many(self, elements: Iterable[bytes]) -> int:
-        """Insert a batch of elements; return how many changed a register."""
+        """Insert a batch of elements; return how many changed a register.
+
+        An empty element is rejected before anything is inserted.
+        """
+        elements = list(elements)
+        if not all(elements):
+            raise ValueError("element must be non-empty")
         return self._core.insert_many(elements)
 
     # -- estimates -------------------------------------------------------
@@ -313,20 +299,21 @@ def merge(a: HllSketch, b: HllSketch) -> HllSketch:
     return result
 
 
-def witness_subset(elements: Sequence[bytes], params: HllParams) -> list[bytes]:
+def witness_subset(elements: Iterable[bytes], params: HllParams) -> list[bytes]:
     """At most R elements of the stream that reproduce its register array.
 
     For each register this picks the first element achieving the
-    register's final value; inserting the returned subset into a fresh
-    sketch yields the same registers (hence the same estimate) as the
-    full stream.
+    register's final value, in one pass: an element replaces the
+    register's witness only when its rank is strictly higher. Inserting
+    the returned subset into a fresh sketch yields the same registers
+    (hence the same estimate) as the full stream.
     """
-    final = HllSketch(params)
-    final.insert_many(elements)
-    target = final.registers
+    split = HllSketch(params).hash_split
+    ranks: dict[int, int] = {}
     witnesses: dict[int, bytes] = {}
     for element in elements:
-        split = hash_split(element, params)
-        if split.index not in witnesses and split.rank == target[split.index]:
-            witnesses[split.index] = element
+        index, rank = split(element)
+        if rank > ranks.get(index, 0):
+            ranks[index] = rank
+            witnesses[index] = element
     return [witnesses[i] for i in sorted(witnesses)]

@@ -11,7 +11,6 @@ from hllrt import (
     HllParams,
     HllSketch,
     alpha_for_registers,
-    hash_split,
 )
 from hllrt.analysis import (
     estimate_increment,
@@ -54,13 +53,14 @@ def missed_registers(params, seed, n):
     best = {}
     switch_at = None
     threshold = params.switch_factor * params.register_count
+    split = sketch.hash_split
     for k, element in enumerate(gen.stream(n)):
-        split = hash_split(element, params)
-        if split.index not in first_arrival:
-            first_arrival[split.index] = (split.rank, k)
-        current = best.get(split.index)
-        if current is None or split.rank > current[0]:
-            best[split.index] = (split.rank, k)
+        index, rank = split(element)
+        if index not in first_arrival:
+            first_arrival[index] = (rank, k)
+        current = best.get(index)
+        if current is None or rank > current[0]:
+            best[index] = (rank, k)
         if switch_at is None:
             # The sketch only locates the end of the low-range window.
             sketch.insert(element)

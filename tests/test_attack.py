@@ -1,5 +1,6 @@
 """Attack construction: phase mechanics, invariants, files, aborts."""
 
+import hashlib
 import statistics
 from types import SimpleNamespace
 
@@ -181,6 +182,24 @@ def test_attack_set_is_a_subset_chain():
     assert set(v.elements) <= set(y2.elements) <= stream
     assert set(y1.elements) <= set(y2.elements)
     assert len(v.elements) <= len(y2.elements)
+
+
+def test_phase_sets_golden_digests():
+    # Pins the attack's output bit for bit, on whichever kernel is active:
+    # a kernel rewrite that changed one hash or one stream element would
+    # change these sets. Both kernels produced exactly these digests.
+    run = run_attack(factory_for(HllParams(256, 6)), 7, 2000)
+    digests = [
+        (len(s.elements), hashlib.sha256(b"\n".join(s.elements)).hexdigest())
+        for s in run.phase_sets
+    ]
+    assert digests == [
+        (440, "2999c234e341b4ed77ffa13c315b7f9992eb823531675fb5417d4265a4f51441"),
+        (511, "04dfecd910d9df805890a07538aa9daf04311cb68376b1d02baf0f8290430457"),
+        (256, "e5ddeb73258d7ae2cac51311b0be5781de4c01a0592af6657f66c9d5a0276761"),
+    ]
+    assert [r.insertions_performed for r in run.reports] == [2000, 2000, 511]
+    assert run.total_insertions == 4951
 
 
 def test_attack_total_insertions_bounded():

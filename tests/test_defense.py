@@ -45,6 +45,16 @@ def test_honest_stream_keeps_both_estimates_close():
     )
 
 
+def test_guard_rejects_an_empty_element_in_both_sketches():
+    guard = SnsGuard(PARAMS)
+    with pytest.raises(ValueError):
+        guard.insert_many([b"a", b"b", b""])
+    report = guard.check()
+    assert report.public_estimate == 0
+    assert report.shadow_estimate == 0
+    assert guard.public_sketch.registers == bytes(PARAMS.register_count)
+
+
 def test_attack_set_trips_the_guard():
     attack = build_attack_set(seed=1, c=20 * 1024)
     guard = SnsGuard(PARAMS, shadow_salt=0x5151)

@@ -2,13 +2,18 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hllrt._kernel as kern
-from hllrt._kernel import BACKEND, RegisterFile, hash64, splitmix64, stream_element
+from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, splitmix64, stream_element
+
+MASK64 = (1 << 64) - 1
+KERNEL_DIR = Path(kern.__file__).resolve().parent
 
 ALPHA_1024 = 0.7213 / (1 + 1.079 / 1024)
 
@@ -177,3 +182,147 @@ def test_parity_register_ops(pure_kernel, compiled_kernel):
     cy.merge_registers(other)
     assert py.dump_registers() == cy.dump_registers()
     assert py.estimate() == cy.estimate()
+
+
+def available_kernels():
+    try:
+        from hllrt._kernel import _ckernel
+    except ImportError:
+        return [_pykernel]
+    return [_pykernel, _ckernel]
+
+
+def test_get_and_set_register_reject_out_of_range_indices():
+    # A bytearray would read index -1 as the last register; both kernels
+    # raise instead, and check the index before the value.
+    for kernel in available_kernels():
+        rf = make_rf(kernel, m=16)
+        for index in (-1, -16, 16, 1 << 20):
+            with pytest.raises(IndexError):
+                rf.get_register(index)
+            with pytest.raises(IndexError):
+                rf.set_register(index, 3)
+            with pytest.raises(IndexError):
+                rf.set_register(index, 99)
+        assert rf.dump_registers() == bytes(16)
+        rf.set_register(15, 5)
+        assert rf.get_register(15) == 5
+
+
+def test_merge_with_a_bad_byte_changes_nothing():
+    for kernel in available_kernels():
+        rf = make_rf(kernel, m=16, width=6)
+        rf.set_register(3, 2)
+        before = (rf.dump_registers(), rf.estimate(), rf.zero_registers(), rf.z_sum())
+        with pytest.raises(ValueError):
+            rf.merge_registers(bytes([9] * 15 + [64]))
+        assert (rf.dump_registers(), rf.estimate(), rf.zero_registers(), rf.z_sum()) == before
+
+
+# -- golden values -------------------------------------------------------------
+# The parity tests above need the compiled kernel. These pin the mapping
+# itself, so a rewrite of either kernel that changes one hash, one stream
+# element or one phase set fails here even when only the pure kernel is
+# importable. Both kernels produced exactly these values.
+
+GOLDEN_DATA = bytes((37 * i + 11) % 256 for i in range(40))
+
+# hash64(GOLDEN_DATA[:n], salt) for n = 0..40: every tail length on
+# both sides of each 8-byte word boundary.
+HASH64_GOLDEN = {
+    0: (
+        0x1510F82856926D3E, 0x70B8502E0911EDE4, 0x75E18DF3E876F19C,
+        0xD2C626F32E3DEA74, 0x158FD9BEF3C3107D, 0x38C9F6DECBC0E5B9,
+        0xE5A8DAD45B78B61B, 0xB296724B36E53FAE, 0x7ACBCEF7097391C7,
+        0xCEA78A4B8CAE41F9, 0x417BE3C6B46DAE1D, 0xFD30D02021F14789,
+        0x22C36B4F00BBA937, 0xAF7CFB0465A74BEC, 0x8767600E15917B72,
+        0x2AC029284249C8DC, 0x00E3E0B824DFFFC8, 0xBB7710E39DFDBC39,
+        0x5192D2FE21D21E88, 0x52D5F94877395B3F, 0x1874A4E654F9D65A,
+        0x05347C7C89E4A62F, 0x0E081614A855167C, 0x5925CC87DFFF8DDF,
+        0x927F936342A38366, 0xDD5DA4BD24E9DDFC, 0xA9B4931760319368,
+        0x7EA7A46F2D91C798, 0xCFCDBCFD4166213E, 0x66A0B5DADF497275,
+        0x3437EEAE96238D88, 0x3B443A2B0E35527E, 0xB3DEFB90427E3C6A,
+        0x79C061F1A002F7FB, 0x0CB7A806F1C4A73D, 0xEC3FB91816482B59,
+        0x57EF217BD88F08F1, 0x14216D9BE5CD7EC9, 0xF2FBC5DBD3A03F26,
+        0xEE94D04EF7E3505C, 0x05660C4D425DA323,
+    ),
+    0x0123456789ABCDEF: (
+        0x580D1BFC097BD8FA, 0xCEB9BA443A8F684F, 0x9CF41012DC36C508,
+        0x01CB4ED0D00FECE6, 0x541923E2634AACA2, 0x2800CF9897ABF7C2,
+        0x01A33C11BB0B4DF3, 0x3167F0DA3D1504A7, 0x81EAE7F0F3B6A76E,
+        0xAC6FFDFF339C3EED, 0x02D7201F005FDECB, 0xE556693F7223556E,
+        0x83190D0A85AF929C, 0x4CFFDC25CA3D303F, 0x2496F76586E73A38,
+        0x30A71ACA3B303530, 0x654EF2ED25DE90D8, 0x2DCB2379058FBB4A,
+        0x84F6E00AD50A4CB4, 0x403217AF7343A936, 0x61B2554D6D643093,
+        0x8A8F2DD2FCAA5107, 0x8AADEE7B421FDB94, 0x4AB5CE763E94E168,
+        0x7A1DE8603C6960DA, 0xB5DED03FFFAFA43F, 0x1E27939313D7A2BF,
+        0x97430E2BDB9A48E5, 0x6CDAD6E76C0EDC82, 0xD499574D64ADCDCB,
+        0x4E96E6FB02EC925B, 0x1F23B093A6C43F07, 0x7105D40E93B19B5A,
+        0xBB958E63F7AA2E88, 0x107E6943BE449A5B, 0x0ED63EEFE7508F4A,
+        0xF08071FF28605ADF, 0x050A1C2863116155, 0xE48C0613AFEFA1BD,
+        0xFEB9A467A4E94529, 0x32E9E2622A4CBA36,
+    ),
+    MASK64: (
+        0xBFDB51E52A4F7757, 0xB5A09BBA08211D4B, 0x37EA89E56DCE969B,
+        0x84196FD8BFC70F11, 0x9AECA33D1C70686C, 0xDC11288801847164,
+        0xAC823E009FEA4010, 0xEBCAC0CC6CDB47A3, 0x38AA52FBF8D45ABC,
+        0xB7FA665861870FD3, 0x55B69D8377C6CF08, 0xACA6F0234149589A,
+        0xB7C7EF29061F6F67, 0x7CB545B2166E8538, 0x29ADC830538B9C1C,
+        0x451CF53BC77E0859, 0xA5115ED4F00F5994, 0x5821A3F8524948EF,
+        0xE1CBF1421A7AC125, 0xEFD460E01558721C, 0x7FCB37C593FD3438,
+        0xF8B9559ACA4C3A5E, 0xC1C67CFC9DB1A36F, 0x2D792C2D0FA4F5E8,
+        0x78446402299D3A0A, 0x141E88DCABA21063, 0xFA23AF5A4D010932,
+        0x99F4E6DCE6D8D9C4, 0x111BAEDADE998CFC, 0x229CC4F8CCF228A9,
+        0xEC5341A1CB8FD9F0, 0xB181D434C33EBE09, 0x4FBE670F04B652CA,
+        0x067C20436BED66CE, 0x9B6851CFA8F59315, 0x401D67AD8EA5E161,
+        0x0BC43C57887ED865, 0x055C38839DEA44D2, 0x20758A7272A555BE,
+        0x3B1AD6F28AF11C6F, 0x170A670391C1CCB0,
+    ),
+}
+
+STREAM_GOLDEN = {
+    (0, 0): b"a706dd2f4d197e6f",
+    (0, 1): b"2a98f501af37e97f",
+    (1, 0): b"5e41ab087439611e",
+    (7, 12345): b"0729fcbe5b63ca5a",
+    (2**63 + 5, 2**32 + 1): b"fb2520c2201dd392",
+    (MASK64, MASK64): b"5155e650b56274f2",
+    (501, 99_999): b"4d59feb985898185",
+}
+
+
+def test_hash64_golden_values():
+    for kernel in available_kernels():
+        for salt, expected in HASH64_GOLDEN.items():
+            got = tuple(kernel.hash64(GOLDEN_DATA[:n], salt) for n in range(41))
+            assert got == expected, (kernel.__name__, hex(salt))
+
+
+def test_stream_element_golden_values():
+    for kernel in available_kernels():
+        for (seed, k), expected in STREAM_GOLDEN.items():
+            assert kernel.stream_element(seed, k) == expected
+        # Interleaved seeds: the per-seed mixing must not leak between streams.
+        for (seed, k), expected in reversed(STREAM_GOLDEN.items()):
+            assert kernel.stream_element(seed, k) == expected
+
+
+# -- generated C against its Cython source -------------------------------------
+
+_PYX_MARKER = re.compile(r'/\* "hllrt/_kernel/_ckernel\.pyx":(\d+)\n((?: \*.*\n)+?)\*/')
+
+
+def test_generated_c_matches_its_pyx_source():
+    # Cython quotes, above each block of _ckernel.c, the .pyx line it came
+    # from, marked "# <<<". If the .pyx is edited without regenerating the
+    # .c, a quoted line no longer matches and the parity tests would be
+    # checking stale C. Reads both files; builds nothing.
+    pyx = (KERNEL_DIR / "_ckernel.pyx").read_text().splitlines()
+    c_source = (KERNEL_DIR / "_ckernel.c").read_text()
+    blocks = _PYX_MARKER.findall(c_source)
+    assert len(blocks) > 200
+    for number, quoted in blocks:
+        marked = [line for line in quoted.splitlines() if line.endswith("# <<<<<<<<<<<<<<")]
+        assert len(marked) == 1, quoted
+        line = marked[0][len(" * "):-len("# <<<<<<<<<<<<<<")].rstrip()
+        assert line == pyx[int(number) - 1].rstrip(), f"_ckernel.pyx:{number}"

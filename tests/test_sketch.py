@@ -13,7 +13,6 @@ from hllrt import (
     HllParams,
     HllSketch,
     alpha_for_registers,
-    hash_split,
     merge,
     witness_subset,
 )
@@ -22,10 +21,11 @@ from hllrt import (
 def find_element(params, index=None, rank=None, start=0):
     """Scan the deterministic stream for an element with the wanted split."""
     gen = ElementGenerator(999)
+    split = HllSketch(params).hash_split
     for k in range(start, start + 2_000_000):
         e = gen.element(k)
-        s = hash_split(e, params)
-        if (index is None or s.index == index) and (rank is None or s.rank == rank):
+        i, r = split(e)
+        if (index is None or i == index) and (rank is None or r == rank):
             return e
     raise AssertionError("no element found with the requested split")
 
@@ -65,25 +65,41 @@ def test_alpha_constants():
 
 def test_hash_split_deterministic_and_bounded():
     params = HllParams(64, 6)
+    sketch = HllSketch(params)
     for k in range(200):
         e = ElementGenerator(1).element(k)
-        a = hash_split(e, params)
-        b = hash_split(e, params)
+        a = sketch.hash_split(e)
+        b = HllSketch(params).hash_split(e)
         assert a == b
-        assert 0 <= a.index < 64
-        assert 1 <= a.rank <= params.max_register
+        index, rank = a
+        assert 0 <= index < 64
+        assert 1 <= rank <= params.max_register
+    assert sketch.registers == bytes(64)  # splitting inserts nothing
 
 
 def test_hash_split_rejects_empty():
     with pytest.raises(ValueError):
-        hash_split(b"", HllParams(64))
+        HllSketch(HllParams(64)).hash_split(b"")
 
 
 def test_hash_split_salt_changes_mapping():
-    unsalted = HllParams(1024, 6)
-    salted = HllParams(1024, 6, salt=12345)
+    unsalted = HllSketch(HllParams(1024, 6))
+    salted = HllSketch(HllParams(1024, 6, salt=12345))
     elements = [ElementGenerator(2).element(k) for k in range(100)]
-    assert any(hash_split(e, unsalted) != hash_split(e, salted) for e in elements)
+    assert any(unsalted.hash_split(e) != salted.hash_split(e) for e in elements)
+
+
+def test_hash_split_clamps_rank_to_register_width():
+    # Width 4 stores ranks up to 15; an element whose hash would give a
+    # longer run is stored as 15 by both the split and the insert.
+    params = HllParams(16, 4)
+    e = find_element(HllParams(16, 8), rank=16)
+    assert HllSketch(HllParams(16, 8)).hash_split(e)[1] == 16
+    index, rank = HllSketch(params).hash_split(e)
+    assert rank == 15
+    sketch = HllSketch(params)
+    sketch.insert(e)
+    assert sketch.get_register(index) == 15
 
 
 # -- insert -------------------------------------------------------------------
@@ -266,6 +282,34 @@ def test_permutation_invariance():
     b.insert_many(shuffled)
     assert a.registers == b.registers
     assert a.estimate() == b.estimate()
+
+
+def test_insert_many_rejects_an_empty_element_before_inserting():
+    sketch = HllSketch(HllParams(64, 6))
+    elements = list(ElementGenerator(6).stream(100))
+    with pytest.raises(ValueError):
+        sketch.insert_many(elements + [b""])
+    with pytest.raises(ValueError):
+        sketch.insert_many(iter(elements[:50] + [b""] + elements[50:]))
+    assert sketch.registers == bytes(64)
+    assert sketch.insert_many(iter(elements)) > 0
+
+
+def test_witness_subset_keeps_the_first_element_at_each_final_rank():
+    # Two-pass reference: final registers first, then the first element
+    # reaching each register's final value.
+    params = HllParams(64, 6)
+    elements = list(ElementGenerator(15).stream(3000))
+    full = HllSketch(params)
+    full.insert_many(elements)
+    target = full.registers
+    expected = {}
+    for element in elements:
+        index, rank = full.hash_split(element)
+        if index not in expected and rank == target[index]:
+            expected[index] = element
+    assert witness_subset(elements, params) == [expected[i] for i in sorted(expected)]
+    assert witness_subset(iter(elements), params) == [expected[i] for i in sorted(expected)]
 
 
 def test_witness_subset_reproduces_registers():
