@@ -20,15 +20,40 @@ Interpreter overhead, not arithmetic, sets this kernel's speed, so the
 per-element path is flat: ``hash64`` reads the element once as one
 integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
+
+``insert_many`` goes further and hashes a whole block of elements in one
+pass, SIMD within a register with Python's big integers. A block whose
+elements all have one length n is hashed together: each gets a 128-bit lane
+of one big integer, its accumulator in the lane's low 64 bits and the
+upper 64 bits zero. For each of the element's 8-byte words (the last
+one zero-padded), the word of every element is copied into the low half
+of its lane, and ``hash64``'s step runs once on the whole integer, each
+result masked back to 64 bits per lane. No lane can carry into the next:
+a product of two values below 2**64, plus P4 or P5, stays below 2**128.
+A right shift (the rotations' ``>> 33``/``>> 37``, the avalanche's
+``>> 33``) pulls the next lane's low bits into this lane's upper half,
+so its result is masked before the next multiply. The low 64 bits of
+each lane are then that element's ``hash64``. The scalar ``hash64``
+stays: it hashes single elements for ``insert`` and ``hash_split``,
+blocks that mix lengths or hold anything but ``bytes``, and it is the
+reference the lanes are tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 
 MASK64 = (1 << 64) - 1
+
+# Elements insert_many reads, hashes and applies at a time.
+_BLOCK = 2048
+# The lanes are read back as native 8-byte words, so the block path
+# needs a little-endian host; elsewhere insert_many hashes one by one.
+_LANES = sys.byteorder == "little"
 
 # 2**-63 is an exact double, so scaling Z_scaled by it only rounds once
 # (in the int -> float conversion).
@@ -96,6 +121,52 @@ def stream_element(seed: int, k: int) -> bytes:
     return b"%016x" % (x ^ (x >> 31))
 
 
+def _lane_hashes(block: list[bytes], n: int, salt: int) -> list[int]:
+    """``hash64(e, salt)`` for each element of ``block``, all of length ``n``."""
+    count = len(block)
+    if count < 4:  # a lane pass costs about as much as four scalar hashes
+        return [hash64(e, salt) for e in block]
+    words_each = -(-n // 8)
+    pad = bytes(words_each * 8 - n)
+    words = memoryview(pad.join(block) + pad).cast("Q")
+    lanes = bytearray(16 * count)
+    low = memoryview(lanes).cast("Q")[::2]
+    ones, mask = _lane_constants(count)
+    acc = ((salt * _P1 + n * _P5 + _P4) & MASK64) * ones
+    p4 = _P4 * ones
+    for j in range(n // 8):
+        low[:] = words[j::words_each]
+        x = acc ^ ((int.from_bytes(lanes, "little") * _P2) & mask)
+        acc = ((((x << 31) | (x >> 33)) & mask) * _P1 + p4) & mask
+    if n % 8:
+        low[:] = words[words_each - 1 :: words_each]
+        x = acc ^ ((int.from_bytes(lanes, "little") * _P3) & mask)
+        acc = ((((x << 27) | (x >> 37)) & mask) * _P2 + _P5 * ones) & mask
+    acc = (((acc ^ (acc >> 33)) & mask) * 0xFF51AFD7ED558CCD) & mask
+    acc = (((acc ^ (acc >> 33)) & mask) * 0xC4CEB9FE1A85EC53) & mask
+    acc ^= acc >> 33  # only each lane's low 64 bits are read back
+    return memoryview(acc.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
+
+
+@lru_cache(maxsize=2)
+def _lane_constants(count: int) -> tuple[int, int]:
+    """1 and 2**64 - 1 in each of ``count`` 128-bit lanes."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    return ones, ones * MASK64
+
+
+def _check_c_conversions(index, value: int = 0) -> None:
+    """Raise where the compiled kernel's C conversions of the arguments would.
+
+    The compiled kernel reads a register index as a Py_ssize_t and a
+    register value as a C int before checking either range.
+    """
+    if not -sys.maxsize - 1 <= operator.index(index) <= sys.maxsize:
+        raise OverflowError("Python int too large to convert to C ssize_t")
+    if not -(1 << 31) <= operator.index(value) < 1 << 31:
+        raise OverflowError("value too large to convert to int")
+
+
 class RegisterFile:
     """R max-rank registers with incremental estimate bookkeeping.
 
@@ -144,20 +215,23 @@ class RegisterFile:
 
     # -- hashing ---------------------------------------------------------
 
-    def hash_split(self, element: bytes) -> tuple[int, int]:
-        """Map an element to its (register index, rank) pair."""
-        h = hash64(element, self.salt)
+    def _split(self, h: int) -> tuple[int, int]:
+        """The (register index, rank) pair a 64-bit hash selects."""
         bits = self._bits
         rank = 65 - bits - (h >> bits).bit_length()
         if rank > self._max_reg:
             rank = self._max_reg
         return h & (self.register_count - 1), rank
 
+    def hash_split(self, element: bytes) -> tuple[int, int]:
+        """Map an element to its (register index, rank) pair."""
+        return self._split(hash64(element, self.salt))
+
     # -- updates ---------------------------------------------------------
 
-    def insert(self, element: bytes) -> int:
-        """Insert one element; return the register increment (0 if none)."""
-        index, rank = self.hash_split(element)
+    def _apply(self, h: int) -> int:
+        """Raise the register hash ``h`` selects; return the increment (0 if none)."""
+        index, rank = self._split(h)
         regs = self._regs
         old = regs[index]
         if rank <= old:
@@ -168,14 +242,41 @@ class RegisterFile:
         self._zs -= (1 << (63 - old)) - (1 << (63 - rank))
         return rank - old
 
+    def insert(self, element: bytes) -> int:
+        """Insert one element; return the register increment (0 if none)."""
+        return self._apply(hash64(element, self.salt))
+
     def insert_many(self, elements) -> int:
-        """Insert a batch; return how many changed a register."""
+        """Insert a batch; return how many changed a register.
+
+        Reads ``_BLOCK`` elements at a time. A block of ``bytes`` of one
+        length is hashed in one lane pass; any other block is hashed one
+        element at a time, so it inserts the elements before a bad one
+        and then raises what ``insert`` would. An iterable that raises
+        mid-block has the elements it yielded inserted first, as the
+        compiled kernel's element-by-element loop would.
+        """
         changed = 0
-        insert = self.insert
-        for element in elements:
-            if insert(element):
-                changed += 1
-        return changed
+        elements = iter(elements)
+        while True:
+            block = []
+            try:
+                # list.extend keeps the elements read before a raise
+                block.extend(islice(elements, _BLOCK))
+            finally:
+                changed += self._insert_block(block)
+            if len(block) < _BLOCK:
+                return changed
+
+    def _insert_block(self, block: list) -> int:
+        """Insert one block of ``insert_many``; return how many changed a register."""
+        salt = self.salt
+        if _LANES and set(map(type, block)) == {bytes} and len(set(map(len, block))) == 1:
+            hashes = _lane_hashes(block, len(block[0]), salt)
+        else:
+            hashes = map(hash64, block, repeat(salt))
+        increments = list(map(self._apply, hashes))
+        return len(increments) - increments.count(0)
 
     def insert_span(self, seed: int, start: int, count: int) -> int:
         """Insert ``count`` stream elements starting at index ``start``."""
@@ -210,6 +311,8 @@ class RegisterFile:
         return self._zero
 
     def _check_dump(self, data: bytes) -> None:
+        if type(data) is not bytes:
+            raise TypeError(f"expected bytes, got {type(data).__name__}")
         if len(data) != self.register_count:
             raise ValueError(
                 f"expected {self.register_count} register bytes, got {len(data)}"
@@ -222,16 +325,21 @@ class RegisterFile:
 
     def get_register(self, index: int) -> int:
         if not 0 <= index < self.register_count:  # no negative indexing
+            _check_c_conversions(index)
             raise IndexError(index)
         return self._regs[index]
 
     def set_register(self, index: int, value: int) -> None:
-        if not 0 <= index < self.register_count:
-            raise IndexError(index)
-        if not 0 <= value <= self._max_reg:
+        if not (0 <= index < self.register_count and 0 <= value <= self._max_reg):
+            _check_c_conversions(index, value)
+            if not 0 <= index < self.register_count:
+                raise IndexError(index)
             raise ValueError(
                 f"register value {value} outside supported range 0..{self._max_reg}"
             )
+        self._set(index, value)
+
+    def _set(self, index: int, value: int) -> None:
         old = self._regs[index]
         if value == old:
             return
@@ -254,9 +362,10 @@ class RegisterFile:
     def merge_registers(self, data: bytes) -> None:
         """Take the elementwise maximum with another register dump."""
         self._check_dump(data)
+        regs = self._regs
         for index, value in enumerate(data):
-            if value > self._regs[index]:
-                self.set_register(index, value)
+            if value > regs[index]:
+                self._set(index, value)
 
     def reset(self) -> None:
         self._regs = bytearray(self.register_count)

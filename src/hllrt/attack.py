@@ -115,15 +115,31 @@ class AttackSet:
     # in insertion order.
 
     def save(self, path) -> None:
+        """Write the file form; refuse, before writing, an element it cannot hold.
+
+        An element must be non-empty UTF-8 with no CR or LF and must not
+        start with '#', or ``load`` would skip it, split it or read it
+        as metadata.
+        """
+        lines = []
+        for element in self.elements:
+            try:
+                text = element.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"element {element!r} is not UTF-8") from None
+            if not text or text.startswith("#") or "\r" in text or "\n" in text:
+                raise ValueError(
+                    f"element {element!r} cannot be stored one per line: "
+                    "it is empty, starts with '#' or holds CR or LF"
+                )
+            lines.append(text + "\n")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# seed={self.source_seed}\n")
             fh.write(f"# target_C={self.target_cardinality}\n")
             fh.write(f"# phase={self.phase}\n")
             fh.write(f"# estimate={self.achieved_estimate}\n")
             fh.write(f"# size={len(self.elements)}\n")
-            for element in self.elements:
-                fh.write(element.decode("utf-8"))
-                fh.write("\n")
+            fh.writelines(lines)
 
     @classmethod
     def load(cls, path) -> "AttackSet":

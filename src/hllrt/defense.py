@@ -34,7 +34,7 @@ def default_divergence_threshold(register_count: int) -> float:
     return 5.0 * 1.04 / register_count**0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionReport:
     """Detector verdict plus the statistics that produced it."""
 
@@ -138,19 +138,22 @@ class StatsMonitor:
             raise ValueError("a changing insertion must have increment >= 1")
         if not changed:
             increment = 0
+        window = self._window
         if current_estimate > self.register_count:
-            if len(self._window) == self.window_size:
-                evicted = self._window[0]
+            if len(window) == self.window_size:
+                evicted = window[0]
                 if evicted > 0:
                     self._changed -= 1
                     self._increment_sum -= evicted
-            self._window.append(increment)
+            window.append(increment)
             if increment > 0:
                 self._changed += 1
                 self._increment_sum += increment
-        fraction = self.change_fraction
-        mean_inc = self.mean_increment
-        alarm = bool(self._window) and (
+        # change_fraction and mean_increment, inline: this runs per insertion.
+        changed_count = self._changed
+        fraction = changed_count / len(window) if window else 0.0
+        mean_inc = self._increment_sum / changed_count if changed_count else 0.0
+        alarm = bool(window) and (
             fraction > self.fraction_threshold or mean_inc > self.increment_threshold
         )
         return DetectionReport(

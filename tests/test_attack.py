@@ -342,6 +342,20 @@ def test_attack_set_file_roundtrip(tmp_path):
     assert "# phase=3\n" in text
 
 
+def test_attack_set_file_refuses_elements_it_cannot_load(tmp_path):
+    # Each of these would come back changed: as metadata (the seed!), as
+    # two elements, or not at all. save refuses it and writes nothing.
+    path = tmp_path / "v.txt"
+    for bad in (b"#seed=9", b"a\nb", b"a\rb", b"", b"\xff\xfe"):
+        attack_set = AttackSet([b"fine", bad], 3, 100, 90, 1)
+        with pytest.raises(ValueError):
+            attack_set.save(path)
+        assert not path.exists()
+    valid = AttackSet([b"a#b", b" spaced ", "\u00e9t\u00e9".encode(), b"x" * 300], 2, 100, 90, 1)
+    valid.save(path)
+    assert AttackSet.load(path) == valid
+
+
 def test_attack_set_file_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("# seed=1\n# target_C=2\n# phase=3\nabc\nabc\n")

@@ -6,6 +6,7 @@ import statistics
 import pytest
 
 from hllrt import (
+    DetectionReport,
     ElementGenerator,
     HllParams,
     HllSketch,
@@ -174,6 +175,26 @@ def test_honest_stream_low_fraction_and_mean_increment_near_two():
     assert report.alarm is False
     assert report.change_fraction < 0.15
     assert statistics.fmean(increments) == pytest.approx(2.0, abs=0.5)
+
+
+def test_monitor_reports_match_its_properties():
+    # observe computes the fraction and mean inline; each report must
+    # equal one built from the change_fraction / mean_increment properties.
+    monitor = StatsMonitor(64, window_size=16)
+    sketch = HllSketch(HllParams(64, 6))
+    for element in ElementGenerator(5).stream(600):
+        increment = sketch.insert_increment(element)
+        estimate = sketch.estimate()
+        report = monitor.observe(increment > 0, increment, estimate)
+        fraction, mean = monitor.change_fraction, monitor.mean_increment
+        assert report == DetectionReport(
+            alarm=bool(monitor._window)
+            and (fraction > monitor.fraction_threshold or mean > monitor.increment_threshold),
+            detector="stats",
+            public_estimate=estimate,
+            change_fraction=fraction,
+            mean_increment=mean,
+        )
 
 
 def test_stats_report_shape():

@@ -1,5 +1,6 @@
 """Kernel-level tests: hashing quality, bookkeeping, backend parity."""
 
+import hashlib
 import math
 import random
 import re
@@ -13,6 +14,7 @@ import hllrt._kernel as kern
 from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, splitmix64, stream_element
 
 MASK64 = (1 << 64) - 1
+BLOCK = _pykernel._BLOCK  # elements the pure insert_many hashes per pass
 KERNEL_DIR = Path(kern.__file__).resolve().parent
 
 ALPHA_1024 = 0.7213 / (1 + 1.079 / 1024)
@@ -93,6 +95,12 @@ def test_insert_span_matches_individual_inserts():
     for k in range(5000):
         b.insert(stream_element(77, k))
     assert a.dump_registers() == b.dump_registers()
+    # A span that starts mid-stream and crosses insert_many's block boundaries.
+    count = 2 * BLOCK + 1
+    changed = sum(b.insert(stream_element(77, k)) > 0 for k in range(5000, 5000 + count))
+    assert a.insert_span(77, 5000, count) == changed
+    assert a.dump_registers() == b.dump_registers()
+    assert a.z_sum() == b.z_sum()
 
 
 def test_register_value_bounds():
@@ -209,6 +217,46 @@ def test_get_and_set_register_reject_out_of_range_indices():
         assert rf.get_register(15) == 5
 
 
+def test_register_access_raises_where_c_conversions_overflow():
+    # The compiled kernel converts an index to Py_ssize_t and a value to a
+    # C int before checking either range, so out-of-range integers beyond
+    # those types raise OverflowError rather than IndexError / ValueError.
+    for kernel in available_kernels():
+        rf = make_rf(kernel, m=16)
+        for index in (1 << 63, 1 << 70, -(1 << 63) - 1):
+            with pytest.raises(OverflowError):
+                rf.get_register(index)
+            with pytest.raises(OverflowError):
+                rf.set_register(index, 3)
+        for index in ((1 << 63) - 1, -(1 << 63)):
+            with pytest.raises(IndexError):
+                rf.get_register(index)
+        for value in (1 << 31, 1 << 40, -(1 << 31) - 1):
+            with pytest.raises(OverflowError):
+                rf.set_register(0, value)
+            with pytest.raises(OverflowError):
+                rf.set_register(16, value)  # the value is converted before the index is checked
+        for value in ((1 << 31) - 1, -(1 << 31)):
+            with pytest.raises(ValueError):
+                rf.set_register(0, value)
+        with pytest.raises(TypeError):
+            rf.get_register(99.5)
+        assert rf.dump_registers() == bytes(16)
+
+
+def test_register_dumps_must_be_bytes():
+    for kernel in available_kernels():
+        rf = make_rf(kernel, m=16)
+        rf.set_register(2, 7)
+        before = rf.dump_registers()
+        for data in (bytearray(16), memoryview(bytes(16)), [0] * 16, None, "a" * 16):
+            with pytest.raises(TypeError):
+                rf.load_registers(data)
+            with pytest.raises(TypeError):
+                rf.merge_registers(data)
+        assert rf.dump_registers() == before
+
+
 def test_merge_with_a_bad_byte_changes_nothing():
     for kernel in available_kernels():
         rf = make_rf(kernel, m=16, width=6)
@@ -305,6 +353,117 @@ def test_stream_element_golden_values():
         # Interleaved seeds: the per-seed mixing must not leak between streams.
         for (seed, k), expected in reversed(STREAM_GOLDEN.items()):
             assert kernel.stream_element(seed, k) == expected
+
+
+# -- insert_many hashes whole blocks ---------------------------------------------
+# The pure kernel's insert_many hashes a block of elements in one pass of
+# big-integer lanes. These check it against the scalar hash64 and against
+# sequential insert on every importable kernel, the pure one included.
+
+SALTS = (0, 0x0123456789ABCDEF, MASK64)
+
+
+def test_block_hash_matches_hash64():
+    rng = random.Random(17)
+    data = bytes(rng.randrange(256) for _ in range(1100))
+    for salt in SALTS:
+        for n in list(range(41)) + [64, 100, 1000]:
+            block = [data[i : i + n] for i in range(0, 100, 3)]
+            lanes = _pykernel._lane_hashes(block, n, salt)
+            assert lanes == [hash64(e, salt) for e in block], (n, salt)
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@given(
+    salt=st.sampled_from(SALTS),
+    seed=st.integers(0, MASK64),
+    lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+)
+@settings(max_examples=8, deadline=None)
+def test_insert_many_equals_sequential_inserts(count, salt, seed, lengths):
+    # The first block has one length, so the pure kernel hashes it in lanes;
+    # later blocks cycle through ``lengths`` and, if it mixes lengths, take
+    # the scalar loop.
+    elements = [
+        (stream_element(seed, k) * 3)[: lengths[0 if k < BLOCK else k % len(lengths)]]
+        for k in range(count)
+    ]
+    for kernel in available_kernels():
+        bulk = make_rf(kernel, m=256, salt=salt)
+        one_by_one = make_rf(kernel, m=256, salt=salt)
+        changed = sum(one_by_one.insert(e) > 0 for e in elements)
+        assert bulk.insert_many(iter(elements)) == changed
+        assert bulk.dump_registers() == one_by_one.dump_registers()
+        assert bulk.z_sum() == one_by_one.z_sum()
+        assert bulk.estimate() == one_by_one.estimate()
+
+
+def golden_insert_stream(mixed):
+    # 5,000 16-byte stream elements, which the pure kernel hashes in lanes;
+    # if mixed, every third has a length 1..40 instead, and every block
+    # takes the scalar loop.
+    for k in range(5000):
+        element = stream_element(3, k)
+        yield (element * 3)[: 1 + k % 40] if mixed and not k % 3 else element
+
+
+# (changed count, estimate, sha256 of the register dump) after insert_many
+# of golden_insert_stream(mixed) at R=1024, keyed by (mixed, salt),
+# computed before insert_many hashed in blocks.
+INSERT_MANY_GOLDEN = {
+    (True, 0): (1811, 5049, "1ff47f66546d4131e937bb2969cf7569e70b9039296be0535c98e32e80bbfbd7"),
+    (True, 0x0123456789ABCDEF): (
+        1854, 5056, "8d1af2cec8fbfbe6fb0be4a106b66b1c77ad448556827f1be95da9b007ffa4e0"
+    ),
+    (True, MASK64): (1847, 4975, "878669d3ea5218877eec79ca67a23d73eba3b08d2c5ec91dd1a863821a5f5e22"),
+    (False, 0): (1827, 5006, "c1da6ccaaf5313a8a56e1b00e03aec4bbd223ec268a67620845ecf16a1b0476d"),
+    (False, 0x0123456789ABCDEF): (
+        1864, 4976, "f327525589c4e7b42548fd917bb36f7ef97697bd32540540ccfde4767e5bb8e5"
+    ),
+    (False, MASK64): (1850, 5030, "bea71ef755d7add138082a3bc2bf105af338f07c96ac2dff52f3c5fb8a0a9c24"),
+}
+
+
+def test_insert_many_golden_register_digests():
+    for kernel in available_kernels():
+        for (mixed, salt), expected in INSERT_MANY_GOLDEN.items():
+            rf = make_rf(kernel, m=1024, salt=salt)
+            changed = rf.insert_many(golden_insert_stream(mixed))
+            digest = hashlib.sha256(rf.dump_registers()).hexdigest()
+            assert (changed, rf.estimate(), digest) == expected, (kernel.__name__, mixed, hex(salt))
+
+
+def test_insert_many_inserts_up_to_a_non_bytes_element_then_raises():
+    elements = [stream_element(8, k) for k in range(BLOCK + 10)]
+    bad = BLOCK + 5  # in the second block, after a whole block went through the lanes
+    for kernel in available_kernels():
+        bulk = make_rf(kernel)
+        with pytest.raises(TypeError):
+            bulk.insert_many(elements[:bad] + ["not bytes"] + elements[bad:])
+        prefix = make_rf(kernel)
+        for element in elements[:bad]:
+            prefix.insert(element)
+        assert bulk.dump_registers() == prefix.dump_registers()
+        assert bulk.z_sum() == prefix.z_sum()
+
+
+def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises():
+    elements = [stream_element(9, k) for k in range(BLOCK + 10)]
+    stop = BLOCK + 5  # mid-way through the second block
+
+    def failing():
+        yield from elements[:stop]
+        raise RuntimeError("source failed")
+
+    for kernel in available_kernels():
+        bulk = make_rf(kernel)
+        with pytest.raises(RuntimeError):
+            bulk.insert_many(failing())
+        prefix = make_rf(kernel)
+        for element in elements[:stop]:
+            prefix.insert(element)
+        assert bulk.dump_registers() == prefix.dump_registers()
+        assert bulk.z_sum() == prefix.z_sum()
 
 
 # -- generated C against its Cython source -------------------------------------
