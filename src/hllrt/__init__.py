@@ -22,7 +22,6 @@ from .attack import (
     AttackSet,
     ElementGenerator,
     PhaseReport,
-    generate_attack_set,
     phase1,
     phase2,
     phase3,
@@ -63,7 +62,6 @@ __all__ = [
     "phase2",
     "phase3",
     "run_attack",
-    "generate_attack_set",
     "verify",
     "SnsGuard",
     "StatsMonitor",

@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
-Prefers the compiled Cython extension; falls back to the pure-Python twin
-when the extension is missing or HLLRT_PURE is set. Both implement the
-same API and produce bit-identical results (the test suite enforces
-parity), so callers never need to know which one is active.
+Prefers the compiled C extension (``_ckernel.c``); falls back to the
+pure-Python twin when the extension is missing or HLLRT_PURE is set. Both
+implement the same API and produce bit-identical results (the test suite
+enforces parity), so callers never need to know which one is active.
 """
 
 import os

@@ -1,11 +1,18 @@
 """Pure-Python register-file kernel.
 
-This module is the portable twin of the Cython extension ``_ckernel``.
+This module is the portable twin of the C extension ``_ckernel.c``.
 Both expose the same API (``hash64``, ``splitmix64``, ``stream_element``,
 ``RegisterFile``) and must produce bit-identical results: the register
 bookkeeping is kept as an exact scaled integer and every float expression
 is written the same way in both backends, so an estimate computed here
 equals the one computed by the extension on the same stream.
+
+Both raise the same exception type for every bad argument. An element
+must be exactly ``bytes``; a salt, seed, ``k`` or ``x`` any int, reduced
+mod 2**64; a register index an int in 0..R-1 (else ``IndexError``),
+checked before the value, an int in 0..max (else ``ValueError``); a dump
+exactly ``bytes`` of R values in 0..max (else ``ValueError``), and a bad
+dump changes nothing. An argument of any other type raises ``TypeError``.
 
 The register file holds R small counters. Inserting an element hashes it
 once to 64 bits; the low log2(R) bits select a register and the remaining
@@ -81,6 +88,8 @@ def hash64(data: bytes, salt: int = 0) -> int:
     Multiply-rotate chain over 8-byte little-endian words with a strong
     final avalanche. Changing the salt re-keys the whole mapping.
     """
+    if type(data) is not bytes:
+        raise TypeError(f"expected bytes, got {type(data).__name__}")
     n = len(data)
     acc = ((salt & MASK64) * _P1 + n * _P5 + _P4) & MASK64
     # Each step hashes the low word of w, then shifts it out. Bits above 64
@@ -105,7 +114,7 @@ def hash64(data: bytes, salt: int = 0) -> int:
 @lru_cache(maxsize=64)
 def _stream_base(seed: int) -> int:
     # splitmix64(seed) plus the increment of the element's own round.
-    return splitmix64(seed & MASK64) + _GAMMA
+    return splitmix64(seed) + _GAMMA
 
 
 def stream_element(seed: int, k: int) -> bytes:
@@ -115,7 +124,8 @@ def stream_element(seed: int, k: int) -> bytes:
     distinct k because splitmix64 is a bijection, and the seed is mixed
     first so nearby seeds yield unrelated streams.
     """
-    x = (_stream_base(seed) + k) & MASK64
+    # Mask before the cache, so a float seed raises, never hits its int's entry.
+    x = (_stream_base(seed & MASK64) + k) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return b"%016x" % (x ^ (x >> 31))
@@ -155,18 +165,6 @@ def _lane_constants(count: int) -> tuple[int, int]:
     return ones, ones * MASK64
 
 
-def _check_c_conversions(index, value: int = 0) -> None:
-    """Raise where the compiled kernel's C conversions of the arguments would.
-
-    The compiled kernel reads a register index as a Py_ssize_t and a
-    register value as a C int before checking either range.
-    """
-    if not -sys.maxsize - 1 <= operator.index(index) <= sys.maxsize:
-        raise OverflowError("Python int too large to convert to C ssize_t")
-    if not -(1 << 31) <= operator.index(value) < 1 << 31:
-        raise OverflowError("value too large to convert to int")
-
-
 class RegisterFile:
     """R max-rank registers with incremental estimate bookkeeping.
 
@@ -199,6 +197,8 @@ class RegisterFile:
         alpha: float,
         switch_factor: float,
     ) -> None:
+        if register_count < 1:
+            raise ValueError("register_count must be positive")
         self.register_count = register_count
         self.register_width = register_width
         self.salt = salt & MASK64
@@ -278,12 +278,6 @@ class RegisterFile:
         increments = list(map(self._apply, hashes))
         return len(increments) - increments.count(0)
 
-    def insert_span(self, seed: int, start: int, count: int) -> int:
-        """Insert ``count`` stream elements starting at index ``start``."""
-        return self.insert_many(
-            map(stream_element, repeat(seed, count), range(start, start + count))
-        )
-
     # -- estimates -------------------------------------------------------
 
     def z_sum(self) -> float:
@@ -323,17 +317,19 @@ class RegisterFile:
                     f"register value {value} outside supported range 0..{self._max_reg}"
                 )
 
-    def get_register(self, index: int) -> int:
+    def _index(self, index: int) -> int:
+        index = operator.index(index)
         if not 0 <= index < self.register_count:  # no negative indexing
-            _check_c_conversions(index)
             raise IndexError(index)
-        return self._regs[index]
+        return index
+
+    def get_register(self, index: int) -> int:
+        return self._regs[self._index(index)]
 
     def set_register(self, index: int, value: int) -> None:
-        if not (0 <= index < self.register_count and 0 <= value <= self._max_reg):
-            _check_c_conversions(index, value)
-            if not 0 <= index < self.register_count:
-                raise IndexError(index)
+        index = self._index(index)
+        value = operator.index(value)
+        if not 0 <= value <= self._max_reg:
             raise ValueError(
                 f"register value {value} outside supported range 0..{self._max_reg}"
             )

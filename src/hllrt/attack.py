@@ -40,7 +40,6 @@ __all__ = [
     "phase2",
     "phase3",
     "run_attack",
-    "generate_attack_set",
     "verify",
 ]
 
@@ -355,17 +354,6 @@ def run_attack(
             (t3 - t2) * 1000.0,
         ),
     )
-
-
-def generate_attack_set(
-    target_cardinality: int,
-    oracle_factory: Callable[[], CardinalityOracle],
-    seed: int,
-    checkpoint: Callable[[AttackSet], None] | None = None,
-) -> tuple[AttackSet, tuple[PhaseReport, PhaseReport, PhaseReport]]:
-    """Build the final attack set V for the given target cardinality."""
-    run = run_attack(oracle_factory, seed, target_cardinality, checkpoint)
-    return run.attack_set, run.reports
 
 
 def verify(oracle: CardinalityOracle, attack_set: AttackSet) -> int:

@@ -12,9 +12,8 @@ commands whatever the replies are, so ``RemoteOracle.scan`` pipelines
 it whole: ``PFADD e`` / ``PFCOUNT`` pairs, ``max_pipeline`` commands per
 round trip, the count after each PFADD read from its pair (sound under
 the one-writer-per-key model this oracle assumes). Every PFCOUNT goes
-to the server; no estimate is cached. PFADD's changed bit is ignored on
-the attack path — the adversarial model only grants estimate
-differences — unless ``strict=False`` records it.
+to the server; no estimate is cached. PFADD's changed bit is ignored: the
+adversarial model only grants estimate differences.
 
 A dropped connection is reopened and the failed pipeline sent once more
 only when its replies cannot change: PFADD, DEL and PING are
@@ -246,7 +245,6 @@ class RemoteOracle(CardinalityOracle):
         self,
         endpoint: str | RedisEndpoint,
         batch: bool = False,
-        strict: bool = True,
         timeout: float = 5.0,
         max_pipeline: int = 1024,
     ) -> None:
@@ -256,10 +254,8 @@ class RemoteOracle(CardinalityOracle):
             raise ValueError("max_pipeline must be positive")
         self.endpoint = endpoint
         self.batch = batch
-        self.strict = strict
         self.timeout = timeout
         self.max_pipeline = max_pipeline
-        self.last_insert_changed: bool | None = None  # populated when strict=False
         self._sock: socket.socket | None = None
         self._stream: RespStream | None = None
         self._pending: list[bytes] = []  # queued PFADD elements (batch mode)
@@ -346,9 +342,7 @@ class RemoteOracle(CardinalityOracle):
             return
         key = self.endpoint.key.encode("utf-8")
         reply = self._exchange([[b"PFADD", key, element]])[0]
-        changed = self._expect_int(reply, "PFADD")
-        if not self.strict:
-            self.last_insert_changed = bool(changed)
+        self._expect_int(reply, "PFADD")
 
     def _flush_pending(self, keep: int = 0) -> None:
         # Bounded pipelines: an unbounded command burst can deadlock on

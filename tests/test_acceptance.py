@@ -9,6 +9,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import pytest
 
@@ -24,7 +25,7 @@ from hllrt import (
     run_attack,
     verify,
 )
-from hllrt._kernel import RegisterFile, splitmix64
+from hllrt._kernel import RegisterFile, splitmix64, stream_element
 from hllrt.analysis import (
     expected_missed_lpca,
     expected_register_value,
@@ -196,7 +197,7 @@ def test_criterion_5_estimator_accuracy():
     errors = []
     for trial in range(trials):
         core = RegisterFile(r, 6, 0, alpha, 2.5)
-        core.insert_span(5000 + trial, 0, n)
+        core.insert_many(map(stream_element, repeat(5000 + trial, n), range(n)))
         errors.append((core.estimate() - n) / n)
     rms = math.sqrt(statistics.fmean(e * e for e in errors))
     base = 1.04 / math.sqrt(r)

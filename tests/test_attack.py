@@ -14,7 +14,6 @@ from hllrt import (
     ElementGenerator,
     HllParams,
     HllSketch,
-    generate_attack_set,
     make_oracle,
     run_attack,
     verify,
@@ -222,11 +221,9 @@ def test_attack_only_touches_the_oracle_interface():
     # The counting wrapper exposes nothing but reset/insert/estimate;
     # completing the attack through it is the black-box discipline.
     params = HllParams(64, 6)
-    v, reports = generate_attack_set(
-        1000, lambda: CountingOracle(make_oracle(params)), seed=5
-    )
-    assert len(v.elements) > 0
-    assert [r.phase for r in reports] == [1, 2, 3]
+    run = run_attack(lambda: CountingOracle(make_oracle(params)), 5, 1000)
+    assert len(run.attack_set.elements) > 0
+    assert [r.phase for r in run.reports] == [1, 2, 3]
 
 
 def test_attack_transfers_between_same_parameter_oracles():
@@ -275,9 +272,9 @@ def test_checkpoint_callback_sees_each_phase():
 
 def test_single_element_target():
     params = HllParams(64, 6)
-    v, reports = generate_attack_set(1, factory_for(params), seed=1)
-    assert len(v.elements) == 1
-    assert reports[2].estimate == 1
+    run = run_attack(factory_for(params), 1, 1)
+    assert len(run.attack_set.elements) == 1
+    assert run.reports[2].estimate == 1
 
 
 # -- failure handling -----------------------------------------------------------

@@ -3,19 +3,26 @@
 import hashlib
 import math
 import random
-import re
-from pathlib import Path
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 import hllrt._kernel as kern
+import hllrt.sketch
+from hllrt import HllParams, HllSketch
 from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, splitmix64, stream_element
 
 MASK64 = (1 << 64) - 1
 BLOCK = _pykernel._BLOCK  # elements the pure insert_many hashes per pass
-KERNEL_DIR = Path(kern.__file__).resolve().parent
 
 ALPHA_1024 = 0.7213 / (1 + 1.079 / 1024)
 
@@ -88,36 +95,42 @@ def test_insert_returns_increment():
     assert rf.insert(e) == 0
 
 
-def test_insert_span_matches_individual_inserts():
-    a = make_rf(kern)
-    b = make_rf(kern)
-    a.insert_span(77, 0, 5000)
-    for k in range(5000):
-        b.insert(stream_element(77, k))
-    assert a.dump_registers() == b.dump_registers()
-    # A span that starts mid-stream and crosses insert_many's block boundaries.
-    count = 2 * BLOCK + 1
-    changed = sum(b.insert(stream_element(77, k)) > 0 for k in range(5000, 5000 + count))
-    assert a.insert_span(77, 5000, count) == changed
-    assert a.dump_registers() == b.dump_registers()
-    assert a.z_sum() == b.z_sum()
+def stream_span(seed, start, count):
+    return map(stream_element, repeat(seed, count), range(start, start + count))
 
 
-def test_register_value_bounds():
-    rf = make_rf(kern, m=16, width=6)
-    rf.set_register(0, 63)
-    assert rf.get_register(0) == 63
-    with pytest.raises(ValueError):
-        rf.set_register(0, 64)
-    with pytest.raises(ValueError):
-        rf.load_registers(bytes([64] * 16))
-    with pytest.raises(ValueError):
-        rf.load_registers(bytes(15))
+def test_insert_many_of_a_stream_span_matches_individual_inserts(kernels):
+    for kernel in kernels:
+        a = make_rf(kernel)
+        b = make_rf(kernel)
+        a.insert_many(stream_span(77, 0, 5000))
+        for k in range(5000):
+            b.insert(stream_element(77, k))
+        assert a.dump_registers() == b.dump_registers()
+        # A span that starts mid-stream and crosses insert_many's block boundaries.
+        count = 2 * BLOCK + 1
+        changed = sum(b.insert(stream_element(77, k)) > 0 for k in range(5000, 5000 + count))
+        assert a.insert_many(stream_span(77, 5000, count)) == changed
+        assert a.dump_registers() == b.dump_registers()
+        assert a.z_sum() == b.z_sum()
+
+
+def test_register_value_bounds(kernels):
+    for kernel in kernels:
+        rf = make_rf(kernel, m=16, width=6)
+        rf.set_register(0, 63)
+        assert rf.get_register(0) == 63
+        with pytest.raises(ValueError):
+            rf.set_register(0, 64)
+        with pytest.raises(ValueError):
+            rf.load_registers(bytes([64] * 16))
+        with pytest.raises(ValueError):
+            rf.load_registers(bytes(15))
 
 
 def test_reset_restores_empty_state():
     rf = make_rf(kern, m=64)
-    rf.insert_span(3, 0, 1000)
+    rf.insert_many(stream_span(3, 0, 1000))
     rf.reset()
     assert rf.zero_registers() == 64
     assert rf.estimate() == 0
@@ -192,18 +205,10 @@ def test_parity_register_ops(pure_kernel, compiled_kernel):
     assert py.estimate() == cy.estimate()
 
 
-def available_kernels():
-    try:
-        from hllrt._kernel import _ckernel
-    except ImportError:
-        return [_pykernel]
-    return [_pykernel, _ckernel]
-
-
-def test_get_and_set_register_reject_out_of_range_indices():
+def test_get_and_set_register_reject_out_of_range_indices(kernels):
     # A bytearray would read index -1 as the last register; both kernels
     # raise instead, and check the index before the value.
-    for kernel in available_kernels():
+    for kernel in kernels:
         rf = make_rf(kernel, m=16)
         for index in (-1, -16, 16, 1 << 20):
             with pytest.raises(IndexError):
@@ -217,35 +222,37 @@ def test_get_and_set_register_reject_out_of_range_indices():
         assert rf.get_register(15) == 5
 
 
-def test_register_access_raises_where_c_conversions_overflow():
-    # The compiled kernel converts an index to Py_ssize_t and a value to a
-    # C int before checking either range, so out-of-range integers beyond
-    # those types raise OverflowError rather than IndexError / ValueError.
-    for kernel in available_kernels():
+def test_register_access_raises_where_c_conversions_overflow(kernels):
+    # An index or value too large for any C integer is just out of range:
+    # IndexError or ValueError, never OverflowError. The index is checked,
+    # type and range, before the value.
+    huge = (1 << 63, 1 << 70, -(1 << 63) - 1, (1 << 63) - 1, -(1 << 63))
+    for kernel in kernels:
         rf = make_rf(kernel, m=16)
-        for index in (1 << 63, 1 << 70, -(1 << 63) - 1):
-            with pytest.raises(OverflowError):
-                rf.get_register(index)
-            with pytest.raises(OverflowError):
-                rf.set_register(index, 3)
-        for index in ((1 << 63) - 1, -(1 << 63)):
+        for index in huge:
             with pytest.raises(IndexError):
                 rf.get_register(index)
-        for value in (1 << 31, 1 << 40, -(1 << 31) - 1):
-            with pytest.raises(OverflowError):
-                rf.set_register(0, value)
-            with pytest.raises(OverflowError):
-                rf.set_register(16, value)  # the value is converted before the index is checked
-        for value in ((1 << 31) - 1, -(1 << 31)):
+            with pytest.raises(IndexError):
+                rf.set_register(index, 3)
+        for value in huge + (1 << 31, 1 << 40, -(1 << 31) - 1, (1 << 31) - 1, -(1 << 31)):
             with pytest.raises(ValueError):
                 rf.set_register(0, value)
-        with pytest.raises(TypeError):
-            rf.get_register(99.5)
+            with pytest.raises(IndexError):
+                rf.set_register(16, value)
+        for not_int in (99.5, 1.5, "3", None):
+            with pytest.raises(TypeError):
+                rf.get_register(not_int)
+            with pytest.raises(TypeError):
+                rf.set_register(not_int, 3)
+            with pytest.raises(TypeError):
+                rf.set_register(0, not_int)  # a float is not truncated
+            with pytest.raises(IndexError):
+                rf.set_register(16, not_int)
         assert rf.dump_registers() == bytes(16)
 
 
-def test_register_dumps_must_be_bytes():
-    for kernel in available_kernels():
+def test_register_dumps_must_be_bytes(kernels):
+    for kernel in kernels:
         rf = make_rf(kernel, m=16)
         rf.set_register(2, 7)
         before = rf.dump_registers()
@@ -257,8 +264,8 @@ def test_register_dumps_must_be_bytes():
         assert rf.dump_registers() == before
 
 
-def test_merge_with_a_bad_byte_changes_nothing():
-    for kernel in available_kernels():
+def test_merge_with_a_bad_byte_changes_nothing(kernels):
+    for kernel in kernels:
         rf = make_rf(kernel, m=16, width=6)
         rf.set_register(3, 2)
         before = (rf.dump_registers(), rf.estimate(), rf.zero_registers(), rf.z_sum())
@@ -268,10 +275,9 @@ def test_merge_with_a_bad_byte_changes_nothing():
 
 
 # -- golden values -------------------------------------------------------------
-# The parity tests above need the compiled kernel. These pin the mapping
-# itself, so a rewrite of either kernel that changes one hash, one stream
-# element or one phase set fails here even when only the pure kernel is
-# importable. Both kernels produced exactly these values.
+# These pin the mapping itself on both kernels, so a rewrite of either that
+# changes one hash, one stream element or one phase set fails here. Both
+# kernels produced exactly these values.
 
 GOLDEN_DATA = bytes((37 * i + 11) % 256 for i in range(40))
 
@@ -339,15 +345,15 @@ STREAM_GOLDEN = {
 }
 
 
-def test_hash64_golden_values():
-    for kernel in available_kernels():
+def test_hash64_golden_values(kernels):
+    for kernel in kernels:
         for salt, expected in HASH64_GOLDEN.items():
             got = tuple(kernel.hash64(GOLDEN_DATA[:n], salt) for n in range(41))
             assert got == expected, (kernel.__name__, hex(salt))
 
 
-def test_stream_element_golden_values():
-    for kernel in available_kernels():
+def test_stream_element_golden_values(kernels):
+    for kernel in kernels:
         for (seed, k), expected in STREAM_GOLDEN.items():
             assert kernel.stream_element(seed, k) == expected
         # Interleaved seeds: the per-seed mixing must not leak between streams.
@@ -358,7 +364,7 @@ def test_stream_element_golden_values():
 # -- insert_many hashes whole blocks ---------------------------------------------
 # The pure kernel's insert_many hashes a block of elements in one pass of
 # big-integer lanes. These check it against the scalar hash64 and against
-# sequential insert on every importable kernel, the pure one included.
+# sequential insert on both kernels.
 
 SALTS = (0, 0x0123456789ABCDEF, MASK64)
 
@@ -380,7 +386,7 @@ def test_block_hash_matches_hash64():
     lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
 )
 @settings(max_examples=8, deadline=None)
-def test_insert_many_equals_sequential_inserts(count, salt, seed, lengths):
+def test_insert_many_equals_sequential_inserts(kernels, count, salt, seed, lengths):
     # The first block has one length, so the pure kernel hashes it in lanes;
     # later blocks cycle through ``lengths`` and, if it mixes lengths, take
     # the scalar loop.
@@ -388,7 +394,7 @@ def test_insert_many_equals_sequential_inserts(count, salt, seed, lengths):
         (stream_element(seed, k) * 3)[: lengths[0 if k < BLOCK else k % len(lengths)]]
         for k in range(count)
     ]
-    for kernel in available_kernels():
+    for kernel in kernels:
         bulk = make_rf(kernel, m=256, salt=salt)
         one_by_one = make_rf(kernel, m=256, salt=salt)
         changed = sum(one_by_one.insert(e) > 0 for e in elements)
@@ -424,8 +430,8 @@ INSERT_MANY_GOLDEN = {
 }
 
 
-def test_insert_many_golden_register_digests():
-    for kernel in available_kernels():
+def test_insert_many_golden_register_digests(kernels):
+    for kernel in kernels:
         for (mixed, salt), expected in INSERT_MANY_GOLDEN.items():
             rf = make_rf(kernel, m=1024, salt=salt)
             changed = rf.insert_many(golden_insert_stream(mixed))
@@ -433,21 +439,22 @@ def test_insert_many_golden_register_digests():
             assert (changed, rf.estimate(), digest) == expected, (kernel.__name__, mixed, hex(salt))
 
 
-def test_insert_many_inserts_up_to_a_non_bytes_element_then_raises():
+def test_insert_many_inserts_up_to_a_non_bytes_element_then_raises(kernels):
     elements = [stream_element(8, k) for k in range(BLOCK + 10)]
     bad = BLOCK + 5  # in the second block, after a whole block went through the lanes
-    for kernel in available_kernels():
-        bulk = make_rf(kernel)
-        with pytest.raises(TypeError):
-            bulk.insert_many(elements[:bad] + ["not bytes"] + elements[bad:])
-        prefix = make_rf(kernel)
-        for element in elements[:bad]:
-            prefix.insert(element)
-        assert bulk.dump_registers() == prefix.dump_registers()
-        assert bulk.z_sum() == prefix.z_sum()
+    for kernel in kernels:
+        for not_bytes in ("not bytes", bytearray(16), memoryview(elements[0])):
+            bulk = make_rf(kernel)
+            with pytest.raises(TypeError):
+                bulk.insert_many(elements[:bad] + [not_bytes] + elements[bad:])
+            prefix = make_rf(kernel)
+            for element in elements[:bad]:
+                prefix.insert(element)
+            assert bulk.dump_registers() == prefix.dump_registers()
+            assert bulk.z_sum() == prefix.z_sum()
 
 
-def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises():
+def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises(kernels):
     elements = [stream_element(9, k) for k in range(BLOCK + 10)]
     stop = BLOCK + 5  # mid-way through the second block
 
@@ -455,7 +462,7 @@ def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises():
         yield from elements[:stop]
         raise RuntimeError("source failed")
 
-    for kernel in available_kernels():
+    for kernel in kernels:
         bulk = make_rf(kernel)
         with pytest.raises(RuntimeError):
             bulk.insert_many(failing())
@@ -466,22 +473,179 @@ def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises():
         assert bulk.z_sum() == prefix.z_sum()
 
 
-# -- generated C against its Cython source -------------------------------------
-
-_PYX_MARKER = re.compile(r'/\* "hllrt/_kernel/_ckernel\.pyx":(\d+)\n((?: \*.*\n)+?)\*/')
+# -- both twins, step by step ----------------------------------------------------
 
 
-def test_generated_c_matches_its_pyx_source():
-    # Cython quotes, above each block of _ckernel.c, the .pyx line it came
-    # from, marked "# <<<". If the .pyx is edited without regenerating the
-    # .c, a quoted line no longer matches and the parity tests would be
-    # checking stale C. Reads both files; builds nothing.
-    pyx = (KERNEL_DIR / "_ckernel.pyx").read_text().splitlines()
-    c_source = (KERNEL_DIR / "_ckernel.c").read_text()
-    blocks = _PYX_MARKER.findall(c_source)
-    assert len(blocks) > 200
-    for number, quoted in blocks:
-        marked = [line for line in quoted.splitlines() if line.endswith("# <<<<<<<<<<<<<<")]
-        assert len(marked) == 1, quoted
-        line = marked[0][len(" * "):-len("# <<<<<<<<<<<<<<")].rstrip()
-        assert line == pyx[int(number) - 1].rstrip(), f"_ckernel.pyx:{number}"
+def test_elements_and_int_arguments_are_type_checked(kernels):
+    # An element is exactly bytes and a salt, seed, k or x any int: nothing
+    # else is hashed, whatever it would convert to.
+    for kernel in kernels:
+        rf = make_rf(kernel, m=16)
+        for not_bytes in (bytearray(b"abc"), memoryview(b"abc"), [1, 2, 3], "abc", None, 7):
+            for call in (kernel.hash64, rf.hash_split, rf.insert):
+                with pytest.raises(TypeError):
+                    call(not_bytes)
+        for not_int in (1.0, "1", None, b"\x01"):
+            for call in (
+                lambda x: kernel.hash64(b"abc", x),
+                kernel.splitmix64,
+                lambda x: kernel.stream_element(x, 0),
+                lambda x: kernel.stream_element(0, x),
+            ):
+                with pytest.raises(TypeError):
+                    call(not_int)
+        assert rf.dump_registers() == bytes(16)
+        assert kernel.hash64(b"abc", -1) == kernel.hash64(b"abc", MASK64)
+        assert kernel.stream_element(1 << 64, 1 << 70) == kernel.stream_element(0, 0)
+
+
+def test_saturated_snapshot_gives_the_same_exact_estimate_on_both_twins(kernels, monkeypatch):
+    params = HllParams(4096, 6)
+    snapshot = HllSketch(params).to_bytes()[:-4096] + bytes([63] * 4096)
+    for kernel in kernels:
+        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+        # alpha * R * 2**63, rounded once to a double: no C integer holds it.
+        assert HllSketch.from_bytes(snapshot).estimate() == 27242767052348296527872
+
+
+NOT_INTS = st.sampled_from([1.5, 2.0, -0.5, float("inf"), float("nan"), "3", None, b"\x01", [1]])
+INTS = st.one_of(
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([0, 1, -1, True, (1 << 63) - 1, 1 << 63, -(1 << 63) - 1, MASK64, 1 << 64]),
+)
+ELEMENTS = st.binary(max_size=40)
+NOT_BYTES = st.one_of(
+    st.builds(bytearray, st.binary(max_size=9)),
+    st.builds(memoryview, st.binary(max_size=9)),
+    st.lists(st.integers(0, 255), max_size=3),
+    st.text(max_size=3),
+    st.integers(),
+    st.none(),
+)
+DUMPS = ("random", "sparse", "empty", "saturated", "above_max", "short", "bytearray", "list")
+
+
+class TwinRegisterFiles(RuleBasedStateMachine):
+    """The pure and compiled RegisterFile driven side by side.
+
+    Every step must give both the same result or the same exception type,
+    and leave both in the same state.
+    """
+
+    def __init__(self, compiled):
+        super().__init__()
+        self.compiled = compiled
+        self.start((16, 6, 0))
+
+    def start(self, setting):
+        m, width, salt = setting
+        self.m, self.max = m, min((1 << width) - 1, 63)
+        self.twins = [
+            (kernel, make_rf(kernel, m=m, width=width, salt=salt))
+            for kernel in (_pykernel, self.compiled)
+        ]
+
+    def same(self, call):
+        outcomes = []
+        for kernel, rf in self.twins:
+            try:
+                outcomes.append(("returned", call(kernel, rf)))
+            except Exception as exc:  # the twins must raise the same type
+                outcomes.append(("raised", type(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def dump(self, kind, seed):
+        rng = random.Random(seed)
+        data = bytes(rng.randrange(self.max + 1) for _ in range(self.m))
+        if kind == "sparse":
+            data = bytes(v if rng.random() < 0.1 else 0 for v in data)
+        elif kind == "empty":
+            data = bytes(self.m)
+        elif kind == "saturated":
+            data = bytes([self.max] * self.m)
+        elif kind == "above_max":
+            at = rng.randrange(self.m)
+            data = data[:at] + bytes([rng.randrange(self.max + 1, 256)]) + data[at + 1 :]
+        elif kind == "short":
+            data = data[1:]
+        elif kind in ("bytearray", "list"):
+            data = bytearray(data) if kind == "bytearray" else list(data)
+        return data
+
+    @initialize(
+        setting=st.sampled_from([(16, 6, 0), (16, 4, MASK64), (64, 5, 7), (1024, 6, 1 << 63)])
+    )
+    def choose(self, setting):
+        self.start(setting)
+
+    @rule(element=st.one_of(ELEMENTS, NOT_BYTES))
+    def insert(self, element):
+        self.same(lambda kernel, rf: (rf.hash_split(element), rf.insert(element)))
+
+    @rule(
+        elements=st.lists(ELEMENTS, max_size=40),
+        bad=st.one_of(st.none(), NOT_BYTES),
+        at=st.integers(0, 40),
+    )
+    def insert_many(self, elements, bad, at):
+        if bad is not None:
+            elements = elements[:at] + [bad] + elements[at:]
+        self.same(lambda kernel, rf: rf.insert_many(iter(elements)))
+
+    @rule(seed=st.integers(0, 3), count=st.integers(0, 3 * BLOCK))
+    def insert_stream(self, seed, count):
+        self.same(
+            lambda kernel, rf: rf.insert_many(
+                map(kernel.stream_element, repeat(seed, count), range(count))
+            )
+        )
+
+    @rule(
+        index=st.one_of(st.integers(-2, 1025), INTS, NOT_INTS),
+        value=st.one_of(st.integers(-2, 70), INTS, NOT_INTS),
+        keywords=st.booleans(),
+    )
+    def set_register(self, index, value, keywords):
+        if keywords:
+            self.same(lambda kernel, rf: rf.set_register(index=index, value=value))
+        else:
+            self.same(lambda kernel, rf: rf.set_register(index, value))
+        self.same(lambda kernel, rf: rf.get_register(index))
+
+    @rule(kind=st.sampled_from(DUMPS), seed=st.integers(0, 1 << 32), merge=st.booleans())
+    def load_or_merge(self, kind, seed, merge):
+        data = self.dump(kind, seed)
+        if merge:
+            self.same(lambda kernel, rf: rf.merge_registers(data))
+        else:
+            self.same(lambda kernel, rf: rf.load_registers(data))
+
+    @rule()
+    def reset(self):
+        self.same(lambda kernel, rf: rf.reset())
+
+    @rule(data=st.one_of(ELEMENTS, NOT_BYTES), salt=st.one_of(st.none(), INTS, NOT_INTS))
+    def hash64(self, data, salt):
+        if salt is None:
+            self.same(lambda kernel, rf: kernel.hash64(data))
+        else:
+            self.same(lambda kernel, rf: kernel.hash64(data=data, salt=salt))
+
+    @rule(x=st.one_of(INTS, NOT_INTS), seed=st.one_of(INTS, NOT_INTS), k=st.one_of(INTS, NOT_INTS))
+    def mixers(self, x, seed, k):
+        self.same(lambda kernel, rf: kernel.splitmix64(x))
+        self.same(lambda kernel, rf: kernel.stream_element(seed, k))
+
+    @invariant()
+    def same_state(self):
+        for name in (
+            "dump_registers", "z_sum", "zero_registers", "estimate", "raw_estimate", "linear_estimate"
+        ):
+            self.same(lambda kernel, rf: getattr(rf, name)())
+
+
+def test_twins_agree_step_by_step(compiled_kernel):
+    run_state_machine_as_test(
+        lambda: TwinRegisterFiles(compiled_kernel),
+        settings=settings(max_examples=150, stateful_step_count=30, deadline=None),
+    )

@@ -220,16 +220,6 @@ def test_batch_mode_bounds_pipeline_size():
             assert abs(estimate - 5000) <= 0.1 * 5000
 
 
-def test_non_strict_mode_reports_the_change_bit():
-    with running_server() as server:
-        with RemoteOracle(server.url("c"), strict=False) as oracle:
-            oracle.reset()
-            oracle.insert(b"x")
-            assert oracle.last_insert_changed is True
-            oracle.insert(b"x")
-            assert oracle.last_insert_changed is False
-
-
 def test_oracle_reconnects_once_after_a_drop():
     # Unbatched, the drop hits a lone PFADD; batched, a pipeline of PFADDs
     # ending in its only PFCOUNT. Both are replayed once.
