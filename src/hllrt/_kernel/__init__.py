@@ -24,7 +24,6 @@ else:
 
 RegisterFile = _impl.RegisterFile
 hash64 = _impl.hash64
-splitmix64 = _impl.splitmix64
 stream_element = _impl.stream_element
 
-__all__ = ["BACKEND", "RegisterFile", "hash64", "splitmix64", "stream_element"]
+__all__ = ["BACKEND", "RegisterFile", "hash64", "stream_element"]

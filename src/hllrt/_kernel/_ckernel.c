@@ -1,10 +1,9 @@
 /* Compiled register-file kernel: the twin of _pykernel.py, written against
  * the CPython C API. It has the same names and arguments, returns
  * bit-identical hashes and estimates, and raises the same exception type for
- * every bad argument, by the policy _pykernel's docstring sets out. */
+ * every bad argument (_pykernel's docstring states the policy). */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <math.h>
 #include <string.h>
 
@@ -97,13 +96,6 @@ static PyObject *py_hash64(PyObject *module, FASTCALL_ARGS) {
     return PyLong_FromUnsignedLongLong(hash(p, PyBytes_GET_SIZE(a[0]), salt));
 }
 
-static PyObject *py_splitmix64(PyObject *module, FASTCALL_ARGS) {
-    PyObject *a[1];
-    u64 x;
-    if (PARSE("splitmix64(x)", 1, a, "x") < 0 || as_u64(a[0], &x) < 0) return NULL;
-    return PyLong_FromUnsignedLongLong(splitmix(x));
-}
-
 static PyObject *py_stream_element(PyObject *module, FASTCALL_ARGS) {
     static const char hex[] = "0123456789abcdef";
     PyObject *a[2];
@@ -120,9 +112,9 @@ static PyObject *py_stream_element(PyObject *module, FASTCALL_ARGS) {
 typedef struct {
     PyObject_HEAD
     Py_ssize_t count; /* R */
-    int width, bits, max_reg;
+    int bits, max_reg;
     u64 salt;
-    double alpha, switch_factor, alpha_r2;
+    double switch_factor, alpha_r2;
     unsigned char *regs;
     Py_ssize_t zero; /* registers holding 0 */
     u128 zs;         /* Z_scaled = sum(2**(63 - r_i)) */
@@ -148,11 +140,9 @@ static PyObject *rf_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     }
     self->count = count;
     self->salt = salt;
-    self->width = width;
     self->bits = 63 - __builtin_clzll((u64)count);
     /* Ranks above 63 cannot occur from a 64-bit hash; Z_scaled relies on that. */
     self->max_reg = width >= 6 ? 63 : (1 << width) - 1;
-    self->alpha = alpha;
     self->switch_factor = switch_factor;
     self->alpha_r2 = alpha * (double)count * (double)count;
     self->zero = count;
@@ -179,18 +169,13 @@ static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *
     return 0;
 }
 
-static void set(RegisterFile *self, Py_ssize_t index, int value) {
-    int old = self->regs[index];
-    self->regs[index] = (unsigned char)value;
-    self->zero += (value == 0) - (old == 0);
-    self->zs += ((u128)1 << (63 - value)) - ((u128)1 << (63 - old)); /* mod 2**128 */
-}
-
 /* Raise a register to rank if that is higher; return the increment. */
 static int raise_to(RegisterFile *self, Py_ssize_t index, int rank) {
     int old = self->regs[index];
     if (rank <= old) return 0;
-    set(self, index, rank);
+    self->regs[index] = (unsigned char)rank;
+    self->zero -= old == 0;
+    self->zs -= ((u128)1 << (63 - old)) - ((u128)1 << (63 - rank));
     return rank - old;
 }
 
@@ -229,55 +214,18 @@ static PyObject *rf_insert_many(RegisterFile *self, FASTCALL_ARGS) {
 }
 
 static double z_sum(RegisterFile *self) { return (double)self->zs * Z_SCALE; }
-static double raw(RegisterFile *self) { return self->alpha_r2 / z_sum(self); }
-
-static double linear(RegisterFile *self) {
-    if (!self->zero) return raw(self);
-    return (double)self->count * log((double)self->count / (double)self->zero);
-}
 
 #define GETTER(name, value) \
     static PyObject *rf_##name(RegisterFile *self, PyObject *unused) { return value; }
 GETTER(z_sum, PyFloat_FromDouble(z_sum(self)))
-GETTER(raw_estimate, PyFloat_FromDouble(raw(self)))
-GETTER(linear_estimate, PyFloat_FromDouble(linear(self)))
 GETTER(zero_registers, PyLong_FromSsize_t(self->zero))
 GETTER(dump_registers, PyBytes_FromStringAndSize((const char *)self->regs, self->count))
 
 static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
-    double x;
-    if (!(self->zero && (x = linear(self)) <= self->switch_factor * (double)self->count))
-        x = raw(self);
+    double n = (double)self->count, x;
+    if (!(self->zero && (x = n * log(n / (double)self->zero)) <= self->switch_factor * n))
+        x = self->alpha_r2 / z_sum(self);
     return PyLong_FromDouble(rint(x)); /* exact, however large */
-}
-
-static int index_of(RegisterFile *self, PyObject *o, Py_ssize_t *index) {
-    *index = PyNumber_AsSsize_t(o, NULL); /* clamps an int too large for Py_ssize_t */
-    if (*index == -1 && PyErr_Occurred()) return -1;
-    if (0 <= *index && *index < self->count) return 0;
-    PyErr_SetObject(PyExc_IndexError, o);
-    return -1;
-}
-
-static PyObject *rf_get_register(RegisterFile *self, FASTCALL_ARGS) {
-    PyObject *a[1];
-    Py_ssize_t index;
-    if (PARSE("get_register(index)", 1, a, "index") < 0) return NULL;
-    if (index_of(self, a[0], &index) < 0) return NULL;
-    return PyLong_FromLong(self->regs[index]);
-}
-
-static PyObject *rf_set_register(RegisterFile *self, FASTCALL_ARGS) {
-    PyObject *a[2];
-    Py_ssize_t index, value;
-    if (PARSE("set_register(index, value)", 2, a, "index", "value") < 0) return NULL;
-    if (index_of(self, a[0], &index) < 0) return NULL;
-    if ((value = PyNumber_AsSsize_t(a[1], NULL)) == -1 && PyErr_Occurred()) return NULL;
-    if (value < 0 || value > self->max_reg)
-        return PyErr_Format(PyExc_ValueError, "register value %S outside supported range 0..%d",
-                            a[1], self->max_reg);
-    set(self, index, (int)value);
-    Py_RETURN_NONE;
 }
 
 /* The bytes of a valid register dump, or NULL with the exception set. */
@@ -335,25 +283,12 @@ static PyMethodDef rf_methods[] = {
     FAST("insert", rf_insert, "Insert one element; return the register increment (0 if none)."),
     FAST("insert_many", rf_insert_many, "Insert a batch; return how many changed a register."),
     NOARGS("z_sum", rf_z_sum, "Current harmonic-mean denominator Z = sum(2**-r_i)."),
-    NOARGS("raw_estimate", rf_raw_estimate, NULL),
-    NOARGS("linear_estimate", rf_linear_estimate, NULL),
     NOARGS("estimate", rf_estimate, NULL),
     NOARGS("zero_registers", rf_zero_registers, NULL),
-    FAST("get_register", rf_get_register, NULL),
-    FAST("set_register", rf_set_register, NULL),
     NOARGS("dump_registers", rf_dump_registers, NULL),
     FAST("load_registers", rf_load_registers, NULL),
     FAST("merge_registers", rf_merge_registers, "Take the elementwise maximum with a dump."),
     NOARGS("reset", rf_reset, NULL),
-    {NULL},
-};
-
-static PyMemberDef rf_members[] = {
-    {"register_count", T_PYSSIZET, offsetof(RegisterFile, count), READONLY, NULL},
-    {"register_width", T_INT, offsetof(RegisterFile, width), READONLY, NULL},
-    {"salt", T_ULONGLONG, offsetof(RegisterFile, salt), READONLY, NULL},
-    {"alpha", T_DOUBLE, offsetof(RegisterFile, alpha), READONLY, NULL},
-    {"switch_factor", T_DOUBLE, offsetof(RegisterFile, switch_factor), READONLY, NULL},
     {NULL},
 };
 
@@ -362,7 +297,6 @@ static PyType_Slot rf_slots[] = {
     {Py_tp_new, rf_new},
     {Py_tp_dealloc, rf_dealloc},
     {Py_tp_methods, rf_methods},
-    {Py_tp_members, rf_members},
     {0, NULL},
 };
 
@@ -373,7 +307,6 @@ static PyType_Spec rf_spec = {
 /* -- module -------------------------------------------------------------- */
 static PyMethodDef module_functions[] = {
     FAST("hash64", py_hash64, "64-bit non-cryptographic hash of ``data`` keyed by ``salt``."),
-    FAST("splitmix64", py_splitmix64, "One round of the splitmix64 mixer (a 64-bit bijection)."),
     FAST("stream_element", py_stream_element, "Element ``k`` of the stream keyed by ``seed``."),
     {NULL},
 };

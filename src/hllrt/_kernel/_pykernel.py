@@ -1,18 +1,18 @@
 """Pure-Python register-file kernel.
 
 This module is the portable twin of the C extension ``_ckernel.c``.
-Both expose the same API (``hash64``, ``splitmix64``, ``stream_element``,
-``RegisterFile``) and must produce bit-identical results: the register
-bookkeeping is kept as an exact scaled integer and every float expression
-is written the same way in both backends, so an estimate computed here
-equals the one computed by the extension on the same stream.
+Both expose the same API (``hash64``, ``stream_element``, ``RegisterFile``)
+and must produce bit-identical results: the register bookkeeping is kept
+as an exact scaled integer and every float expression is written the same
+way in both backends, so an estimate computed here equals the one computed
+by the extension on the same stream.
 
 Both raise the same exception type for every bad argument. An element
-must be exactly ``bytes``; a salt, seed, ``k`` or ``x`` any int, reduced
-mod 2**64; a register index an int in 0..R-1 (else ``IndexError``),
-checked before the value, an int in 0..max (else ``ValueError``); a dump
-exactly ``bytes`` of R values in 0..max (else ``ValueError``), and a bad
-dump changes nothing. An argument of any other type raises ``TypeError``.
+must be exactly ``bytes``; a salt, seed or ``k`` any int, reduced mod
+2**64; a dump exactly ``bytes`` of R values in 0..max (else
+``ValueError``), and a bad dump changes nothing. The constructor converts
+its arguments as the C twin's ``"niKdd"`` parse does. An argument of any
+other type raises ``TypeError``.
 
 The register file holds R small counters. Inserting an element hashes it
 once to 64 bits; the low log2(R) bits select a register and the remaining
@@ -52,7 +52,7 @@ import math
 import operator
 import sys
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 
 MASK64 = (1 << 64) - 1
 
@@ -74,7 +74,7 @@ _P5 = 0x27D4EB2F165667C5
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def splitmix64(x: int) -> int:
+def _splitmix64(x: int) -> int:
     """One round of the splitmix64 mixer (a bijection on 64-bit ints)."""
     x = (x + _GAMMA) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -114,7 +114,7 @@ def hash64(data: bytes, salt: int = 0) -> int:
 @lru_cache(maxsize=64)
 def _stream_base(seed: int) -> int:
     # splitmix64(seed) plus the increment of the element's own round.
-    return splitmix64(seed) + _GAMMA
+    return _splitmix64(seed) + _GAMMA
 
 
 def stream_element(seed: int, k: int) -> bytes:
@@ -165,6 +165,13 @@ def _lane_constants(count: int) -> tuple[int, int]:
     return ones, ones * MASK64
 
 
+def _real(x) -> float:
+    """``x`` as C's ``"d"`` parse converts it: a ``str`` is refused, not parsed."""
+    if hasattr(type(x), "__float__") or hasattr(type(x), "__index__"):
+        return float(x)
+    raise TypeError(f"must be real number, not {type(x).__name__}")
+
+
 class RegisterFile:
     """R max-rank registers with incremental estimate bookkeeping.
 
@@ -176,17 +183,7 @@ class RegisterFile:
     """
 
     __slots__ = (
-        "register_count",
-        "register_width",
-        "salt",
-        "alpha",
-        "switch_factor",
-        "_bits",
-        "_max_reg",
-        "_regs",
-        "_zero",
-        "_zs",
-        "_alpha_r2",
+        "_count", "_salt", "_switch", "_bits", "_max_reg", "_regs", "_zero", "_zs", "_alpha_r2"
     )
 
     def __init__(
@@ -197,13 +194,17 @@ class RegisterFile:
         alpha: float,
         switch_factor: float,
     ) -> None:
+        # Every argument is converted, as "niKdd" does, before any is checked.
+        register_count = operator.index(register_count)
+        register_width = operator.index(register_width)
+        if not isinstance(salt, int):
+            raise TypeError(f"expected int, got {type(salt).__name__}")
+        alpha, switch_factor = _real(alpha), _real(switch_factor)
         if register_count < 1:
             raise ValueError("register_count must be positive")
-        self.register_count = register_count
-        self.register_width = register_width
-        self.salt = salt & MASK64
-        self.alpha = alpha
-        self.switch_factor = switch_factor
+        self._count = register_count
+        self._salt = salt & MASK64
+        self._switch = switch_factor
         self._bits = register_count.bit_length() - 1
         # Ranks above 63 cannot occur from a 64-bit hash; the scaled-Z
         # representation relies on that bound.
@@ -221,17 +222,16 @@ class RegisterFile:
         rank = 65 - bits - (h >> bits).bit_length()
         if rank > self._max_reg:
             rank = self._max_reg
-        return h & (self.register_count - 1), rank
+        return h & (self._count - 1), rank
 
     def hash_split(self, element: bytes) -> tuple[int, int]:
         """Map an element to its (register index, rank) pair."""
-        return self._split(hash64(element, self.salt))
+        return self._split(hash64(element, self._salt))
 
     # -- updates ---------------------------------------------------------
 
-    def _apply(self, h: int) -> int:
-        """Raise the register hash ``h`` selects; return the increment (0 if none)."""
-        index, rank = self._split(h)
+    def _raise(self, index: int, rank: int) -> int:
+        """Raise a register to ``rank`` if that is higher; return the increment."""
         regs = self._regs
         old = regs[index]
         if rank <= old:
@@ -244,7 +244,8 @@ class RegisterFile:
 
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
-        return self._apply(hash64(element, self.salt))
+        index, rank = self._split(hash64(element, self._salt))
+        return self._raise(index, rank)
 
     def insert_many(self, elements) -> int:
         """Insert a batch; return how many changed a register.
@@ -270,12 +271,12 @@ class RegisterFile:
 
     def _insert_block(self, block: list) -> int:
         """Insert one block of ``insert_many``; return how many changed a register."""
-        salt = self.salt
+        salt = self._salt
         if _LANES and set(map(type, block)) == {bytes} and len(set(map(len, block))) == 1:
             hashes = _lane_hashes(block, len(block[0]), salt)
         else:
             hashes = map(hash64, block, repeat(salt))
-        increments = list(map(self._apply, hashes))
+        increments = list(starmap(self._raise, map(self._split, hashes)))
         return len(increments) - increments.count(0)
 
     # -- estimates -------------------------------------------------------
@@ -284,18 +285,10 @@ class RegisterFile:
         """Current harmonic-mean denominator Z = sum(2**-r_i)."""
         return float(self._zs) * _Z_SCALE
 
-    def raw_estimate(self) -> float:
-        return self._alpha_r2 / (float(self._zs) * _Z_SCALE)
-
-    def linear_estimate(self) -> float:
-        if self._zero == 0:
-            return self.raw_estimate()
-        return self.register_count * math.log(self.register_count / self._zero)
-
     def estimate(self) -> int:
         if self._zero > 0:
-            lc = self.register_count * math.log(self.register_count / self._zero)
-            if lc <= self.switch_factor * self.register_count:
+            lc = self._count * math.log(self._count / self._zero)
+            if lc <= self._switch * self._count:
                 return round(lc)
         return round(self._alpha_r2 / (float(self._zs) * _Z_SCALE))
 
@@ -307,44 +300,13 @@ class RegisterFile:
     def _check_dump(self, data: bytes) -> None:
         if type(data) is not bytes:
             raise TypeError(f"expected bytes, got {type(data).__name__}")
-        if len(data) != self.register_count:
-            raise ValueError(
-                f"expected {self.register_count} register bytes, got {len(data)}"
-            )
+        if len(data) != self._count:
+            raise ValueError(f"expected {self._count} register bytes, got {len(data)}")
         for value in data:
             if value > self._max_reg:
                 raise ValueError(
                     f"register value {value} outside supported range 0..{self._max_reg}"
                 )
-
-    def _index(self, index: int) -> int:
-        index = operator.index(index)
-        if not 0 <= index < self.register_count:  # no negative indexing
-            raise IndexError(index)
-        return index
-
-    def get_register(self, index: int) -> int:
-        return self._regs[self._index(index)]
-
-    def set_register(self, index: int, value: int) -> None:
-        index = self._index(index)
-        value = operator.index(value)
-        if not 0 <= value <= self._max_reg:
-            raise ValueError(
-                f"register value {value} outside supported range 0..{self._max_reg}"
-            )
-        self._set(index, value)
-
-    def _set(self, index: int, value: int) -> None:
-        old = self._regs[index]
-        if value == old:
-            return
-        self._regs[index] = value
-        if old == 0:
-            self._zero -= 1
-        if value == 0:
-            self._zero += 1
-        self._zs += (1 << (63 - value)) - (1 << (63 - old))
 
     def dump_registers(self) -> bytes:
         return bytes(self._regs)
@@ -361,9 +323,9 @@ class RegisterFile:
         regs = self._regs
         for index, value in enumerate(data):
             if value > regs[index]:
-                self._set(index, value)
+                self._raise(index, value)
 
     def reset(self) -> None:
-        self._regs = bytearray(self.register_count)
-        self._zero = self.register_count
-        self._zs = self.register_count << 63
+        self._regs = bytearray(self._count)
+        self._zero = self._count
+        self._zs = self._count << 63

@@ -25,7 +25,6 @@ the drop; it raises instead.
 
 from __future__ import annotations
 
-import io
 import socket
 from dataclasses import dataclass
 from itertools import islice
@@ -43,7 +42,6 @@ __all__ = [
     "ServerError",
     "resp_encode",
     "encode_value",
-    "resp_decode",
     "RespStream",
     "RedisEndpoint",
     "parse_endpoint",
@@ -89,8 +87,6 @@ def resp_encode(command: Sequence[bytes]) -> bytes:
         raise ValueError("command must be non-empty")
     out = [b"*%d\r\n" % len(command)]
     for part in command:
-        if isinstance(part, str):
-            part = part.encode("utf-8")
         out.append(b"$%d\r\n%s\r\n" % (len(part), part))
     return b"".join(out)
 
@@ -199,23 +195,11 @@ class RespStream:
         raise ProtocolError(f"unknown reply type {line!r}")
 
 
-def resp_decode(stream) -> RespValue:
-    """Decode one reply from a RespStream, byte string, or file-like."""
-    if isinstance(stream, (bytes, bytearray)):
-        stream = RespStream(io.BytesIO(bytes(stream)))
-    elif not isinstance(stream, RespStream):
-        stream = RespStream(stream)
-    return stream.read_value()
-
-
 @dataclass(frozen=True)
 class RedisEndpoint:
     host: str
     port: int
     key: str
-
-    def url(self) -> str:
-        return f"redis://{self.host}:{self.port}/{self.key}"
 
 
 def parse_endpoint(url: str) -> RedisEndpoint:
@@ -326,9 +310,9 @@ class RemoteOracle(CardinalityOracle):
         self._expect_int(reply, "DEL")
 
     @staticmethod
-    def _element(element: bytes | str) -> bytes:
-        if isinstance(element, str):
-            element = element.encode("utf-8")
+    def _element(element: bytes) -> bytes:
+        if type(element) is not bytes:
+            raise TypeError(f"expected bytes, got {type(element).__name__}")
         if not element:
             raise ValueError("element must be non-empty")
         return element

@@ -13,7 +13,6 @@ validation, serialization and the merge/witness algebra.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -97,10 +96,6 @@ class HllParams:
         return self.salt or 0
 
     @property
-    def max_register(self) -> int:
-        return (1 << self.register_width) - 1
-
-    @property
     def alpha(self) -> float:
         return alpha_for_registers(self.register_count)
 
@@ -165,19 +160,12 @@ class HllSketch:
 
     # -- estimates -------------------------------------------------------
 
-    def raw_estimate(self) -> float:
-        """Harmonic-mean estimate alpha_R * R**2 / Z, Z = sum(2**-r_i)."""
-        return self._core.raw_estimate()
-
-    def linear_counting_estimate(self) -> float:
-        """Low-range estimate R * ln(R / V) from the V zero registers.
-
-        Falls through to the raw estimate when no register is zero.
-        """
-        return self._core.linear_estimate()
-
     def estimate(self) -> int:
-        """Integer cardinality estimate with the low-range crossover."""
+        """Integer cardinality estimate with the low-range crossover.
+
+        Linear counting R * ln(R / V) while V registers are zero and it is
+        at most switch_factor * R; else the harmonic-mean alpha_R * R**2 / Z.
+        """
         return self._core.estimate()
 
     def z_denominator(self) -> float:
@@ -192,13 +180,6 @@ class HllSketch:
     @property
     def registers(self) -> bytes:
         return self._core.dump_registers()
-
-    def get_register(self, index: int) -> int:
-        return self._core.get_register(index)
-
-    def set_register(self, index: int, value: int) -> None:
-        """Directly set a register (deserialization / test plumbing)."""
-        self._core.set_register(index, value)
 
     def reset(self) -> None:
         self._core.reset()
@@ -236,11 +217,14 @@ class HllSketch:
 
     @classmethod
     def from_bytes(cls, data: bytes, switch_factor: float = 2.5) -> "HllSketch":
+        """Load a ``to_bytes`` snapshot; refuse any that it could not have written."""
         if len(data) < _SNAPSHOT_HEADER.size:
             raise ValueError("snapshot truncated")
         magic, m, width, salted, salt = _SNAPSHOT_HEADER.unpack_from(data)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
+        if salted not in (0, 1) or (salt and not salted):
+            raise ValueError(f"bad snapshot salt: salted={salted}, salt={salt:#x}")
         body = data[_SNAPSHOT_HEADER.size :]
         if len(body) != m:
             raise ValueError(f"expected {m} register bytes, got {len(body)}")
@@ -252,34 +236,6 @@ class HllSketch:
         )
         sketch = cls(params)
         sketch._core.load_registers(body)
-        return sketch
-
-    def to_json(self) -> str:
-        p = self.params
-        return json.dumps(
-            {
-                "magic": _SNAPSHOT_MAGIC.decode("ascii"),
-                "register_count": p.register_count,
-                "register_width": p.register_width,
-                "salted": p.salted,
-                "salt": p.salt_value,
-                "registers": list(self.registers),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, switch_factor: float = 2.5) -> "HllSketch":
-        obj = json.loads(text)
-        if obj.get("magic") != _SNAPSHOT_MAGIC.decode("ascii"):
-            raise ValueError("bad snapshot magic")
-        params = HllParams(
-            register_count=obj["register_count"],
-            register_width=obj["register_width"],
-            salt=obj["salt"] if obj["salted"] else None,
-            switch_factor=switch_factor,
-        )
-        sketch = cls(params)
-        sketch._core.load_registers(bytes(obj["registers"]))
         return sketch
 
 

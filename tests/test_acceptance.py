@@ -25,7 +25,8 @@ from hllrt import (
     run_attack,
     verify,
 )
-from hllrt._kernel import RegisterFile, splitmix64, stream_element
+from hllrt._kernel import RegisterFile, stream_element
+from hllrt._kernel._pykernel import _splitmix64 as splitmix64
 from hllrt.analysis import (
     expected_missed_lpca,
     expected_register_value,

@@ -32,10 +32,14 @@ from hllrt.remote import (
     SimpleString,
     encode_value,
     parse_endpoint,
-    resp_decode,
     resp_encode,
 )
 from respserver import running_server
+
+
+def resp_decode(data):
+    """Decode the first reply in ``data``."""
+    return RespStream(io.BytesIO(data)).read_value()
 
 
 # -- encoding -------------------------------------------------------------------
@@ -155,7 +159,6 @@ def test_parse_endpoint():
     ep = parse_endpoint("redis://localhost:6380/mykey")
     assert (ep.host, ep.port, ep.key) == ("localhost", 6380, "mykey")
     assert parse_endpoint("redis://10.0.0.1/k").port == 6379
-    assert ep.url() == "redis://localhost:6380/mykey"
 
 
 def test_parse_endpoint_rejects_bad_urls():
@@ -178,6 +181,22 @@ def test_oracle_basic_cycle():
             assert oracle.estimate() == 3
             oracle.reset()
             assert oracle.estimate() == 0
+
+
+def test_oracle_refuses_a_str_element_before_sending_it():
+    # Like every other oracle: an element is bytes, never encoded from text.
+    with running_server() as server:
+        with RemoteOracle(server.url(), batch=True) as oracle:
+            oracle.reset()
+            with pytest.raises(TypeError):
+                oracle.insert("a")
+            assert oracle._pending == []
+            kept = []
+            with pytest.raises(TypeError):
+                oracle.scan(["a"], kept)
+            assert kept == [] and b"PFADD" not in server.commands_seen
+            with pytest.raises(TypeError):
+                resp_encode([b"PFADD", b"k", "a"])
 
 
 def test_oracle_surfaces_wrong_type_errors():

@@ -1,6 +1,5 @@
 """Sketch behavior: updates, estimates, merge algebra, snapshots."""
 
-import json
 import math
 import random
 
@@ -28,6 +27,18 @@ def find_element(params, index=None, rank=None, start=0):
         if (index is None or i == index) and (rank is None or r == rank):
             return e
     raise AssertionError("no element found with the requested split")
+
+
+def with_registers(params, registers):
+    """A sketch of ``params`` holding ``registers``, loaded from a snapshot."""
+    header = HllSketch(params).to_bytes()[: -params.register_count]
+    return HllSketch.from_bytes(header + bytes(registers), params.switch_factor)
+
+
+def raw_estimate(sketch):
+    """The harmonic-mean estimate alpha_R * R**2 / Z."""
+    r = sketch.params.register_count
+    return sketch.params.alpha * r * r / sketch.z_denominator()
 
 
 # -- params -------------------------------------------------------------------
@@ -73,7 +84,7 @@ def test_hash_split_deterministic_and_bounded():
         assert a == b
         index, rank = a
         assert 0 <= index < 64
-        assert 1 <= rank <= params.max_register
+        assert 1 <= rank <= (1 << params.register_width) - 1
     assert sketch.registers == bytes(64)  # splitting inserts nothing
 
 
@@ -99,7 +110,7 @@ def test_hash_split_clamps_rank_to_register_width():
     assert rank == 15
     sketch = HllSketch(params)
     sketch.insert(e)
-    assert sketch.get_register(index) == 15
+    assert sketch.registers[index] == 15
 
 
 # -- insert -------------------------------------------------------------------
@@ -112,12 +123,12 @@ def test_insert_takes_maximum():
     e4 = find_element(params, index=5, rank=4)
     e2 = find_element(params, index=5, rank=2)
     assert sketch.insert(e3) is True
-    assert sketch.get_register(5) == 3
+    assert sketch.registers[5] == 3
     assert sketch.insert(e4) is True  # 3 -> 4: stored value increases
-    assert sketch.get_register(5) == 4
+    assert sketch.registers[5] == 4
     assert sketch.insert(e2) is False  # lower rank leaves the register
-    assert sketch.get_register(5) == 4
-    others = [i for i in range(64) if i != 5 and sketch.get_register(i)]
+    assert sketch.registers[5] == 4
+    others = [i for i in range(64) if i != 5 and sketch.registers[i]]
     assert not others
 
 
@@ -140,26 +151,24 @@ def test_insert_rejects_empty():
 def test_raw_estimate_empty():
     for m in (16, 64, 1024):
         sketch = HllSketch(HllParams(m))
-        assert sketch.raw_estimate() == pytest.approx(alpha_for_registers(m) * m)
+        assert raw_estimate(sketch) == pytest.approx(alpha_for_registers(m) * m)
 
 
 def test_raw_estimate_single_register():
     # R=16 with one register at 1: Z = 15 + 1/2, estimate alpha*256/15.5.
-    sketch = HllSketch(HllParams(16, 6))
-    sketch.set_register(0, 1)
+    sketch = with_registers(HllParams(16, 6), [1] + [0] * 15)
     assert sketch.z_denominator() == pytest.approx(15.5)
-    assert sketch.raw_estimate() == pytest.approx(0.673 * 256 / 15.5)
+    assert raw_estimate(sketch) == pytest.approx(0.673 * 256 / 15.5)
 
 
 def test_raw_estimate_strictly_monotone_in_registers():
-    sketch = HllSketch(HllParams(64, 6))
+    params = HllParams(64, 6)
     rng = random.Random(3)
-    for i in range(64):
-        sketch.set_register(i, rng.randrange(0, 20))
+    registers = [rng.randrange(0, 20) for _ in range(64)]
     for i in (0, 17, 63):
-        before = sketch.raw_estimate()
-        sketch.set_register(i, sketch.get_register(i) + 1)
-        assert sketch.raw_estimate() > before
+        before = raw_estimate(with_registers(params, registers))
+        registers[i] += 1
+        assert raw_estimate(with_registers(params, registers)) > before
 
 
 # -- linear counting ----------------------------------------------------------
@@ -167,23 +176,19 @@ def test_raw_estimate_strictly_monotone_in_registers():
 
 def test_linear_counting_all_zero():
     sketch = HllSketch(HllParams(256))
-    assert sketch.linear_counting_estimate() == pytest.approx(0.0)
+    assert sketch.estimate() == pytest.approx(0.0)
 
 
 def test_linear_counting_half_zero():
     m = 256
-    sketch = HllSketch(HllParams(m))
-    for i in range(m // 2):
-        sketch.set_register(i, 1)
-    assert sketch.linear_counting_estimate() == pytest.approx(m * math.log(2))
+    sketch = with_registers(HllParams(m), [1] * (m // 2) + [0] * (m // 2))
+    assert sketch.estimate() == round(m * math.log(2))
 
 
 def test_linear_counting_falls_back_when_no_zero_register():
     m = 16
-    sketch = HllSketch(HllParams(m))
-    for i in range(m):
-        sketch.set_register(i, 7)
-    assert sketch.linear_counting_estimate() == pytest.approx(sketch.raw_estimate())
+    sketch = with_registers(HllParams(m), [7] * m)
+    assert sketch.estimate() == round(raw_estimate(sketch))
 
 
 # -- integer estimate ---------------------------------------------------------
@@ -343,8 +348,7 @@ def test_estimates_deterministic_across_instances(seed):
 
 def test_snapshot_binary_layout():
     params = HllParams(16, 6, salt=0x1122334455667788)
-    sketch = HllSketch(params)
-    sketch.set_register(2, 9)
+    sketch = with_registers(params, [0, 0, 9] + [0] * 13)
     blob = sketch.to_bytes()
     assert blob[:4] == b"HLLS"
     assert int.from_bytes(blob[4:8], "little") == 16
@@ -356,18 +360,13 @@ def test_snapshot_binary_layout():
     assert registers[2] == 9 and sum(registers) == 9
 
 
-def test_snapshot_roundtrip_bytes_and_json():
+def test_snapshot_roundtrip_bytes():
     params = HllParams(64, 5)
     sketch = HllSketch(params)
     sketch.insert_many(ElementGenerator(3).stream(500))
     again = HllSketch.from_bytes(sketch.to_bytes())
     assert again == sketch
     assert again.estimate() == sketch.estimate()
-    from_json = HllSketch.from_json(sketch.to_json())
-    assert from_json == sketch
-    payload = json.loads(sketch.to_json())
-    assert payload["magic"] == "HLLS"
-    assert payload["salted"] is False
 
 
 def test_snapshot_rejects_garbage():
@@ -375,8 +374,21 @@ def test_snapshot_rejects_garbage():
         HllSketch.from_bytes(b"NOPE" + bytes(30))
     with pytest.raises(ValueError):
         HllSketch.from_bytes(HllSketch(HllParams(16)).to_bytes()[:-1])
-    with pytest.raises(ValueError):
-        HllSketch.from_json('{"magic": "nope"}')
+
+
+def test_snapshot_refuses_what_to_bytes_cannot_write():
+    # Byte 9 is the salted flag, bytes 10..17 the salt: a flag other than
+    # 0 or 1, or a salt under flag 0, would load and then write back changed.
+    for salt in (None, 0, 7):
+        good = HllSketch(HllParams(16, 6, salt=salt)).to_bytes()
+        assert HllSketch.from_bytes(good).to_bytes() == good
+    unsalted = HllSketch(HllParams(16, 6)).to_bytes()
+    salted = HllSketch(HllParams(16, 6, salt=7)).to_bytes()
+    flag_two = salted[:9] + b"\x02" + salted[10:]
+    salt_unflagged = unsalted[:10] + (7).to_bytes(8, "little") + unsalted[18:]
+    for bad in (flag_two, salt_unflagged):
+        with pytest.raises(ValueError):
+            HllSketch.from_bytes(bad)
 
 
 def test_copy_is_independent():
