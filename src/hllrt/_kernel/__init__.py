@@ -25,5 +25,6 @@ else:
 RegisterFile = _impl.RegisterFile
 hash64 = _impl.hash64
 stream_element = _impl.stream_element
+stream_elements = _impl.stream_elements
 
-__all__ = ["BACKEND", "RegisterFile", "hash64", "stream_element"]
+__all__ = ["BACKEND", "RegisterFile", "hash64", "stream_element", "stream_elements"]

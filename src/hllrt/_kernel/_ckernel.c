@@ -96,16 +96,43 @@ static PyObject *py_hash64(PyObject *module, FASTCALL_ARGS) {
     return PyLong_FromUnsignedLongLong(hash(p, PyBytes_GET_SIZE(a[0]), salt));
 }
 
-static PyObject *py_stream_element(PyObject *module, FASTCALL_ARGS) {
+/* Element k of the stream whose seed splitmix64 mixed to base. */
+static PyObject *stream_bytes(u64 base, u64 k) {
     static const char hex[] = "0123456789abcdef";
-    PyObject *a[2];
-    u64 seed, k;
     char buf[16];
-    if (PARSE("stream_element(seed, k)", 2, a, "seed", "k") < 0) return NULL;
-    if (as_u64(a[0], &seed) < 0 || as_u64(a[1], &k) < 0) return NULL;
-    u64 x = splitmix(splitmix(seed) + k);
+    u64 x = splitmix(base + k);
     for (int j = 15; j >= 0; j--, x >>= 4) buf[j] = hex[x & 15];
     return PyBytes_FromStringAndSize(buf, 16);
+}
+
+static PyObject *py_stream_element(PyObject *module, FASTCALL_ARGS) {
+    PyObject *a[2];
+    u64 seed, k;
+    if (PARSE("stream_element(seed, k)", 2, a, "seed", "k") < 0) return NULL;
+    if (as_u64(a[0], &seed) < 0 || as_u64(a[1], &k) < 0) return NULL;
+    return stream_bytes(splitmix(seed), k);
+}
+
+static PyObject *py_stream_elements(PyObject *module, FASTCALL_ARGS) {
+    PyObject *a[3], *out, *element;
+    u64 seed, start;
+    Py_ssize_t count;
+    if (PARSE("stream_elements(seed, start, count)", 3, a, "seed", "start", "count") < 0)
+        return NULL;
+    if (as_u64(a[0], &seed) < 0 || as_u64(a[1], &start) < 0) return NULL;
+    if (!PyLong_Check(a[2])) return wrong_type("int", a[2]), NULL;
+    if ((count = PyLong_AsSsize_t(a[2])) == -1 && PyErr_Occurred()) return NULL;
+    if (count < 0) return PyErr_Format(PyExc_ValueError, "count must not be negative");
+    if (!(out = PyList_New(count))) return NULL;
+    u64 base = splitmix(seed);
+    for (Py_ssize_t j = 0; j < count; j++) {
+        if (!(element = stream_bytes(base, start + (u64)j))) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, j, element);
+    }
+    return out;
 }
 
 /* -- RegisterFile -------------------------------------------------------- */
@@ -221,11 +248,41 @@ GETTER(z_sum, PyFloat_FromDouble(z_sum(self)))
 GETTER(zero_registers, PyLong_FromSsize_t(self->zero))
 GETTER(dump_registers, PyBytes_FromStringAndSize((const char *)self->regs, self->count))
 
-static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
+/* The integer estimate, as a double: exact, however large. */
+static double estimate(RegisterFile *self) {
     double n = (double)self->count, x;
     if (!(self->zero && (x = n * log(n / (double)self->zero)) <= self->switch_factor * n))
         x = self->alpha_r2 / z_sum(self);
-    return PyLong_FromDouble(rint(x)); /* exact, however large */
+    return rint(x);
+}
+
+static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
+    return PyLong_FromDouble(estimate(self));
+}
+
+static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
+    PyObject *a[2], *it, *element;
+    Py_ssize_t index, insertions = 0;
+    int rank;
+    if (PARSE("scan(elements, kept)", 2, a, "elements", "kept") < 0) return NULL;
+    if (!PyList_Check(a[1])) return wrong_type("list", a[1]), NULL;
+    if (!(it = PyObject_GetIter(a[0]))) return NULL;
+    double last = estimate(self), after;
+    while ((element = PyIter_Next(it))) {
+        int bad = PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0
+                      ? (PyErr_SetString(PyExc_ValueError, "element must be non-empty"), 1)
+                      : split(self, element, &index, &rank) < 0;
+        if (!bad && raise_to(self, index, rank)) {
+            after = estimate(self);
+            bad = after > last && PyList_Append(a[1], element) < 0;
+            last = after;
+        }
+        Py_DECREF(element);
+        if (bad) break;
+        insertions++;
+    }
+    Py_DECREF(it);
+    return PyErr_Occurred() ? NULL : Py_BuildValue("(Nn)", PyLong_FromDouble(last), insertions);
 }
 
 /* The bytes of a valid register dump, or NULL with the exception set. */
@@ -282,6 +339,7 @@ static PyMethodDef rf_methods[] = {
     FAST("hash_split", rf_hash_split, "Map an element to its (register index, rank) pair."),
     FAST("insert", rf_insert, "Insert one element; return the register increment (0 if none)."),
     FAST("insert_many", rf_insert_many, "Insert a batch; return how many changed a register."),
+    FAST("scan", rf_scan, "Insert every element, keeping those that raise the estimate."),
     NOARGS("z_sum", rf_z_sum, "Current harmonic-mean denominator Z = sum(2**-r_i)."),
     NOARGS("estimate", rf_estimate, NULL),
     NOARGS("zero_registers", rf_zero_registers, NULL),
@@ -308,6 +366,7 @@ static PyType_Spec rf_spec = {
 static PyMethodDef module_functions[] = {
     FAST("hash64", py_hash64, "64-bit non-cryptographic hash of ``data`` keyed by ``salt``."),
     FAST("stream_element", py_stream_element, "Element ``k`` of the stream keyed by ``seed``."),
+    FAST("stream_elements", py_stream_elements, "Elements ``start`` .. ``start + count - 1``."),
     {NULL},
 };
 

@@ -1,15 +1,17 @@
 """Pure-Python register-file kernel.
 
 This module is the portable twin of the C extension ``_ckernel.c``.
-Both expose the same API (``hash64``, ``stream_element``, ``RegisterFile``)
-and must produce bit-identical results: the register bookkeeping is kept
-as an exact scaled integer and every float expression is written the same
-way in both backends, so an estimate computed here equals the one computed
-by the extension on the same stream.
+Both expose the same API (``hash64``, ``stream_element``,
+``stream_elements``, ``RegisterFile``) and must produce bit-identical
+results: the register bookkeeping is kept as an exact scaled integer and
+every float expression is written the same way in both backends, so an
+estimate computed here equals the one computed by the extension on the
+same stream.
 
 Both raise the same exception type for every bad argument. An element
-must be exactly ``bytes``; a salt, seed or ``k`` any int, reduced mod
-2**64; a dump exactly ``bytes`` of R values in 0..max (else
+must be exactly ``bytes`` (and non-empty for ``scan``); a salt, seed,
+``k`` or ``start`` any int, reduced mod 2**64; a count a non-negative
+int; a dump exactly ``bytes`` of R values in 0..max (else
 ``ValueError``), and a bad dump changes nothing. The constructor converts
 its arguments as the C twin's ``"niKdd"`` parse does. An argument of any
 other type raises ``TypeError``.
@@ -28,38 +30,46 @@ per-element path is flat: ``hash64`` reads the element once as one
 integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
-``insert_many`` goes further and hashes a whole block of elements in one
-pass, SIMD within a register with Python's big integers. A block whose
-elements all have one length n is hashed together: each gets a 128-bit lane
-of one big integer, its accumulator in the lane's low 64 bits and the
-upper 64 bits zero. For each of the element's 8-byte words (the last
+``insert_many`` and ``scan`` go further: they read ``_BLOCK`` elements
+at a time and hash a whole block in one pass, SIMD within a register
+with Python's big integers. ``scan``, the attack's loop, then splits
+each hash inline and makes a method call (raise the register, then
+estimate) only for an element that raises its register. A block whose
+elements all have one length n is hashed together: each gets a 128-bit
+lane of one big integer, its accumulator in the lane's low 64 bits and
+the upper 64 bits zero. For each of the element's 8-byte words (the last
 one zero-padded), the word of every element is copied into the low half
 of its lane, and ``hash64``'s step runs once on the whole integer, each
 result masked back to 64 bits per lane. No lane can carry into the next:
 a product of two values below 2**64, plus P4 or P5, stays below 2**128.
 A right shift (the rotations' ``>> 33``/``>> 37``, the avalanche's
-``>> 33``) pulls the next lane's low bits into this lane's upper half,
-so its result is masked before the next multiply. The low 64 bits of
-each lane are then that element's ``hash64``. The scalar ``hash64``
-stays: it hashes single elements for ``insert`` and ``hash_split``,
-blocks that mix lengths or hold anything but ``bytes``, and it is the
-reference the lanes are tested against.
+``>> 33``) pulls the next lane's low bits into this lane's upper half, so
+its result is masked before the next multiply. The low 64 bits of each lane
+are then that element's ``hash64``. The scalar ``hash64`` stays: it
+hashes single elements for ``insert`` and ``hash_split``, blocks that
+mix lengths or hold anything but ``bytes``, and it is the reference the
+lanes are tested against. ``stream_elements`` runs the stream's
+splitmix64 round on the same lanes and formats a whole block as hex at
+once.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
+from binascii import hexlify
 from functools import lru_cache
 from itertools import islice, repeat, starmap
 
 MASK64 = (1 << 64) - 1
 
-# Elements insert_many reads, hashes and applies at a time.
+# Elements insert_many and scan read and hash, and stream_elements
+# generates, at a time.
 _BLOCK = 2048
 # The lanes are read back as native 8-byte words, so the block path
-# needs a little-endian host; elsewhere insert_many hashes one by one.
+# needs a little-endian host; elsewhere blocks are hashed one by one.
 _LANES = sys.byteorder == "little"
 
 # 2**-63 is an exact double, so scaling Z_scaled by it only rounds once
@@ -158,11 +168,97 @@ def _lane_hashes(block: list[bytes], n: int, salt: int) -> list[int]:
     return memoryview(acc.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=4)
 def _lane_constants(count: int) -> tuple[int, int]:
     """1 and 2**64 - 1 in each of ``count`` 128-bit lanes."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
     return ones, ones * MASK64
+
+
+def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
+    """``stream_element(seed, k)`` for k in ``start .. start + count - 1``, mod 2**64.
+
+    Runs the element's splitmix64 round on 128-bit lanes, ``_BLOCK``
+    elements per pass, as ``_lane_hashes`` runs ``hash64``, and formats
+    the whole pass as hex at once.
+    """
+    for value in (seed, start, count):
+        if not isinstance(value, int):
+            raise TypeError(f"expected int, got {type(value).__name__}")
+    if count < 0:
+        raise ValueError("count must not be negative")
+    base = _stream_base(seed & MASK64) + start
+    out: list[bytes] = []
+    for offset in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - offset)
+        ones, mask = _lane_constants(n)
+        ramp, unpack = _stream_lanes(n)
+        x = (((base + offset) & MASK64) * ones + ramp) & mask
+        x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        x ^= x >> 31  # only each lane's low 64 bits are read back
+        # In big-endian bytes a lane's low 64 bits are its second 8 bytes.
+        out += unpack(hexlify(memoryview(x.to_bytes(16 * n, "big")).cast("Q")[1::2].tobytes()))
+    return out
+
+
+@lru_cache(maxsize=2)
+def _stream_lanes(count: int):
+    """``count`` lanes holding ``count`` - 1 in the lowest down to 0 in the
+    highest, and the splitter of ``count`` 16-digit hex strings.
+
+    Big-endian bytes of the lanes list the highest lane first, so the
+    elements come out in order.
+    """
+    ramp = b"".join(j.to_bytes(16, "big") for j in range(count))
+    return int.from_bytes(ramp, "big"), struct.Struct("16s" * count).unpack
+
+
+def _blocks(elements):
+    """``elements`` as lists of up to ``_BLOCK``, in order.
+
+    An iterable that raises mid-block has the elements it yielded handed
+    out first; the error propagates when the next block is asked for.
+    """
+    elements = iter(elements)
+    while True:
+        block: list = []
+        try:
+            block.extend(islice(elements, _BLOCK))  # keeps what it read before a raise
+        except BaseException:
+            yield block
+            raise
+        if block:
+            yield block
+        if len(block) < _BLOCK:
+            return
+
+
+def _block_hashes(block: list, salt: int, empty_ok: bool) -> list[int]:
+    """``hash64(e, salt)`` for the elements of ``block`` up to the first it refuses.
+
+    It refuses an element that is not ``bytes`` and, unless ``empty_ok``,
+    an empty one; a result shorter than the block marks that element. A
+    block of ``bytes`` that all have one length is hashed in one lane
+    pass, any other block one element at a time.
+    """
+    if _LANES and set(map(type, block)) == {bytes}:
+        lengths = set(map(len, block))
+        if len(lengths) == 1 and (empty_ok or 0 not in lengths):
+            return _lane_hashes(block, lengths.pop(), salt)
+    hashes = []
+    for element in block:
+        if type(element) is not bytes or not (element or empty_ok):
+            break
+        hashes.append(hash64(element, salt))
+    return hashes
+
+
+def _refuse(element) -> None:
+    """Raise the error ``_block_hashes`` stopped at ``element`` for."""
+    if type(element) is not bytes:
+        raise TypeError(f"expected bytes, got {type(element).__name__}")
+    raise ValueError("element must be non-empty")
 
 
 def _real(x) -> float:
@@ -250,34 +346,58 @@ class RegisterFile:
     def insert_many(self, elements) -> int:
         """Insert a batch; return how many changed a register.
 
-        Reads ``_BLOCK`` elements at a time. A block of ``bytes`` of one
-        length is hashed in one lane pass; any other block is hashed one
-        element at a time, so it inserts the elements before a bad one
+        Reads ``_BLOCK`` elements at a time and hashes each block with
+        ``_block_hashes``, so it inserts the elements before a bad one
         and then raises what ``insert`` would. An iterable that raises
         mid-block has the elements it yielded inserted first, as the
         compiled kernel's element-by-element loop would.
         """
         changed = 0
-        elements = iter(elements)
-        while True:
-            block = []
-            try:
-                # list.extend keeps the elements read before a raise
-                block.extend(islice(elements, _BLOCK))
-            finally:
-                changed += self._insert_block(block)
-            if len(block) < _BLOCK:
-                return changed
+        for block in _blocks(elements):
+            hashes = _block_hashes(block, self._salt, True)
+            increments = list(starmap(self._raise, map(self._split, hashes)))
+            changed += len(increments) - increments.count(0)
+            if len(hashes) < len(block):
+                _refuse(block[len(hashes)])
+        return changed
 
-    def _insert_block(self, block: list) -> int:
-        """Insert one block of ``insert_many``; return how many changed a register."""
-        salt = self._salt
-        if _LANES and set(map(type, block)) == {bytes} and len(set(map(len, block))) == 1:
-            hashes = _lane_hashes(block, len(block[0]), salt)
-        else:
-            hashes = map(hash64, block, repeat(salt))
-        increments = list(starmap(self._raise, map(self._split, hashes)))
-        return len(increments) - increments.count(0)
+    def scan(self, elements, kept: list) -> tuple[int, int]:
+        """Insert every element in order, keeping those that raise the estimate.
+
+        Appends to ``kept`` each element whose insertion left the estimate
+        above the one observed just before it, and returns (final estimate,
+        insertions): ``CardinalityOracle.scan`` over this register file,
+        except that the estimate is computed only after an insertion that
+        changed a register, since it depends on the registers alone.
+        Blocks are read and hashed as in ``insert_many``; an empty element
+        raises ``ValueError`` and one that is not ``bytes`` ``TypeError``,
+        each after every element before it was inserted and judged.
+        """
+        if not isinstance(kept, list):
+            raise TypeError(f"expected list, got {type(kept).__name__}")
+        append = kept.append
+        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
+        top = 65 - bits
+        last = self.estimate()
+        insertions = 0
+        for block in _blocks(elements):
+            hashes = _block_hashes(block, self._salt, False)
+            regs = self._regs
+            for element, h in zip(block, hashes):
+                index = h & mask
+                rank = top - (h >> bits).bit_length()
+                if rank > max_reg:
+                    rank = max_reg
+                if rank > regs[index]:
+                    self._raise(index, rank)
+                    after = self.estimate()
+                    if after > last:
+                        append(element)
+                    last = after
+            insertions += len(hashes)
+            if len(hashes) < len(block):
+                _refuse(block[len(hashes)])
+        return last, insertions
 
     # -- estimates -------------------------------------------------------
 

@@ -17,17 +17,19 @@ stream S of C distinct elements:
 Total oracle insertions are 2C plus the two intermediate set sizes,
 i.e. O(C): the attack costs the same order of work as honestly
 inserting C elements. Each pass is one ``CardinalityOracle.scan``, which
-queries the estimate once per insertion plus once at the start.
+queries the estimate once per insertion plus once at the start; an
+in-process oracle runs it inside the kernel. The stream is generated a
+block at a time (``stream_elements``), never held whole.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterator
 
-from ._kernel import stream_element
+from ._kernel import stream_element, stream_elements
+from ._kernel._pykernel import _BLOCK
 from .oracle import CardinalityOracle
 
 __all__ = [
@@ -62,7 +64,9 @@ class ElementGenerator:
         return stream_element(self.seed, k)
 
     def stream(self, count: int) -> Iterator[bytes]:
-        return map(stream_element, repeat(self.seed, count), range(count))
+        """Elements 0 .. count - 1, generated ``_BLOCK`` at a time as they are read."""
+        for start in range(0, count, _BLOCK):
+            yield from stream_elements(self.seed, start, min(_BLOCK, count - start))
 
 
 @dataclass

@@ -5,7 +5,8 @@ estimate. The attack code is written against this interface alone, so
 anything implementing it (in-process sketch, remote Redis key) is a
 valid target. ``scan``, the attack's unit of work, is built from those
 three calls; an oracle may override it only with a loop that observes
-the same estimates.
+the same estimates. ``InProcessOracle`` overrides it with the kernel's
+``RegisterFile.scan``, the same loop run inside the kernel.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class InProcessOracle(CardinalityOracle):
         # attack issues millions of estimate calls.
         self._insert = self._sketch._core.insert
         self._estimate = self._sketch._core.estimate
+        self._scan = self._sketch._core.scan
 
     @property
     def sketch(self) -> HllSketch:
@@ -93,23 +95,9 @@ class InProcessOracle(CardinalityOracle):
         return self._estimate()
 
     def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
-        # The estimate is a function of the registers alone, so an insertion
-        # that changed no register (increment 0) cannot have moved it.
-        insert = self._insert
-        estimate = self._estimate
-        append = kept.append
-        last = estimate()
-        insertions = 0
-        for element in elements:
-            if not element:
-                raise ValueError("element must be non-empty")
-            insertions += 1
-            if insert(element):
-                after = estimate()
-                if after > last:
-                    append(element)
-                last = after
-        return last, insertions
+        # The kernel's scan reads the estimate only after an insertion that
+        # changed a register: the estimate depends on the registers alone.
+        return self._scan(elements, kept)
 
 
 def make_oracle(params: HllParams) -> InProcessOracle:

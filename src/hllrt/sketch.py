@@ -13,6 +13,7 @@ validation, serialization and the merge/witness algebra.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -30,7 +31,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _SNAPSHOT_MAGIC = b"HLLS"
-_SNAPSHOT_HEADER = struct.Struct("<4sIBBQ")  # magic, R, width, salted, salt
+_SNAPSHOT_HEADER = struct.Struct("<4sIBBQd")  # magic, R, width, salted, salt, switch factor
 
 MIN_REGISTERS = 16
 MAX_REGISTERS = 1 << 20
@@ -63,7 +64,8 @@ class HllParams:
     register_count must be a power of two in [16, 2**20]; register_width
     (bits per register) in [4, 8]. ``salt`` keys the hash functions: two
     sketches can only be merged when they share R, width and salt.
-    ``switch_factor`` sets the estimator crossover at switch_factor * R.
+    ``switch_factor`` (finite, positive) sets the estimator crossover at
+    switch_factor * R.
     """
 
     register_count: int
@@ -84,8 +86,8 @@ class HllParams:
             )
         if self.salt is not None and not 0 <= self.salt <= _MASK64:
             raise ValueError("salt must be a 64-bit unsigned value")
-        if not self.switch_factor > 0:
-            raise ValueError("switch_factor must be positive")
+        if not (self.switch_factor > 0 and math.isfinite(self.switch_factor)):
+            raise ValueError(f"switch_factor must be finite and positive, got {self.switch_factor!r}")
 
     @property
     def salted(self) -> bool:
@@ -204,7 +206,7 @@ class HllSketch:
 
     def to_bytes(self) -> bytes:
         """Flat little-endian snapshot: HLLS, u32 R, u8 width, u8 salted,
-        u64 salt, then R register bytes."""
+        u64 salt, f64 switch factor, then R register bytes."""
         p = self.params
         header = _SNAPSHOT_HEADER.pack(
             _SNAPSHOT_MAGIC,
@@ -212,15 +214,16 @@ class HllSketch:
             p.register_width,
             1 if p.salted else 0,
             p.salt_value,
+            p.switch_factor,
         )
         return header + self.registers
 
     @classmethod
-    def from_bytes(cls, data: bytes, switch_factor: float = 2.5) -> "HllSketch":
+    def from_bytes(cls, data: bytes) -> "HllSketch":
         """Load a ``to_bytes`` snapshot; refuse any that it could not have written."""
         if len(data) < _SNAPSHOT_HEADER.size:
             raise ValueError("snapshot truncated")
-        magic, m, width, salted, salt = _SNAPSHOT_HEADER.unpack_from(data)
+        magic, m, width, salted, salt, switch_factor = _SNAPSHOT_HEADER.unpack_from(data)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if salted not in (0, 1) or (salt and not salted):

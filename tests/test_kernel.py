@@ -18,7 +18,7 @@ from hypothesis.stateful import (
 
 import hllrt._kernel as kern
 import hllrt.sketch
-from hllrt import HllParams, HllSketch
+from hllrt import CardinalityOracle, HllParams, HllSketch, make_oracle
 from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, stream_element
 
 MASK64 = (1 << 64) - 1
@@ -163,6 +163,7 @@ def test_twins_expose_the_same_names(pure_kernel, compiled_kernel):
         return {name for name in names if not name.startswith("_")}
 
     assert public(dir(pure_kernel.RegisterFile)) == public(dir(compiled_kernel.RegisterFile))
+    assert "scan" in public(dir(pure_kernel.RegisterFile)) and "stream_elements" in kern.__all__
     for name in kern.__all__:
         if name != "BACKEND":
             assert hasattr(pure_kernel, name) and hasattr(compiled_kernel, name), name
@@ -449,6 +450,124 @@ def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises(kernels
         assert bulk.z_sum() == prefix.z_sum()
 
 
+# -- the kernel scan ---------------------------------------------------------------
+# RegisterFile.scan runs the attack's scan loop in the kernel. On each twin it
+# must keep, estimate and insert exactly what CardinalityOracle.scan, the
+# reference loop, does through the same kernel's insert and estimate.
+
+SCAN_COUNTS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
+
+
+def twin_oracles(kernel, monkeypatch, salt, preload):
+    """Two in-process oracles on ``kernel``, each holding ``preload`` stream elements."""
+    monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+    oracles = [make_oracle(HllParams(256, 6, salt=salt)) for _ in range(2)]
+    for oracle in oracles:
+        oracle.sketch.insert_many(stream_span(5, 10**6, preload))
+    return oracles
+
+
+def scan_both(fast, slow, elements):
+    """(outcome, kept) of the kernel scan and of the reference loop over ``elements``."""
+    results = []
+    for scan, oracle in ((type(fast).scan, fast), (CardinalityOracle.scan, slow)):
+        kept = []
+        try:
+            outcome = scan(oracle, iter(elements), kept)
+        except Exception as exc:
+            outcome = type(exc)
+        results.append((outcome, kept))
+    return results
+
+
+def scan_elements(count, lengths):
+    # The first block has one length, so the pure kernel hashes it in lanes;
+    # later blocks cycle through ``lengths`` and, if it mixes lengths, one by one.
+    return [
+        (stream_element(11, k) * 3)[: lengths[0 if k < BLOCK else k % len(lengths)]]
+        for k in range(count)
+    ]
+
+
+@pytest.mark.parametrize("count", SCAN_COUNTS)
+@pytest.mark.parametrize("lengths", [[16], [16, 1, 40, 8, 9]])
+def test_scan_matches_the_reference_loop(kernels, monkeypatch, count, lengths):
+    elements = scan_elements(count, lengths)
+    for kernel in kernels:
+        for salt in (None, 0x0123456789ABCDEF, MASK64):
+            # An empty sketch starts in linear counting; 3,000 elements take
+            # it past the crossover, where most insertions change nothing.
+            for preload in (0, 3000):
+                fast, slow = twin_oracles(kernel, monkeypatch, salt, preload)
+                (outcome, kept), reference = scan_both(fast, slow, elements)
+                assert (outcome, kept) == reference, (kernel.__name__, salt, preload)
+                assert outcome[1] == count
+                assert fast.sketch.registers == slow.sketch.registers
+
+
+@pytest.mark.parametrize("bad", [b"", "not bytes", bytearray(b"abc"), 7])
+@pytest.mark.parametrize("at", [0, 3, BLOCK + 5])
+def test_scan_refuses_a_bad_element_after_judging_the_ones_before(kernels, monkeypatch, bad, at):
+    elements = scan_elements(BLOCK + 10, [16])
+    elements.insert(at, bad)
+    for kernel in kernels:
+        fast, slow = twin_oracles(kernel, monkeypatch, None, 0)
+        (outcome, kept), reference = scan_both(fast, slow, elements)
+        assert outcome is (ValueError if bad == b"" else TypeError)
+        assert (outcome, kept) == reference
+        assert kept or at == 0
+        assert fast.sketch.registers == slow.sketch.registers
+
+
+@pytest.mark.parametrize("stop", [1, BLOCK, BLOCK + 5])
+def test_scan_judges_what_a_failing_iterable_yielded_then_raises(kernels, monkeypatch, stop):
+    elements = scan_elements(stop, [16, 1, 40])
+
+    def failing():
+        yield from elements
+        raise RuntimeError("source failed")
+
+    for kernel in kernels:
+        fast, slow = twin_oracles(kernel, monkeypatch, None, 0)
+        results = []
+        for oracle, scan in ((fast, fast.scan), (slow, lambda *a: CardinalityOracle.scan(slow, *a))):
+            kept = []
+            with pytest.raises(RuntimeError):
+                scan(failing(), kept)
+            results.append((kept, oracle.sketch.registers))
+        assert results[0] == results[1]
+
+
+def test_scan_wants_a_list_to_keep_into(kernels):
+    for kernel in kernels:
+        rf = make_rf(kernel)
+        for kept in ((), None, {}):
+            with pytest.raises(TypeError):
+                rf.scan([stream_element(1, 0)], kept)
+        assert rf.dump_registers() == bytes(1024)
+
+
+# -- blocks of the stream ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, BLOCK, BLOCK + 1])
+def test_stream_elements_match_stream_element(kernels, count):
+    # The last start wraps past 2**64 within five elements.
+    for kernel in kernels:
+        for seed, start in ((0, 0), (7, 12345), (1, -2), (MASK64, 2**64 - 3), (501, 1 << 70)):
+            expected = [kernel.stream_element(seed, (start + j) & MASK64) for j in range(count)]
+            assert kernel.stream_elements(seed, start, count) == expected, (seed, start)
+
+
+def test_stream_elements_refuses_what_the_twins_refuse(kernels):
+    for kernel in kernels:
+        for args in ((1.0, 0, 1), (0, "0", 1), (0, 0, 1.5), (0, 0, None), (None, 0, 0)):
+            with pytest.raises(TypeError):
+                kernel.stream_elements(*args)
+        with pytest.raises(ValueError):
+            kernel.stream_elements(0, 0, -1)
+
+
 # -- both twins, step by step ----------------------------------------------------
 
 
@@ -594,9 +713,34 @@ class TwinRegisterFiles(RuleBasedStateMachine):
         else:
             self.same(lambda kernel, rf: kernel.hash64(data=data, salt=salt))
 
+    @rule(
+        elements=st.lists(ELEMENTS, max_size=40),
+        bad=st.one_of(st.none(), NOT_BYTES),
+        at=st.integers(0, 40),
+    )
+    def scan(self, elements, bad, at):
+        if bad is not None:
+            elements = elements[:at] + [bad] + elements[at:]
+        kepts = []
+
+        def scan(kernel, rf):
+            kepts.append([])
+            return rf.scan(iter(elements), kepts[-1])
+
+        self.same(scan)
+        assert kepts[0] == kepts[1]
+
     @rule(seed=st.one_of(INTS, NOT_INTS), k=st.one_of(INTS, NOT_INTS))
     def mixers(self, seed, k):
         self.same(lambda kernel, rf: kernel.stream_element(seed, k))
+
+    @rule(
+        seed=st.one_of(INTS, NOT_INTS),
+        start=st.one_of(INTS, NOT_INTS),
+        count=st.one_of(st.integers(-2, 6), NOT_INTS),
+    )
+    def stream(self, seed, start, count):
+        self.same(lambda kernel, rf: kernel.stream_elements(seed, start, count))
 
     @invariant()
     def same_state(self):

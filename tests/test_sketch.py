@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ def find_element(params, index=None, rank=None, start=0):
 def with_registers(params, registers):
     """A sketch of ``params`` holding ``registers``, loaded from a snapshot."""
     header = HllSketch(params).to_bytes()[: -params.register_count]
-    return HllSketch.from_bytes(header + bytes(registers), params.switch_factor)
+    return HllSketch.from_bytes(header + bytes(registers))
 
 
 def raw_estimate(sketch):
@@ -355,7 +356,8 @@ def test_snapshot_binary_layout():
     assert blob[8] == 6
     assert blob[9] == 1  # salted flag
     assert int.from_bytes(blob[10:18], "little") == 0x1122334455667788
-    registers = blob[18:]
+    assert struct.unpack("<d", blob[18:26]) == (2.5,)  # switch factor
+    registers = blob[26:]
     assert len(registers) == 16
     assert registers[2] == 9 and sum(registers) == 9
 
@@ -367,6 +369,24 @@ def test_snapshot_roundtrip_bytes():
     again = HllSketch.from_bytes(sketch.to_bytes())
     assert again == sketch
     assert again.estimate() == sketch.estimate()
+
+
+def test_snapshot_keeps_the_switch_factor():
+    params = HllParams(64, 5, switch_factor=3.0)
+    sketch = HllSketch(params)
+    sketch.insert_many(ElementGenerator(3).stream(100))
+    again = HllSketch.from_bytes(sketch.to_bytes())
+    assert again == sketch and again.params.switch_factor == 3.0
+    assert again.to_bytes() == sketch.to_bytes()
+
+
+def test_snapshot_refuses_a_switch_factor_params_refuse():
+    good = HllSketch(HllParams(16)).to_bytes()
+    for bad in (0.0, -0.0, -2.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            HllSketch.from_bytes(good[:18] + struct.pack("<d", bad) + good[26:])
+        with pytest.raises(ValueError):
+            HllParams(16, switch_factor=bad)
 
 
 def test_snapshot_rejects_garbage():
