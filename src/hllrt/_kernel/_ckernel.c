@@ -269,9 +269,11 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     if (!(it = PyObject_GetIter(a[0]))) return NULL;
     double last = estimate(self), after;
     while ((element = PyIter_Next(it))) {
-        int bad = PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0
-                      ? (PyErr_SetString(PyExc_ValueError, "element must be non-empty"), 1)
-                      : split(self, element, &index, &rank) < 0;
+        int bad = 1;
+        if (PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0)
+            PyErr_SetString(PyExc_ValueError, "element must be non-empty");
+        else
+            bad = split(self, element, &index, &rank) < 0;
         if (!bad && raise_to(self, index, rank)) {
             after = estimate(self);
             bad = after > last && PyList_Append(a[1], element) < 0;

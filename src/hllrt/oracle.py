@@ -72,8 +72,7 @@ class InProcessOracle(CardinalityOracle):
 
     def __init__(self, params: HllParams) -> None:
         self._sketch = HllSketch(params)
-        # Bound kernel methods keep the per-query overhead flat; the
-        # attack issues millions of estimate calls.
+        # Bound kernel methods keep the per-call overhead flat.
         self._insert = self._sketch._core.insert
         self._estimate = self._sketch._core.estimate
         self._scan = self._sketch._core.scan

@@ -87,7 +87,9 @@ class HllParams:
         if self.salt is not None and not 0 <= self.salt <= _MASK64:
             raise ValueError("salt must be a 64-bit unsigned value")
         if not (self.switch_factor > 0 and math.isfinite(self.switch_factor)):
-            raise ValueError(f"switch_factor must be finite and positive, got {self.switch_factor!r}")
+            raise ValueError(
+                f"switch_factor must be finite and positive, got {self.switch_factor!r}"
+            )
 
     @property
     def salted(self) -> bool:
