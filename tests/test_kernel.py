@@ -356,7 +356,8 @@ def test_block_hash_matches_hash64():
             assert lanes == [hash64(e, salt) for e in block], (n, salt)
 
 
-@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+# Several blocks, ending just before, at and just after a block boundary.
+@pytest.mark.parametrize("count", [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK + 1])
 @given(
     salt=st.sampled_from(SALTS),
     seed=st.integers(0, MASK64),

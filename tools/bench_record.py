@@ -58,6 +58,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     parser.add_argument("--out", type=Path, help="output file (default: BENCH_<backend>.json in --repo)")
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
     repo = args.repo.resolve()
 
     record = {"commit": commit_of(repo), "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
@@ -70,11 +72,10 @@ def main(argv=None) -> int:
             print(f"{workload} seed={seed}: failed {result['failed']}/{result['attempted']}, {values}",
                   flush=True)
         for key in ("backend", "python", "nproc"):
-            found = {context[key] for context, _ in runs}
+            found = {context[key] for context, _ in runs} | ({record[key]} if key in record else set())
             if len(found) != 1:
-                raise SystemExit(f"{workload}: runs disagree on {key}: {sorted(found)}")
-            if record.setdefault(key, found.pop()) != runs[0][0][key]:
-                raise SystemExit(f"{workload}: {key} differs from the other workloads'")
+                raise SystemExit(f"runs disagree on {key}: {sorted(found)}")
+            record[key] = found.pop()
         record["workloads"][workload] = {
             "failed_ratio": sum(r["failed"] for _, r in runs) / sum(r["attempted"] for _, r in runs),
             "phase_digests": {str(seed): context["phase_digests"] for seed, (context, _) in zip(args.seeds, runs)},
