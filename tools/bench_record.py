@@ -6,10 +6,10 @@
 
 Runs ``perfbench/run.py`` of the checkout given by ``--repo`` once for each
 workload and seed, one run at a time, and writes for each workload the
-median and interquartile range (IQR) of the four end-to-end metrics, the
-failed-unit ratio and the phase-set digests, with the kernel backend,
-Python version, nproc and git commit of the checkout. Without ``--out``
-the file is ``BENCH_<backend>.json`` at the root of that checkout.
+median and interquartile range (IQR) of the four end-to-end metrics and
+the failed-unit ratio, with the kernel backend, Python version, nproc
+and git commit of the checkout. Without ``--out`` the file is
+``BENCH_<backend>.json`` at the root of that checkout.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def main(argv=None) -> int:
             record[key] = found.pop()
         record["workloads"][workload] = {
             "failed_ratio": sum(r["failed"] for _, r in runs) / sum(r["attempted"] for _, r in runs),
-            "phase_digests": {str(seed): context["phase_digests"] for seed, (context, _) in zip(args.seeds, runs)},
             "metrics": {
                 metric: {"unit": runs[0][1]["metrics"][metric]["unit"]}
                 | summary([r["metrics"][metric]["value"] for _, r in runs])
