@@ -11,10 +11,11 @@ same stream.
 Both raise the same exception type for every bad argument. An element
 must be exactly ``bytes`` (and non-empty for ``scan``); a salt, seed,
 ``k`` or ``start`` any int, reduced mod 2**64; a count a non-negative
-int; a dump exactly ``bytes`` of R values in 0..max (else
-``ValueError``), and a bad dump changes nothing. The constructor converts
-its arguments as the C twin's ``"niKdd"`` parse does. An argument of any
-other type raises ``TypeError``.
+int (``OverflowError`` if it does not fit in a ``Py_ssize_t``); a dump
+exactly ``bytes`` of R values in 0..max (else ``ValueError``), and a bad
+dump changes nothing. The constructor converts its arguments as the C
+twin's ``"niKdd"`` parse does. An argument of any other type raises
+``TypeError``.
 
 The register file holds R small counters. Inserting an element hashes it
 once to 64 bits; the low log2(R) bits select a register and the remaining
@@ -186,6 +187,8 @@ def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
     for value in (seed, start, count):
         if not isinstance(value, int):
             raise TypeError(f"expected int, got {type(value).__name__}")
+    if not -sys.maxsize - 1 <= count <= sys.maxsize:  # as C's Py_ssize_t parse
+        raise OverflowError("count does not fit in a Py_ssize_t")
     if count < 0:
         raise ValueError("count must not be negative")
     base = _stream_base(seed & MASK64) + start

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ._kernel import stream_element, stream_elements
-from ._kernel._pykernel import _BLOCK
 from .oracle import CardinalityOracle
 
 __all__ = [
@@ -46,6 +45,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# Elements ElementGenerator.stream generates at a time: few enough that a
+# long stream is never held whole.
+_CHUNK = 512
 
 
 class ElementGenerator:
@@ -64,9 +66,9 @@ class ElementGenerator:
         return stream_element(self.seed, k)
 
     def stream(self, count: int) -> Iterator[bytes]:
-        """Elements 0 .. count - 1, generated ``_BLOCK`` at a time as they are read."""
-        for start in range(0, count, _BLOCK):
-            yield from stream_elements(self.seed, start, min(_BLOCK, count - start))
+        """Elements 0 .. count - 1, generated ``_CHUNK`` at a time as they are read."""
+        for start in range(0, count, _CHUNK):
+            yield from stream_elements(self.seed, start, min(_CHUNK, count - start))
 
 
 @dataclass

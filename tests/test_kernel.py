@@ -567,6 +567,10 @@ def test_stream_elements_refuses_what_the_twins_refuse(kernels):
                 kernel.stream_elements(*args)
         with pytest.raises(ValueError):
             kernel.stream_elements(0, 0, -1)
+        # Refused before anything is allocated.
+        for count in (2**63, -(2**63) - 1):
+            with pytest.raises(OverflowError):
+                kernel.stream_elements(0, 0, count)
 
 
 # -- both twins, step by step ----------------------------------------------------

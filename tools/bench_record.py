@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Record the benchmark's end-to-end metrics over several seeds as BENCH_<backend>.json.
+"""Record the benchmark's end-to-end metrics over seeds 1-5 as BENCH_<backend>.json.
 
-    python3 tools/bench_record.py                      # this checkout, seeds 1-5, 30 s a run
-    python3 tools/bench_record.py --repo ../other-checkout --out before.json
+    python3 tools/bench_record.py                       # this checkout
+    python3 tools/bench_record.py --repo ../other-checkout
 
 Runs ``perfbench/run.py`` of the checkout given by ``--repo`` once for each
-workload and seed, one run at a time, and writes for each workload the
-median and interquartile range (IQR) of the four end-to-end metrics and
-the failed-unit ratio, with the kernel backend, Python version, nproc
-and git commit of the checkout. Without ``--out`` the file is
-``BENCH_<backend>.json`` at the root of that checkout.
+workload and seed, one run at a time and each as long as that checkout's
+``BENCHMARK.json`` says (``run_seconds``). It writes
+``BENCH_<backend>.json`` at the root of that checkout: for each workload
+the median and interquartile range (IQR) of the four end-to-end metrics
+and the failed-unit ratio, with the kernel backend, Python version, nproc
+and git commit of the checkout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("attack-inproc", "attack-resp", "ingest-detect")
+SEEDS = (1, 2, 3, 4, 5)
 METRICS = ("setup_s", "unit_cal.p50", "elements_per_cal", "peak_rss_mb")
 
 
@@ -53,20 +55,15 @@ def commit_of(repo: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
-    parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
-    parser.add_argument("--out", type=Path, help="output file (default: BENCH_<backend>.json in --repo)")
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("quartiles need at least two seeds")
     repo = args.repo.resolve()
+    seconds = json.loads((repo / "BENCHMARK.json").read_text())["run_seconds"]
 
-    record = {"commit": commit_of(repo), "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
-    for workload in args.workload:
+    record = {"commit": commit_of(repo), "seconds": seconds, "seeds": list(SEEDS), "workloads": {}}
+    for workload in WORKLOADS:
         runs = []
-        for seed in args.seeds:
-            context, result = run_once(repo, workload, seed, args.seconds)
+        for seed in SEEDS:
+            context, result = run_once(repo, workload, seed, seconds)
             runs.append((context, result))
             values = ", ".join(f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS)
             print(f"{workload} seed={seed}: failed {result['failed']}/{result['attempted']}, {values}",
@@ -85,7 +82,7 @@ def main(argv=None) -> int:
             },
         }
 
-    out = args.out or repo / f"BENCH_{record['backend']}.json"
+    out = repo / f"BENCH_{record['backend']}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
