@@ -1,26 +1,20 @@
 """Kernel backend selection.
 
-Prefers the compiled C extension (``_ckernel.c``); falls back to the
-pure-Python twin when the extension is missing or HLLRT_PURE is set. Both
-implement the same API and produce bit-identical results (the test suite
-enforces parity), so callers never need to know which one is active.
+Uses the compiled C extension (``_ckernel.c``) when it imports, else the
+pure-Python twin, which is also the reference the tests hold the C twin
+to. Both implement the same API and produce bit-identical results (the
+test suite enforces parity), so callers never need to know which one is
+active; ``BACKEND`` names it.
 """
 
-import os
+try:
+    from . import _ckernel as _impl  # type: ignore[attr-defined]
 
-if os.environ.get("HLLRT_PURE"):
+    BACKEND = "compiled"
+except ImportError:
     from . import _pykernel as _impl
 
     BACKEND = "pure"
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pykernel as _impl
-
-        BACKEND = "pure"
 
 RegisterFile = _impl.RegisterFile
 hash64 = _impl.hash64

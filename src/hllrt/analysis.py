@@ -19,7 +19,7 @@ per-register maxima and what that costs the final estimate:
 
 All functions are pure; ``alpha`` defaults to the same bias-correction
 constant the sketch uses for that register count, and the window is
-that of the sketch's default crossover, switch_factor = 2.5.
+that of the sketch's crossover, fixed at 2.5R (switch_factor = 2.5).
 """
 
 from __future__ import annotations

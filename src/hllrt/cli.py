@@ -54,16 +54,12 @@ def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
                         help="register count R for in-process targets (default 4096)")
     parser.add_argument("--width", type=int, default=6,
                         help="register width in bits (default 6)")
-    parser.add_argument("--switch-factor", type=float, default=2.5,
-                        help="low-range estimator crossover multiple of R (default 2.5)")
 
 
 def _add_target_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", default=None,
                         help="inproc or redis://host:port/key "
                              "(default: $HLLRT_TARGET, else inproc)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable insert/estimate pipelining on remote targets")
 
 
 def build_parser() -> _Parser:
@@ -160,15 +156,10 @@ def _resolve_target(args) -> str:
 def _oracle_factory(args):
     target = _resolve_target(args)
     if target == "inproc":
-        params = HllParams(
-            register_count=args.registers,
-            register_width=args.width,
-            switch_factor=args.switch_factor,
-        )
+        params = HllParams(args.registers, args.width)
         return lambda: make_oracle(params)
     endpoint = parse_endpoint(target)
-    batch = not args.no_batch
-    return lambda: RemoteOracle(endpoint, batch=batch)
+    return lambda: RemoteOracle(endpoint, batch=True)
 
 
 def _read_elements(path: str) -> list[bytes]:
@@ -238,11 +229,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_detect(args) -> int:
     elements = _read_elements(args.input)
-    params = HllParams(
-        register_count=args.registers,
-        register_width=args.width,
-        switch_factor=args.switch_factor,
-    )
+    params = HllParams(args.registers, args.width)
     if args.mode == "sns":
         guard = SnsGuard(params, divergence_threshold=args.threshold)
         guard.insert_many(elements)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import secrets
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
 from .sketch import HllParams, HllSketch
@@ -71,14 +71,7 @@ class SnsGuard:
         self.params = params
         self.divergence_threshold = divergence_threshold
         self.public_sketch = HllSketch(params)
-        self.__shadow = HllSketch(
-            HllParams(
-                register_count=params.register_count,
-                register_width=params.register_width,
-                salt=shadow_salt,
-                switch_factor=params.switch_factor,
-            )
-        )
+        self.__shadow = HllSketch(replace(params, salt=shadow_salt))
 
     def insert(self, element: bytes) -> None:
         self.public_sketch.insert(element)
@@ -149,7 +142,6 @@ class StatsMonitor:
             if increment > 0:
                 self._changed += 1
                 self._increment_sum += increment
-        # change_fraction and mean_increment, inline: this runs per insertion.
         changed_count = self._changed
         fraction = changed_count / len(window) if window else 0.0
         mean_inc = self._increment_sum / changed_count if changed_count else 0.0
@@ -163,15 +155,3 @@ class StatsMonitor:
             change_fraction=fraction,
             mean_increment=mean_inc,
         )
-
-    @property
-    def change_fraction(self) -> float:
-        if not self._window:
-            return 0.0
-        return self._changed / len(self._window)
-
-    @property
-    def mean_increment(self) -> float:
-        if self._changed == 0:
-            return 0.0
-        return self._increment_sum / self._changed

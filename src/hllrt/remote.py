@@ -9,8 +9,8 @@ estimate = PFCOUNT).
 Batched mode amortizes round trips. Insertions are queued and flushed
 together with the next PFCOUNT as one pipeline. A scan sends the same
 commands whatever the replies are, so ``RemoteOracle.scan`` pipelines
-it whole: ``PFADD e`` / ``PFCOUNT`` pairs, ``max_pipeline`` commands per
-round trip, the count after each PFADD read from its pair (sound under
+it whole: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` (1,024) commands
+per round trip, the count after each PFADD read from its pair (sound under
 the one-writer-per-key model this oracle assumes). Every PFCOUNT goes
 to the server; no estimate is cached. PFADD's changed bit is ignored: the
 adversarial model only grants estimate differences.
@@ -47,6 +47,10 @@ __all__ = [
     "parse_endpoint",
     "RemoteOracle",
 ]
+
+# Commands per pipeline. Bounded: an unbounded command burst can deadlock
+# on socket buffers once the reply stream backs up.
+_PIPELINE = 1024
 
 
 class ProtocolError(Exception):
@@ -230,16 +234,12 @@ class RemoteOracle(CardinalityOracle):
         endpoint: str | RedisEndpoint,
         batch: bool = False,
         timeout: float = 5.0,
-        max_pipeline: int = 1024,
     ) -> None:
         if isinstance(endpoint, str):
             endpoint = parse_endpoint(endpoint)
-        if max_pipeline < 1:
-            raise ValueError("max_pipeline must be positive")
         self.endpoint = endpoint
         self.batch = batch
         self.timeout = timeout
-        self.max_pipeline = max_pipeline
         self._sock: socket.socket | None = None
         self._stream: RespStream | None = None
         self._pending: list[bytes] = []  # queued PFADD elements (batch mode)
@@ -321,28 +321,26 @@ class RemoteOracle(CardinalityOracle):
         element = self._element(element)
         if self.batch:
             self._pending.append(element)
-            if len(self._pending) >= 2 * self.max_pipeline:
-                self._flush_pending(keep=self.max_pipeline)
+            if len(self._pending) >= 2 * _PIPELINE:
+                self._flush_pending(keep=_PIPELINE)
             return
         key = self.endpoint.key.encode("utf-8")
         reply = self._exchange([[b"PFADD", key, element]])[0]
         self._expect_int(reply, "PFADD")
 
     def _flush_pending(self, keep: int = 0) -> None:
-        # Bounded pipelines: an unbounded command burst can deadlock on
-        # socket buffers once the reply stream backs up.
         key = self.endpoint.key.encode("utf-8")
         while len(self._pending) > keep:
             chunk, self._pending = (
-                self._pending[: self.max_pipeline],
-                self._pending[self.max_pipeline :],
+                self._pending[:_PIPELINE],
+                self._pending[_PIPELINE:],
             )
             replies = self._exchange([[b"PFADD", key, element] for element in chunk])
             for reply in replies:
                 self._expect_int(reply, "PFADD")
 
     def estimate(self) -> int:
-        self._flush_pending(keep=self.max_pipeline - 1)
+        self._flush_pending(keep=_PIPELINE - 1)
         key = self.endpoint.key.encode("utf-8")
         commands: list[Sequence[bytes]] = [
             [b"PFADD", key, element] for element in self._pending
@@ -355,14 +353,12 @@ class RemoteOracle(CardinalityOracle):
         return self._expect_int(replies[-1], "PFCOUNT")
 
     def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
-        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``max_pipeline`` commands a round trip.
+        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` commands a round trip.
 
         Batch mode only; otherwise the reference loop (one round trip per
-        command). The first count also flushes any queued preload. A
-        pipeline needs room for one pair, so ``max_pipeline`` 1 also
-        takes the reference loop.
+        command). The first count also flushes any queued preload.
         """
-        if not self.batch or self.max_pipeline < 2:
+        if not self.batch:
             return super().scan(elements, kept)
         last = self.estimate()
         key = self.endpoint.key.encode("utf-8")
@@ -371,7 +367,7 @@ class RemoteOracle(CardinalityOracle):
         append = kept.append
         insertions = 0
         elements = iter(elements)
-        while chunk := [self._element(e) for e in islice(elements, self.max_pipeline // 2)]:
+        while chunk := [self._element(e) for e in islice(elements, _PIPELINE // 2)]:
             commands: list[Sequence[bytes]] = []
             for element in chunk:
                 commands.append([b"PFADD", key, element])

@@ -13,7 +13,6 @@ validation, serialization and the merge/witness algebra.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -31,7 +30,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _SNAPSHOT_MAGIC = b"HLLS"
-_SNAPSHOT_HEADER = struct.Struct("<4sIBBQd")  # magic, R, width, salted, salt, switch factor
+_SNAPSHOT_HEADER = struct.Struct("<4sIBBQ")  # magic, R, width, salted, salt
 
 MIN_REGISTERS = 16
 MAX_REGISTERS = 1 << 20
@@ -63,15 +62,15 @@ class HllParams:
 
     register_count must be a power of two in [16, 2**20]; register_width
     (bits per register) in [4, 8]. ``salt`` keys the hash functions: two
-    sketches can only be merged when they share R, width and salt.
-    ``switch_factor`` (finite, positive) sets the estimator crossover at
-    switch_factor * R.
+    sketches can only be merged when they share R, width and salt. The
+    estimator crossover is fixed at ``switch_factor`` * R, HLL's standard
+    2.5R, which the attack analysis assumes.
     """
 
     register_count: int
     register_width: int = 6
     salt: int | None = None
-    switch_factor: float = 2.5
+    switch_factor = 2.5  # a class constant, not a field
 
     def __post_init__(self) -> None:
         m = self.register_count
@@ -86,10 +85,6 @@ class HllParams:
             )
         if self.salt is not None and not 0 <= self.salt <= _MASK64:
             raise ValueError("salt must be a 64-bit unsigned value")
-        if not (self.switch_factor > 0 and math.isfinite(self.switch_factor)):
-            raise ValueError(
-                f"switch_factor must be finite and positive, got {self.switch_factor!r}"
-            )
 
     @property
     def salted(self) -> bool:
@@ -155,9 +150,13 @@ class HllSketch:
     def insert_many(self, elements: Iterable[bytes]) -> int:
         """Insert a batch of elements; return how many changed a register.
 
-        An empty element is rejected before anything is inserted.
+        An element that is not ``bytes`` (``TypeError``) or is empty
+        (``ValueError``) is refused before anything is inserted.
         """
         elements = list(elements)
+        if not set(map(type, elements)) <= {bytes}:
+            bad = next(e for e in elements if type(e) is not bytes)
+            raise TypeError(f"expected bytes, got {type(bad).__name__}")
         if not all(elements):
             raise ValueError("element must be non-empty")
         return self._core.insert_many(elements)
@@ -208,7 +207,7 @@ class HllSketch:
 
     def to_bytes(self) -> bytes:
         """Flat little-endian snapshot: HLLS, u32 R, u8 width, u8 salted,
-        u64 salt, f64 switch factor, then R register bytes."""
+        u64 salt, then R register bytes."""
         p = self.params
         header = _SNAPSHOT_HEADER.pack(
             _SNAPSHOT_MAGIC,
@@ -216,7 +215,6 @@ class HllSketch:
             p.register_width,
             1 if p.salted else 0,
             p.salt_value,
-            p.switch_factor,
         )
         return header + self.registers
 
@@ -225,7 +223,7 @@ class HllSketch:
         """Load a ``to_bytes`` snapshot; refuse any that it could not have written."""
         if len(data) < _SNAPSHOT_HEADER.size:
             raise ValueError("snapshot truncated")
-        magic, m, width, salted, salt, switch_factor = _SNAPSHOT_HEADER.unpack_from(data)
+        magic, m, width, salted, salt = _SNAPSHOT_HEADER.unpack_from(data)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         if salted not in (0, 1) or (salt and not salted):
@@ -237,7 +235,6 @@ class HllSketch:
             register_count=m,
             register_width=width,
             salt=salt if salted else None,
-            switch_factor=switch_factor,
         )
         sketch = cls(params)
         sketch._core.load_registers(body)

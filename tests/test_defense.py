@@ -50,7 +50,11 @@ def test_guard_rejects_an_empty_element_in_both_sketches():
     guard = SnsGuard(PARAMS)
     with pytest.raises(ValueError):
         guard.insert_many([b"a", b"b", b""])
+    for bad in ("c", None, bytearray(b"c")):
+        with pytest.raises(TypeError):
+            guard.insert_many([b"a", b"b", bad])
     report = guard.check()
+    assert report.alarm is False
     assert report.public_estimate == 0
     assert report.shadow_estimate == 0
     assert guard.public_sketch.registers == bytes(PARAMS.register_count)
@@ -128,9 +132,9 @@ def test_monitor_evicts_old_observations():
     for _ in range(4):
         monitor.observe(True, 3, 100)
     for _ in range(4):
-        monitor.observe(False, 0, 100)
-    assert monitor.change_fraction == 0.0
-    assert monitor.mean_increment == 0.0
+        report = monitor.observe(False, 0, 100)
+    assert report.change_fraction == 0.0
+    assert report.mean_increment == 0.0
 
 
 def test_monitor_ignores_insertions_below_r():
@@ -177,19 +181,24 @@ def test_honest_stream_low_fraction_and_mean_increment_near_two():
     assert statistics.fmean(increments) == pytest.approx(2.0, abs=0.5)
 
 
-def test_monitor_reports_match_its_properties():
-    # observe computes the fraction and mean inline; each report must
-    # equal one built from the change_fraction / mean_increment properties.
+def test_monitor_reports_match_a_recount_of_the_window():
+    # observe keeps running counters; each report must equal one recounted
+    # from scratch over the last window_size monitored observations.
     monitor = StatsMonitor(64, window_size=16)
     sketch = HllSketch(HllParams(64, 6))
+    monitored = []
     for element in ElementGenerator(5).stream(600):
         increment = sketch.insert_increment(element)
         estimate = sketch.estimate()
         report = monitor.observe(increment > 0, increment, estimate)
-        fraction, mean = monitor.change_fraction, monitor.mean_increment
+        if estimate > 64:
+            monitored.append(increment)
+        window = monitored[-16:]
+        changes = [i for i in window if i > 0]
+        fraction = len(changes) / len(window) if window else 0.0
+        mean = sum(changes) / len(changes) if changes else 0.0
         assert report == DetectionReport(
-            alarm=bool(monitor._window)
-            and (fraction > monitor.fraction_threshold or mean > monitor.increment_threshold),
+            alarm=bool(window) and (fraction > 0.5 or mean > 4.0),
             detector="stats",
             public_estimate=estimate,
             change_fraction=fraction,

@@ -20,6 +20,7 @@ from hllrt import (
     run_attack,
     verify,
 )
+from hllrt import remote
 from hllrt.attack import phase1
 from hllrt.remote import (
     BulkString,
@@ -226,11 +227,12 @@ def test_pipelined_batch_equals_sequential():
             assert batched.estimate() >= expected
 
 
-def test_batch_mode_bounds_pipeline_size():
+def test_batch_mode_bounds_pipeline_size(monkeypatch):
     # A long insert-only burst must flush in bounded chunks rather than
     # as one giant pipeline.
+    monkeypatch.setattr(remote, "_PIPELINE", 128)
     with running_server(register_count=1024) as server:
-        with RemoteOracle(server.url("big"), batch=True, max_pipeline=128) as oracle:
+        with RemoteOracle(server.url("big"), batch=True) as oracle:
             oracle.reset()
             for k in range(5000):
                 oracle.insert(b"elem-%d" % k)
@@ -251,14 +253,15 @@ def test_oracle_reconnects_once_after_a_drop():
                 assert oracle.estimate() == 7
 
 
-def test_dropped_scan_aborts_with_a_prefix_of_the_true_set():
+def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
     # A scan pipeline holds many PFCOUNTs; replaying it after the server
     # applied part of it would read skewed counts, so it must not replay.
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
     params = HllParams(256, 6)
     gen = ElementGenerator(8)
     expected, _ = phase1(make_oracle(params), gen, 2000)
     with running_server(register_count=256, drop_after=300) as server:
-        with RemoteOracle(server.url(), batch=True, max_pipeline=64) as oracle:
+        with RemoteOracle(server.url(), batch=True) as oracle:
             oracle.reset()
             with pytest.raises(AttackAborted) as excinfo:
                 phase1(oracle, gen, 2000)

@@ -58,8 +58,8 @@ def test_params_validation():
         HllParams(1024, register_width=3)
     with pytest.raises(ValueError):
         HllParams(1024, register_width=9)
-    with pytest.raises(ValueError):
-        HllParams(1024, switch_factor=0.0)
+    with pytest.raises(TypeError):
+        HllParams(1024, switch_factor=3.0)  # the crossover is fixed at 2.5R
     with pytest.raises(ValueError):
         HllParams(1024, salt=1 << 64)
 
@@ -297,6 +297,11 @@ def test_insert_many_rejects_an_empty_element_before_inserting():
         sketch.insert_many(elements + [b""])
     with pytest.raises(ValueError):
         sketch.insert_many(iter(elements[:50] + [b""] + elements[50:]))
+    for bad in ("c", None, bytearray(b"c")):
+        with pytest.raises(TypeError):
+            sketch.insert_many(elements + [bad])
+        with pytest.raises(TypeError):
+            sketch.insert_many(iter(elements[:50] + [bad] + elements[50:]))
     assert sketch.registers == bytes(64)
     assert sketch.insert_many(iter(elements)) > 0
 
@@ -356,8 +361,7 @@ def test_snapshot_binary_layout():
     assert blob[8] == 6
     assert blob[9] == 1  # salted flag
     assert int.from_bytes(blob[10:18], "little") == 0x1122334455667788
-    assert struct.unpack("<d", blob[18:26]) == (2.5,)  # switch factor
-    registers = blob[26:]
+    registers = blob[18:]
     assert len(registers) == 16
     assert registers[2] == 9 and sum(registers) == 9
 
@@ -371,29 +375,13 @@ def test_snapshot_roundtrip_bytes():
     assert again.estimate() == sketch.estimate()
 
 
-def test_snapshot_keeps_the_switch_factor():
-    params = HllParams(64, 5, switch_factor=3.0)
-    sketch = HllSketch(params)
-    sketch.insert_many(ElementGenerator(3).stream(100))
-    again = HllSketch.from_bytes(sketch.to_bytes())
-    assert again == sketch and again.params.switch_factor == 3.0
-    assert again.to_bytes() == sketch.to_bytes()
-
-
-def test_snapshot_refuses_a_switch_factor_params_refuse():
-    good = HllSketch(HllParams(16)).to_bytes()
-    for bad in (0.0, -0.0, -2.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            HllSketch.from_bytes(good[:18] + struct.pack("<d", bad) + good[26:])
-        with pytest.raises(ValueError):
-            HllParams(16, switch_factor=bad)
-
-
 def test_snapshot_rejects_garbage():
-    with pytest.raises(ValueError):
-        HllSketch.from_bytes(b"NOPE" + bytes(30))
-    with pytest.raises(ValueError):
-        HllSketch.from_bytes(HllSketch(HllParams(16)).to_bytes()[:-1])
+    good = HllSketch(HllParams(16)).to_bytes()
+    # The older layout's 26-byte header carried an f64 switch factor.
+    with_switch_factor = good[:18] + struct.pack("<d", 2.5) + good[18:]
+    for bad in (b"NOPE" + bytes(30), good[:-1], with_switch_factor):
+        with pytest.raises(ValueError):
+            HllSketch.from_bytes(bad)
 
 
 def test_snapshot_refuses_what_to_bytes_cannot_write():
