@@ -196,6 +196,15 @@ static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *
     return 0;
 }
 
+/* split, refusing an empty element as scan and witness do. */
+static int split_nonempty(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
+    if (PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0) {
+        PyErr_SetString(PyExc_ValueError, "element must be non-empty");
+        return -1;
+    }
+    return split(self, element, index, rank);
+}
+
 /* Raise a register to rank if that is higher; return the increment. */
 static int raise_to(RegisterFile *self, Py_ssize_t index, int rank) {
     int old = self->regs[index];
@@ -269,11 +278,7 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     if (!(it = PyObject_GetIter(a[0]))) return NULL;
     double last = estimate(self), after;
     while ((element = PyIter_Next(it))) {
-        int bad = 1;
-        if (PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0)
-            PyErr_SetString(PyExc_ValueError, "element must be non-empty");
-        else
-            bad = split(self, element, &index, &rank) < 0;
+        int bad = split_nonempty(self, element, &index, &rank) < 0;
         if (!bad && raise_to(self, index, rank)) {
             after = estimate(self);
             bad = after > last && PyList_Append(a[1], element) < 0;
@@ -285,6 +290,37 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     }
     Py_DECREF(it);
     return PyErr_Occurred() ? NULL : Py_BuildValue("(Nn)", PyLong_FromDouble(last), insertions);
+}
+
+/* The first element to reach each register's final rank, in register order,
+ * for the elements alone: the file's registers are neither read nor changed. */
+static PyObject *rf_witness(RegisterFile *self, FASTCALL_ARGS) {
+    PyObject *a[1], *it, *element, *out = NULL;
+    Py_ssize_t index;
+    int rank;
+    if (PARSE("witness(elements)", 1, a, "elements") < 0) return NULL;
+    if (!(it = PyObject_GetIter(a[0]))) return NULL;
+    unsigned char *ranks = PyMem_Calloc(self->count, 1);
+    PyObject **slots = PyMem_Calloc(self->count, sizeof(PyObject *)); /* strong references */
+    if (!ranks || !slots) PyErr_NoMemory();
+    while (!PyErr_Occurred() && (element = PyIter_Next(it))) {
+        if (split_nonempty(self, element, &index, &rank) == 0 && rank > ranks[index]) {
+            ranks[index] = (unsigned char)rank;
+            Py_XDECREF(slots[index]);
+            slots[index] = element;
+        } else {
+            Py_DECREF(element);
+        }
+    }
+    if (!PyErr_Occurred()) out = PyList_New(0);
+    for (Py_ssize_t i = 0; slots && i < self->count; i++) {
+        if (out && slots[i] && PyList_Append(out, slots[i]) < 0) Py_CLEAR(out);
+        Py_XDECREF(slots[i]);
+    }
+    PyMem_Free(slots);
+    PyMem_Free(ranks);
+    Py_DECREF(it);
+    return out;
 }
 
 /* The bytes of a valid register dump, or NULL with the exception set. */
@@ -342,6 +378,7 @@ static PyMethodDef rf_methods[] = {
     FAST("insert", rf_insert, "Insert one element; return the register increment (0 if none)."),
     FAST("insert_many", rf_insert_many, "Insert a batch; return how many changed a register."),
     FAST("scan", rf_scan, "Insert every element, keeping those that raise the estimate."),
+    FAST("witness", rf_witness, "The first element to reach each register's final rank."),
     NOARGS("z_sum", rf_z_sum, "Current harmonic-mean denominator Z = sum(2**-r_i)."),
     NOARGS("estimate", rf_estimate, NULL),
     NOARGS("zero_registers", rf_zero_registers, NULL),

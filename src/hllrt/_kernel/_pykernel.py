@@ -9,11 +9,11 @@ estimate computed here equals the one computed by the extension on the
 same stream.
 
 Both raise the same exception type for every bad argument. An element
-must be exactly ``bytes`` (and non-empty for ``scan``); a salt, seed,
-``k`` or ``start`` any int, reduced mod 2**64; a count a non-negative
-int (``OverflowError`` if it does not fit in a ``Py_ssize_t``); a dump
-exactly ``bytes`` of R values in 0..max (else ``ValueError``), and a bad
-dump changes nothing. The constructor converts its arguments as the C
+must be exactly ``bytes`` (and non-empty for ``scan`` and ``witness``);
+a salt, seed, ``k`` or ``start`` any int, reduced mod 2**64; a count a
+non-negative int (``OverflowError`` if it does not fit in a
+``Py_ssize_t``); a dump exactly ``bytes`` of R values in 0..max (else
+``ValueError``), and a bad dump changes nothing. The constructor converts its arguments as the C
 twin's ``"niKdd"`` parse does. An argument of any other type raises
 ``TypeError``.
 
@@ -31,14 +31,17 @@ per-element path is flat: ``hash64`` reads the element once as one
 integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
-``insert_many`` and ``scan`` go further: they read ``_BLOCK`` elements
-at a time and hash a whole block in one pass, SIMD within a register
-with Python's big integers. ``scan``, the attack's loop, then splits
-each hash inline and makes a method call (raise the register, then
-estimate) only for an element that raises its register. A block whose
-elements all have one length n is hashed together: each gets a 128-bit
-lane of one big integer, its accumulator in the lane's low 64 bits and
-the upper 64 bits zero. For each of the element's 8-byte words (the last
+``insert`` splits its hash inline and makes a method call only when
+the rank rises. ``insert_many``, ``scan`` and ``witness`` go further:
+they read ``_BLOCK`` elements at a time and hash a whole block in one
+pass, SIMD within a register with Python's big integers. Each then
+splits every hash inline; ``insert_many`` and ``scan``, the attack's
+loop, make a method call (raise the register; for ``scan`` then
+estimate) only for an element that raises its register, and ``witness``
+keeps the ranks in a local array. A block whose elements all have one
+length n is hashed together: each gets a 128-bit lane of one big
+integer, its accumulator in the lane's low 64 bits and the upper 64
+bits zero. For each of the element's 8-byte words (the last
 one zero-padded), the word of every element is copied into the low half
 of its lane, and ``hash64``'s step runs once on the whole integer, each
 result masked back to 64 bits per lane. No lane can carry into the next:
@@ -62,7 +65,7 @@ import struct
 import sys
 from binascii import hexlify
 from functools import lru_cache
-from itertools import islice, repeat, starmap
+from itertools import islice
 
 MASK64 = (1 << 64) - 1
 
@@ -344,7 +347,14 @@ class RegisterFile:
 
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
-        index, rank = self._split(hash64(element, self._salt))
+        h = hash64(element, self._salt)
+        bits = self._bits
+        index = h & (self._count - 1)
+        rank = 65 - bits - (h >> bits).bit_length()
+        if rank > self._max_reg:
+            rank = self._max_reg
+        if rank <= self._regs[index]:
+            return 0
         return self._raise(index, rank)
 
     def insert_many(self, elements) -> int:
@@ -356,11 +366,20 @@ class RegisterFile:
         mid-block has the elements it yielded inserted first, as the
         compiled kernel's element-by-element loop would.
         """
+        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
+        top = 65 - bits
         changed = 0
         for block in _blocks(elements):
             hashes = _block_hashes(block, self._salt, True)
-            increments = list(starmap(self._raise, map(self._split, hashes)))
-            changed += len(increments) - increments.count(0)
+            regs = self._regs
+            for h in hashes:
+                index = h & mask
+                rank = top - (h >> bits).bit_length()
+                if rank > max_reg:
+                    rank = max_reg
+                if rank > regs[index]:
+                    self._raise(index, rank)
+                    changed += 1
             if len(hashes) < len(block):
                 _refuse(block[len(hashes)])
         return changed
@@ -402,6 +421,31 @@ class RegisterFile:
             if len(hashes) < len(block):
                 _refuse(block[len(hashes)])
         return last, insertions
+
+    def witness(self, elements) -> list[bytes]:
+        """The first element to reach each register's final rank, in register order.
+
+        Covers ``elements`` alone, under this file's salt, width and R; the
+        file's registers are neither read nor changed. Blocks are read and
+        hashed, and a bad element refused, as in ``scan``.
+        """
+        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
+        top = 65 - bits
+        ranks = bytearray(self._count)
+        slots: list = [None] * self._count
+        for block in _blocks(elements):
+            hashes = _block_hashes(block, self._salt, False)
+            for element, h in zip(block, hashes):
+                index = h & mask
+                rank = top - (h >> bits).bit_length()
+                if rank > max_reg:
+                    rank = max_reg
+                if rank > ranks[index]:
+                    ranks[index] = rank
+                    slots[index] = element
+            if len(hashes) < len(block):
+                _refuse(block[len(hashes)])
+        return list(filter(None, slots))  # a kept element is never empty
 
     # -- estimates -------------------------------------------------------
 

@@ -131,19 +131,19 @@ class HllSketch:
         register; the rank is one plus the leading-zero count of the
         remaining bits, clamped to the register's maximum storable value.
         """
-        if not element:
+        if type(element) is bytes and not element:  # the kernel type-checks the rest
             raise ValueError("element must be non-empty")
         return self._core.hash_split(element)
 
     def insert(self, element: bytes) -> bool:
         """Insert an element; True iff a register value increased."""
-        if not element:
+        if type(element) is bytes and not element:
             raise ValueError("element must be non-empty")
         return self._core.insert(element) > 0
 
     def insert_increment(self, element: bytes) -> int:
         """Insert an element; return the register increment (0 if none)."""
-        if not element:
+        if type(element) is bytes and not element:
             raise ValueError("element must be non-empty")
         return self._core.insert(element)
 
@@ -151,9 +151,11 @@ class HllSketch:
         """Insert a batch of elements; return how many changed a register.
 
         An element that is not ``bytes`` (``TypeError``) or is empty
-        (``ValueError``) is refused before anything is inserted.
+        (``ValueError``) is refused before anything is inserted, so an
+        input that is not a ``list`` is copied into one first.
         """
-        elements = list(elements)
+        if type(elements) is not list:
+            elements = list(elements)
         if not set(map(type, elements)) <= {bytes}:
             bad = next(e for e in elements if type(e) is not bytes)
             raise TypeError(f"expected bytes, got {type(bad).__name__}")
@@ -261,17 +263,9 @@ def witness_subset(elements: Iterable[bytes], params: HllParams) -> list[bytes]:
     """At most R elements of the stream that reproduce its register array.
 
     For each register this picks the first element achieving the
-    register's final value, in one pass: an element replaces the
-    register's witness only when its rank is strictly higher. Inserting
-    the returned subset into a fresh sketch yields the same registers
-    (hence the same estimate) as the full stream.
+    register's final value, in one pass in the kernel
+    (``RegisterFile.witness``). Inserting the returned subset into a
+    fresh sketch yields the same registers (hence the same estimate) as
+    the full stream.
     """
-    split = HllSketch(params).hash_split
-    ranks: dict[int, int] = {}
-    witnesses: dict[int, bytes] = {}
-    for element in elements:
-        index, rank = split(element)
-        if rank > ranks.get(index, 0):
-            ranks[index] = rank
-            witnesses[index] = element
-    return [witnesses[i] for i in sorted(witnesses)]
+    return _make_core(params).witness(elements)

@@ -163,7 +163,8 @@ def test_twins_expose_the_same_names(pure_kernel, compiled_kernel):
         return {name for name in names if not name.startswith("_")}
 
     assert public(dir(pure_kernel.RegisterFile)) == public(dir(compiled_kernel.RegisterFile))
-    assert "scan" in public(dir(pure_kernel.RegisterFile)) and "stream_elements" in kern.__all__
+    assert {"scan", "witness"} <= public(dir(pure_kernel.RegisterFile))
+    assert "stream_elements" in kern.__all__
     for name in kern.__all__:
         if name != "BACKEND":
             assert hasattr(pure_kernel, name) and hasattr(compiled_kernel, name), name
@@ -734,6 +735,16 @@ class TwinRegisterFiles(RuleBasedStateMachine):
 
         self.same(scan)
         assert kepts[0] == kepts[1]
+
+    @rule(
+        elements=st.lists(ELEMENTS, max_size=40),
+        bad=st.one_of(st.none(), NOT_BYTES),
+        at=st.integers(0, 40),
+    )
+    def witness(self, elements, bad, at):
+        if bad is not None:
+            elements = elements[:at] + [bad] + elements[at:]
+        self.same(lambda kernel, rf: rf.witness(iter(elements)))
 
     @rule(seed=st.one_of(INTS, NOT_INTS), k=st.one_of(INTS, NOT_INTS))
     def mixers(self, seed, k):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hllrt.sketch
 from hllrt import (
     ElementGenerator,
     HllParams,
@@ -16,6 +17,7 @@ from hllrt import (
     merge,
     witness_subset,
 )
+from hllrt._kernel import _pykernel
 
 
 def find_element(params, index=None, rank=None, start=0):
@@ -92,6 +94,19 @@ def test_hash_split_deterministic_and_bounded():
 def test_hash_split_rejects_empty():
     with pytest.raises(ValueError):
         HllSketch(HllParams(64)).hash_split(b"")
+
+
+@pytest.mark.parametrize("method", ["hash_split", "insert", "insert_increment"])
+@pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
+def test_single_element_methods_refuse_with_the_kernels_error_types(kernels, monkeypatch, method, bad):
+    # Only an empty bytes is a ValueError; a falsy element of another type
+    # is a TypeError, as the kernels and insert_many raise.
+    for kernel in kernels:
+        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+        sketch = HllSketch(HllParams(64))
+        with pytest.raises(ValueError if type(bad) is bytes else TypeError):
+            getattr(sketch, method)(bad)
+        assert sketch.registers == bytes(64)
 
 
 def test_hash_split_salt_changes_mapping():
@@ -306,11 +321,8 @@ def test_insert_many_rejects_an_empty_element_before_inserting():
     assert sketch.insert_many(iter(elements)) > 0
 
 
-def test_witness_subset_keeps_the_first_element_at_each_final_rank():
-    # Two-pass reference: final registers first, then the first element
-    # reaching each register's final value.
-    params = HllParams(64, 6)
-    elements = list(ElementGenerator(15).stream(3000))
+def two_pass_witness(elements, params):
+    """Final registers first, then the first element reaching each register's final value."""
     full = HllSketch(params)
     full.insert_many(elements)
     target = full.registers
@@ -319,8 +331,80 @@ def test_witness_subset_keeps_the_first_element_at_each_final_rank():
         index, rank = full.hash_split(element)
         if index not in expected and rank == target[index]:
             expected[index] = element
-    assert witness_subset(elements, params) == [expected[i] for i in sorted(expected)]
-    assert witness_subset(iter(elements), params) == [expected[i] for i in sorted(expected)]
+    return [expected[i] for i in sorted(expected)]
+
+
+def test_witness_subset_keeps_the_first_element_at_each_final_rank():
+    params = HllParams(64, 6)
+    elements = list(ElementGenerator(15).stream(3000))
+    expected = two_pass_witness(elements, params)
+    assert witness_subset(elements, params) == expected
+    assert witness_subset(iter(elements), params) == expected
+
+
+# -- the kernel witness pass --------------------------------------------------------
+# witness_subset is RegisterFile.witness on a fresh register file. Each twin
+# must give the two-pass reference's list, through the pure kernel's lane
+# and scalar block paths alike, and leave the file it runs on unchanged.
+
+BLOCK = _pykernel._BLOCK
+MASK64 = (1 << 64) - 1
+
+
+def witness_elements(count):
+    # The first block has one length, so the pure kernel hashes it in lanes;
+    # later blocks mix lengths and are hashed one by one.
+    gen = ElementGenerator(21)
+    return [(gen.element(k) * 3)[: 16 if k < BLOCK else 1 + k % 40] for k in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 3])
+@pytest.mark.parametrize(
+    "params",
+    [HllParams(64, 6), HllParams(256, 4, salt=0x0123456789ABCDEF), HllParams(1024, 6, salt=MASK64)],
+)
+def test_kernel_witness_matches_the_two_pass_reference(kernels, monkeypatch, count, params):
+    elements = witness_elements(count)
+    expected = two_pass_witness(elements, params)
+    for kernel in kernels:
+        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+        assert witness_subset(elements, params) == expected, kernel.__name__
+        assert witness_subset((e for e in elements), params) == expected, kernel.__name__
+        # The file's own registers neither seed the pass nor change.
+        sketch = HllSketch(params)
+        sketch.insert_many(witness_elements(300))
+        before = sketch.to_bytes()
+        assert sketch._core.witness(iter(elements)) == expected, kernel.__name__
+        assert sketch.to_bytes() == before
+
+
+@pytest.mark.parametrize("bad", [b"", "not bytes", bytearray(b"abc"), 7, None])
+@pytest.mark.parametrize("at", [0, 3, BLOCK + 5])
+def test_kernel_witness_refuses_a_bad_element_and_changes_nothing(kernels, monkeypatch, bad, at):
+    elements = witness_elements(BLOCK + 10)
+    elements.insert(at, bad)
+    params = HllParams(256, 6)
+    for kernel in kernels:
+        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+        sketch = HllSketch(params)
+        sketch.insert_many(witness_elements(300))
+        before = sketch.registers
+        with pytest.raises(ValueError if bad == b"" else TypeError):
+            sketch._core.witness(iter(elements))
+        with pytest.raises(ValueError if bad == b"" else TypeError):
+            witness_subset(elements, params)
+        assert sketch.registers == before
+
+
+def test_kernel_witness_raises_what_a_failing_iterable_raises(kernels, monkeypatch):
+    def failing():
+        yield from witness_elements(BLOCK + 5)
+        raise RuntimeError("source failed")
+
+    for kernel in kernels:
+        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+        with pytest.raises(RuntimeError):
+            witness_subset(failing(), HllParams(64, 6))
 
 
 def test_witness_subset_reproduces_registers():
