@@ -96,12 +96,17 @@ static PyObject *py_hash64(PyObject *module, FASTCALL_ARGS) {
     return PyLong_FromUnsignedLongLong(hash(p, PyBytes_GET_SIZE(a[0]), salt));
 }
 
+/* The 16 hex digits of a stream element, splitmix64 input x. */
+static void stream_hex(char *buf, u64 x) {
+    static const char hex[] = "0123456789abcdef";
+    x = splitmix(x);
+    for (int j = 15; j >= 0; j--, x >>= 4) buf[j] = hex[x & 15];
+}
+
 /* Element k of the stream whose seed splitmix64 mixed to base. */
 static PyObject *stream_bytes(u64 base, u64 k) {
-    static const char hex[] = "0123456789abcdef";
     char buf[16];
-    u64 x = splitmix(base + k);
-    for (int j = 15; j >= 0; j--, x >>= 4) buf[j] = hex[x & 15];
+    stream_hex(buf, base + k);
     return PyBytes_FromStringAndSize(buf, 16);
 }
 
@@ -113,20 +118,30 @@ static PyObject *py_stream_element(PyObject *module, FASTCALL_ARGS) {
     return stream_bytes(splitmix(seed), k);
 }
 
+/* Check a stream's seed, start and count, the first three of a[]; set the
+ * splitmix64 input of its first element and its count. */
+static int stream_args(PyObject **a, u64 *first, Py_ssize_t *count) {
+    u64 seed, start;
+    if (as_u64(a[0], &seed) < 0 || as_u64(a[1], &start) < 0) return -1;
+    if (!PyLong_Check(a[2])) return wrong_type("int", a[2]);
+    if ((*count = PyLong_AsSsize_t(a[2])) == -1 && PyErr_Occurred()) return -1;
+    if (*count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must not be negative");
+        return -1;
+    }
+    *first = splitmix(seed) + start;
+    return 0;
+}
+
 static PyObject *py_stream_elements(PyObject *module, FASTCALL_ARGS) {
     PyObject *a[3], *out, *element;
-    u64 seed, start;
+    u64 first;
     Py_ssize_t count;
     if (PARSE("stream_elements(seed, start, count)", 3, a, "seed", "start", "count") < 0)
         return NULL;
-    if (as_u64(a[0], &seed) < 0 || as_u64(a[1], &start) < 0) return NULL;
-    if (!PyLong_Check(a[2])) return wrong_type("int", a[2]), NULL;
-    if ((count = PyLong_AsSsize_t(a[2])) == -1 && PyErr_Occurred()) return NULL;
-    if (count < 0) return PyErr_Format(PyExc_ValueError, "count must not be negative");
-    if (!(out = PyList_New(count))) return NULL;
-    u64 base = splitmix(seed);
+    if (stream_args(a, &first, &count) < 0 || !(out = PyList_New(count))) return NULL;
     for (Py_ssize_t j = 0; j < count; j++) {
-        if (!(element = stream_bytes(base, start + (u64)j))) {
+        if (!(element = stream_bytes(first, (u64)j))) {
             Py_DECREF(out);
             return NULL;
         }
@@ -184,15 +199,19 @@ static void rf_dealloc(RegisterFile *self) {
     Py_DECREF(type);
 }
 
-/* The (register index, rank) pair an element selects. */
-static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
-    if (expect_bytes(element) < 0) return -1;
-    const unsigned char *p = (const unsigned char *)PyBytes_AS_STRING(element);
-    u64 h = hash(p, PyBytes_GET_SIZE(element), self->salt);
+/* The (register index, rank) pair a 64-bit hash selects. */
+static void split_hash(RegisterFile *self, u64 h, Py_ssize_t *index, int *rank) {
     u64 g = h >> self->bits;
     int r = 65 - self->bits - (g ? 64 - __builtin_clzll(g) : 0);
     *rank = r > self->max_reg ? self->max_reg : r;
     *index = (Py_ssize_t)(h & (u64)(self->count - 1));
+}
+
+/* The (register index, rank) pair an element selects. */
+static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
+    if (expect_bytes(element) < 0) return -1;
+    const unsigned char *p = (const unsigned char *)PyBytes_AS_STRING(element);
+    split_hash(self, hash(p, PyBytes_GET_SIZE(element), self->salt), index, rank);
     return 0;
 }
 
@@ -213,15 +232,6 @@ static int raise_to(RegisterFile *self, Py_ssize_t index, int rank) {
     self->zero -= old == 0;
     self->zs -= ((u128)1 << (63 - old)) - ((u128)1 << (63 - rank));
     return rank - old;
-}
-
-static PyObject *rf_hash_split(RegisterFile *self, FASTCALL_ARGS) {
-    PyObject *a[1];
-    Py_ssize_t index;
-    int rank;
-    if (PARSE("hash_split(element)", 1, a, "element") < 0) return NULL;
-    if (split(self, a[0], &index, &rank) < 0) return NULL;
-    return Py_BuildValue("(ni)", index, rank);
 }
 
 static PyObject *rf_insert(RegisterFile *self, FASTCALL_ARGS) {
@@ -290,6 +300,35 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     }
     Py_DECREF(it);
     return PyErr_Occurred() ? NULL : Py_BuildValue("(Nn)", PyLong_FromDouble(last), insertions);
+}
+
+/* scan(stream_elements(seed, start, count), kept), with each element formatted
+ * and hashed in a stack buffer: only a kept one becomes a bytes object. */
+static PyObject *rf_scan_stream(RegisterFile *self, FASTCALL_ARGS) {
+    PyObject *a[4], *element;
+    u64 first;
+    Py_ssize_t count, index;
+    int rank;
+    char buf[16];
+    if (PARSE("scan_stream(seed, start, count, kept)", 4, a, "seed", "start", "count", "kept") < 0)
+        return NULL;
+    if (stream_args(a, &first, &count) < 0) return NULL;
+    if (!PyList_Check(a[3])) return wrong_type("list", a[3]), NULL;
+    double last = estimate(self), after;
+    for (Py_ssize_t j = 0; j < count; j++) {
+        stream_hex(buf, first + (u64)j);
+        split_hash(self, hash((const unsigned char *)buf, 16, self->salt), &index, &rank);
+        if (!raise_to(self, index, rank)) continue;
+        after = estimate(self);
+        if (after > last) {
+            if (!(element = PyBytes_FromStringAndSize(buf, 16))) return NULL;
+            int bad = PyList_Append(a[3], element) < 0;
+            Py_DECREF(element);
+            if (bad) return NULL;
+        }
+        last = after;
+    }
+    return Py_BuildValue("(Nn)", PyLong_FromDouble(last), count);
 }
 
 /* The first element to reach each register's final rank, in register order,
@@ -374,10 +413,10 @@ static PyObject *rf_reset(RegisterFile *self, PyObject *unused) {
 #define NOARGS(name, fn, doc) METHOD(name, fn, METH_NOARGS, doc)
 
 static PyMethodDef rf_methods[] = {
-    FAST("hash_split", rf_hash_split, "Map an element to its (register index, rank) pair."),
     FAST("insert", rf_insert, "Insert one element; return the register increment (0 if none)."),
     FAST("insert_many", rf_insert_many, "Insert a batch; return how many changed a register."),
     FAST("scan", rf_scan, "Insert every element, keeping those that raise the estimate."),
+    FAST("scan_stream", rf_scan_stream, "scan(stream_elements(seed, start, count), kept)."),
     FAST("witness", rf_witness, "The first element to reach each register's final rank."),
     NOARGS("z_sum", rf_z_sum, "Current harmonic-mean denominator Z = sum(2**-r_i)."),
     NOARGS("estimate", rf_estimate, NULL),

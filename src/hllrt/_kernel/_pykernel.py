@@ -13,9 +13,11 @@ must be exactly ``bytes`` (and non-empty for ``scan`` and ``witness``);
 a salt, seed, ``k`` or ``start`` any int, reduced mod 2**64; a count a
 non-negative int (``OverflowError`` if it does not fit in a
 ``Py_ssize_t``); a dump exactly ``bytes`` of R values in 0..max (else
-``ValueError``), and a bad dump changes nothing. The constructor converts its arguments as the C
-twin's ``"niKdd"`` parse does. An argument of any other type raises
-``TypeError``.
+``ValueError``), and a bad dump changes nothing; ``scan`` and
+``scan_stream`` keep into exactly a ``list``, and ``scan_stream`` checks
+its seed, start and count as ``stream_elements`` does, then ``kept``.
+The constructor converts its arguments as the C twin's ``"niKdd"``
+parse does. An argument of any other type raises ``TypeError``.
 
 The register file holds R small counters. Inserting an element hashes it
 once to 64 bits; the low log2(R) bits select a register and the remaining
@@ -32,7 +34,8 @@ integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
 ``insert`` splits its hash inline and makes a method call only when
-the rank rises. ``insert_many``, ``scan`` and ``witness`` go further:
+the rank rises. ``insert_many``, ``scan``, ``scan_stream`` and
+``witness`` go further:
 they read ``_BLOCK`` elements at a time and hash a whole block in one
 pass, SIMD within a register with Python's big integers. Each then
 splits every hash inline; ``insert_many`` and ``scan``, the attack's
@@ -49,12 +52,22 @@ a product of two values below 2**64, plus P4 or P5, stays below 2**128.
 A right shift (the rotations' ``>> 33``/``>> 37``, the avalanche's
 ``>> 33``) pulls the next lane's low bits into this lane's upper half, so
 its result is masked before the next multiply. The low 64 bits of each lane
-are then that element's ``hash64``. The scalar ``hash64`` stays: it
-hashes single elements for ``insert`` and ``hash_split``, blocks that
-mix lengths or hold anything but ``bytes``, and it is the reference the
-lanes are tested against. ``stream_elements`` runs the stream's
-splitmix64 round on the same lanes and formats a whole block as hex at
-once.
+are then that element's ``hash64``. The lane pass takes the block as
+8-byte words (``_word_hashes``), so any buffer that lays the elements
+out one after another, each zero-padded to whole words, can be hashed
+without building the elements: ``_lane_hashes`` joins a block of
+``bytes`` into such a buffer. The scalar ``hash64`` stays: it hashes
+single elements for ``insert``, blocks that mix lengths or hold
+anything but ``bytes``, and it is the reference the lanes are tested
+against.
+
+``stream_elements`` runs the stream's splitmix64 round on the same
+lanes and formats a whole block as one hex string (``_stream_hex``),
+which it splits into elements. ``scan_stream``, the attack's scan of the
+stream, hashes that hex string's words in place: an element's 16 digits
+are two whole words. It slices out ``bytes`` only for an element it
+keeps, so it equals ``scan(stream_elements(...))`` without building the
+elements the scan drops.
 """
 
 from __future__ import annotations
@@ -148,12 +161,16 @@ def stream_element(seed: int, k: int) -> bytes:
 
 def _lane_hashes(block: list[bytes], n: int, salt: int) -> list[int]:
     """``hash64(e, salt)`` for each element of ``block``, all of length ``n``."""
-    count = len(block)
-    if count < 4:  # a lane pass costs about as much as four scalar hashes
+    if len(block) < 4:  # a lane pass costs about as much as four scalar hashes
         return [hash64(e, salt) for e in block]
+    pad = bytes(-n % 8)
+    return _word_hashes(memoryview(pad.join(block) + pad).cast("Q"), n, len(block), salt)
+
+
+def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> list[int]:
+    """``hash64(e, salt)`` for ``count`` elements of length ``n`` laid out in
+    ``words``, one after another, each zero-padded to whole 8-byte words."""
     words_each = -(-n // 8)
-    pad = bytes(words_each * 8 - n)
-    words = memoryview(pad.join(block) + pad).cast("Q")
     lanes = bytearray(16 * count)
     low = memoryview(lanes).cast("Q")[::2]
     ones, mask = _lane_constants(count)
@@ -180,13 +197,9 @@ def _lane_constants(count: int) -> tuple[int, int]:
     return ones, ones * MASK64
 
 
-def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
-    """``stream_element(seed, k)`` for k in ``start .. start + count - 1``, mod 2**64.
-
-    Runs the element's splitmix64 round on 128-bit lanes, ``_BLOCK``
-    elements per pass, as ``_lane_hashes`` runs ``hash64``, and formats
-    the whole pass as hex at once.
-    """
+def _stream_args(seed, start, count) -> int:
+    """The splitmix64 input of element ``start`` of the stream keyed by ``seed``,
+    once the three arguments pass the checks ``stream_elements`` makes."""
     for value in (seed, start, count):
         if not isinstance(value, int):
             raise TypeError(f"expected int, got {type(value).__name__}")
@@ -194,19 +207,22 @@ def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
         raise OverflowError("count does not fit in a Py_ssize_t")
     if count < 0:
         raise ValueError("count must not be negative")
-    base = _stream_base(seed & MASK64) + start
-    out: list[bytes] = []
-    for offset in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - offset)
-        ones, mask = _lane_constants(n)
-        ramp, unpack = _stream_lanes(n)
-        x = (((base + offset) & MASK64) * ones + ramp) & mask
-        x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
-        x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
-        x ^= x >> 31  # only each lane's low 64 bits are read back
-        # In big-endian bytes a lane's low 64 bits are its second 8 bytes.
-        out += unpack(hexlify(memoryview(x.to_bytes(16 * n, "big")).cast("Q")[1::2].tobytes()))
-    return out
+    return _stream_base(seed & MASK64) + start
+
+
+def _stream_hex(base: int, n: int) -> bytes:
+    """The ``n`` elements from splitmix64 input ``base`` on, as one hex string.
+
+    Runs the element's splitmix64 round on 128-bit lanes, as
+    ``_word_hashes`` runs ``hash64``, and formats all of them at once.
+    """
+    ones, mask = _lane_constants(n)
+    x = ((base & MASK64) * ones + _stream_lanes(n)[0]) & mask
+    x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    x ^= x >> 31  # only each lane's low 64 bits are read back
+    # In big-endian bytes a lane's low 64 bits are its second 8 bytes.
+    return hexlify(memoryview(x.to_bytes(16 * n, "big")).cast("Q")[1::2].tobytes())
 
 
 @lru_cache(maxsize=2)
@@ -219,6 +235,19 @@ def _stream_lanes(count: int):
     """
     ramp = b"".join(j.to_bytes(16, "big") for j in range(count))
     return int.from_bytes(ramp, "big"), struct.Struct("16s" * count).unpack
+
+
+def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
+    """``stream_element(seed, k)`` for k in ``start .. start + count - 1``, mod 2**64.
+
+    Generates ``_BLOCK`` elements per pass with ``_stream_hex``.
+    """
+    base = _stream_args(seed, start, count)
+    out: list[bytes] = []
+    for offset in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - offset)
+        out += _stream_lanes(n)[1](_stream_hex(base + offset, n))
+    return out
 
 
 def _blocks(elements):
@@ -317,20 +346,6 @@ class RegisterFile:
         self._zero = register_count
         self._zs = register_count << 63
 
-    # -- hashing ---------------------------------------------------------
-
-    def _split(self, h: int) -> tuple[int, int]:
-        """The (register index, rank) pair a 64-bit hash selects."""
-        bits = self._bits
-        rank = 65 - bits - (h >> bits).bit_length()
-        if rank > self._max_reg:
-            rank = self._max_reg
-        return h & (self._count - 1), rank
-
-    def hash_split(self, element: bytes) -> tuple[int, int]:
-        """Map an element to its (register index, rank) pair."""
-        return self._split(hash64(element, self._salt))
-
     # -- updates ---------------------------------------------------------
 
     def _raise(self, index: int, rank: int) -> int:
@@ -421,6 +436,39 @@ class RegisterFile:
             if len(hashes) < len(block):
                 _refuse(block[len(hashes)])
         return last, insertions
+
+    def scan_stream(self, seed: int, start: int, count: int, kept: list) -> tuple[int, int]:
+        """``scan(stream_elements(seed, start, count), kept)``, bit for bit.
+
+        Generates each block as the hex string ``_stream_hex`` formats and
+        hashes its words in place, so ``bytes`` are made only for the
+        elements it keeps.
+        """
+        base = _stream_args(seed, start, count)
+        if not isinstance(kept, list):
+            raise TypeError(f"expected list, got {type(kept).__name__}")
+        if not _LANES:
+            return self.scan(stream_elements(seed, start, count), kept)
+        append = kept.append
+        bits, mask, max_reg, salt = self._bits, self._count - 1, self._max_reg, self._salt
+        top = 65 - bits
+        regs = self._regs
+        last = self.estimate()
+        for offset in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - offset)
+            hexed = _stream_hex(base + offset, n)
+            for j, h in enumerate(_word_hashes(memoryview(hexed).cast("Q"), 16, n, salt)):
+                index = h & mask
+                rank = top - (h >> bits).bit_length()
+                if rank > max_reg:
+                    rank = max_reg
+                if rank > regs[index]:
+                    self._raise(index, rank)
+                    after = self.estimate()
+                    if after > last:
+                        append(hexed[16 * j : 16 * j + 16])
+                    last = after
+        return last, count
 
     def witness(self, elements) -> list[bytes]:
         """The first element to reach each register's final rank, in register order.

@@ -17,16 +17,22 @@ stream S of C distinct elements:
 Total oracle insertions are 2C plus the two intermediate set sizes,
 i.e. O(C): the attack costs the same order of work as honestly
 inserting C elements. Each pass is one ``CardinalityOracle.scan``, which
-queries the estimate once per insertion plus once at the start; an
-in-process oracle runs it inside the kernel. The stream is generated a
-block at a time (``stream_elements``), never held whole.
+queries the estimate once per insertion plus once at the start, and the
+phase-2 preload is one ``CardinalityOracle.insert_many``. An in-process
+oracle runs all of them inside the kernel: phases 1 and 2 call its
+``scan_stream``, which generates and hashes the stream in the kernel and
+makes ``bytes`` only for the elements it keeps. Any other oracle (remote,
+counting, or duck-typed with only reset/insert/estimate) gets the
+reference path: the stream generated a block at a time
+(``stream_elements``), never held whole, and an ``insert`` per preloaded
+element.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._kernel import stream_element, stream_elements
 from .oracle import CardinalityOracle
@@ -205,7 +211,7 @@ class AttackAborted(RuntimeError):
 
 def _scan(
     oracle: CardinalityOracle,
-    elements: Iterator[bytes],
+    elements: Iterable[bytes] | ElementGenerator,
     kept: list[bytes],
     phase: int,
     target_cardinality: int,
@@ -213,14 +219,22 @@ def _scan(
 ) -> tuple[int, int, int]:
     """Insert each element, keeping those that raise the integer estimate.
 
-    Returns (final estimate, insertions, estimate queries); a scan observes
-    the estimate once per insertion plus once at the start. On oracle
-    failure raises AttackAborted carrying what was kept so far.
+    An ``ElementGenerator`` stands for its first ``target_cardinality``
+    elements. Returns (final estimate, insertions, estimate queries); a
+    scan observes the estimate once per insertion plus once at the start.
+    On oracle failure raises AttackAborted carrying what was kept so far.
     """
-    # An object with only reset/insert/estimate gets the reference loop.
+    # Methods are looked up on the type: an object with only
+    # reset/insert/estimate gets the reference loop.
+    scan_stream = getattr(type(oracle), "scan_stream", None)
     scan = getattr(type(oracle), "scan", CardinalityOracle.scan)
     try:
-        last, insertions = scan(oracle, elements, kept)
+        if not isinstance(elements, ElementGenerator):
+            last, insertions = scan(oracle, elements, kept)
+        elif scan_stream is None:
+            last, insertions = scan(oracle, elements.stream(target_cardinality), kept)
+        else:
+            last, insertions = scan_stream(oracle, elements.seed, 0, target_cardinality, kept)
     except Exception as exc:
         partial = AttackSet(
             elements=kept,
@@ -243,14 +257,7 @@ def phase1(
     if target_cardinality < 1:
         raise ValueError("target cardinality must be at least 1")
     kept: list[bytes] = []
-    last, insertions, queries = _scan(
-        oracle,
-        stream.stream(target_cardinality),
-        kept,
-        1,
-        target_cardinality,
-        stream.seed,
-    )
+    last, insertions, queries = _scan(oracle, stream, kept, 1, target_cardinality, stream.seed)
     result = AttackSet(kept, 1, target_cardinality, last, stream.seed)
     return result, PhaseReport(1, len(kept), last, insertions, queries)
 
@@ -261,17 +268,11 @@ def phase2(
     """Recovery pass: preload Y, rescan S, append the new risers."""
     if stream.seed != y.source_seed:
         raise ValueError("stream seed does not match the phase-1 set")
-    for element in y.elements:
-        oracle.insert(element)
+    getattr(type(oracle), "insert_many", CardinalityOracle.insert_many)(oracle, y.elements)
     additions: list[bytes] = []
     try:
         last, insertions, queries = _scan(
-            oracle,
-            stream.stream(y.target_cardinality),
-            additions,
-            2,
-            y.target_cardinality,
-            y.source_seed,
+            oracle, stream, additions, 2, y.target_cardinality, y.source_seed
         )
     except AttackAborted as aborted:
         aborted.partial.elements = y.elements + aborted.partial.elements

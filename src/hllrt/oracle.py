@@ -3,10 +3,14 @@
 The oracle contract is deliberately tiny: reset, insert, integer
 estimate. The attack code is written against this interface alone, so
 anything implementing it (in-process sketch, remote Redis key) is a
-valid target. ``scan``, the attack's unit of work, is built from those
-three calls; an oracle may override it only with a loop that observes
-the same estimates. ``InProcessOracle`` overrides it with the kernel's
-``RegisterFile.scan``, the same loop run inside the kernel.
+valid target. Two bulk calls are built from those three: ``scan``, the
+attack's unit of work, and ``insert_many``, its phase-2 preload. An
+oracle may override either only with code that observes the same
+estimates and leaves the same registers as the loop it replaces.
+``InProcessOracle`` overrides both with the kernel's (``RegisterFile.scan``
+and ``HllSketch.insert_many``) and adds ``scan_stream``: the scan of a
+span of the attack's stream, generated inside the kernel, which equals
+``scan(stream_elements(seed, start, count), kept)``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ class CardinalityOracle(abc.ABC):
     @abc.abstractmethod
     def estimate(self) -> int:
         """Current integer cardinality estimate (side-effect free)."""
+
+    def insert_many(self, elements: Iterable[bytes]) -> None:
+        """Insert every element in order: ``insert`` for each."""
+        insert = self.insert
+        for element in elements:
+            insert(element)
 
     def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
         """Insert every element in order, keeping those that raise the estimate.
@@ -86,9 +96,13 @@ class InProcessOracle(CardinalityOracle):
         self._sketch.reset()
 
     def insert(self, element: bytes) -> None:
-        if not element:
+        if type(element) is bytes and not element:  # the kernel type-checks the rest
             raise ValueError("element must be non-empty")
         self._insert(element)
+
+    def insert_many(self, elements: Iterable[bytes]) -> None:
+        # Refuses a bad element before it inserts anything.
+        self._sketch.insert_many(elements)
 
     def estimate(self) -> int:
         return self._estimate()
@@ -97,6 +111,10 @@ class InProcessOracle(CardinalityOracle):
         # The kernel's scan reads the estimate only after an insertion that
         # changed a register: the estimate depends on the registers alone.
         return self._scan(elements, kept)
+
+    def scan_stream(self, seed: int, start: int, count: int, kept: list[bytes]) -> tuple[int, int]:
+        """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel."""
+        return self._sketch._core.scan_stream(seed, start, count, kept)
 
 
 def make_oracle(params: HllParams) -> InProcessOracle:

@@ -124,17 +124,6 @@ class HllSketch:
 
     # -- updates ---------------------------------------------------------
 
-    def hash_split(self, element: bytes) -> tuple[int, int]:
-        """The (register index, rank) an element maps to, without inserting it.
-
-        The low log2(R) bits of the element's 64-bit hash select the
-        register; the rank is one plus the leading-zero count of the
-        remaining bits, clamped to the register's maximum storable value.
-        """
-        if type(element) is bytes and not element:  # the kernel type-checks the rest
-            raise ValueError("element must be non-empty")
-        return self._core.hash_split(element)
-
     def insert(self, element: bytes) -> bool:
         """Insert an element; True iff a register value increased."""
         if type(element) is bytes and not element:

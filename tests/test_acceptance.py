@@ -9,7 +9,6 @@ import os
 import statistics
 import time
 from dataclasses import dataclass
-from itertools import repeat
 
 import pytest
 
@@ -25,7 +24,7 @@ from hllrt import (
     run_attack,
     verify,
 )
-from hllrt._kernel import RegisterFile, stream_element
+from hllrt._kernel import RegisterFile, stream_elements
 from hllrt._kernel._pykernel import _splitmix64 as splitmix64
 from hllrt.analysis import (
     expected_missed_lpca,
@@ -198,7 +197,7 @@ def test_criterion_5_estimator_accuracy():
     errors = []
     for trial in range(trials):
         core = RegisterFile(r, 6, 0, alpha, 2.5)
-        core.insert_many(map(stream_element, repeat(5000 + trial, n), range(n)))
+        core.insert_many(stream_elements(5000 + trial, 0, n))
         errors.append((core.estimate() - n) / n)
     rms = math.sqrt(statistics.fmean(e * e for e in errors))
     base = 1.04 / math.sqrt(r)

@@ -21,6 +21,7 @@ from hllrt.analysis import (
     undetectable_delta_threshold,
     z_delta,
 )
+from splits import hash_split
 
 
 # -- expected_missed_lpca ------------------------------------------------------
@@ -53,9 +54,8 @@ def missed_registers(params, seed, n):
     best = {}
     switch_at = None
     threshold = params.switch_factor * params.register_count
-    split = sketch.hash_split
     for k, element in enumerate(gen.stream(n)):
-        index, rank = split(element)
+        index, rank = hash_split(element, params)
         if index not in first_arrival:
             first_arrival[index] = (rank, k)
         current = best.get(index)

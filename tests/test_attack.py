@@ -14,6 +14,7 @@ from hllrt import (
     ElementGenerator,
     HllParams,
     HllSketch,
+    InProcessOracle,
     make_oracle,
     run_attack,
     verify,
@@ -215,6 +216,26 @@ def test_attack_total_insertions_bounded():
         counted = sum(o.insertions for o in counters)
         assert counted == run.total_insertions
         assert counted <= 3 * c
+
+
+def test_in_process_phases_run_their_stream_and_preload_in_the_kernel(monkeypatch):
+    # Phases 1 and 2 scan the stream with scan_stream and phase 2 preloads
+    # with insert_many; no element goes through insert.
+    calls = []
+
+    def spy(name):
+        method = getattr(InProcessOracle, name)
+
+        def recorded(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        return recorded
+
+    for name in ("scan_stream", "scan", "insert_many", "insert"):
+        monkeypatch.setattr(InProcessOracle, name, spy(name))
+    run_attack(factory_for(HllParams(64, 6)), 3, 1000)
+    assert calls == ["scan_stream", "insert_many", "scan_stream", "scan"]
 
 
 def test_attack_only_touches_the_oracle_interface():

@@ -20,6 +20,7 @@ import hllrt._kernel as kern
 import hllrt.sketch
 from hllrt import CardinalityOracle, HllParams, HllSketch, make_oracle
 from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, stream_element
+from splits import hash_split
 
 MASK64 = (1 << 64) - 1
 BLOCK = _pykernel._BLOCK  # elements the pure insert_many hashes per pass
@@ -48,11 +49,11 @@ def test_rank_geometric_law():
     # Fraction of elements with rank k must track 2**-k within 3 sigma
     # of the binomial; this is the fresh-register update probability the
     # stats detector's "average close to two" rests on.
-    rf = make_rf(kern, m=16, width=8)
+    params = HllParams(16, 8)
     n = 100000
     counts = {}
     for k in range(n):
-        _, rank = rf.hash_split(stream_element(3, k))
+        _, rank = hash_split(stream_element(3, k), params)
         counts[rank] = counts.get(rank, 0) + 1
     for k in range(1, 7):
         p = 2.0**-k
@@ -61,11 +62,11 @@ def test_rank_geometric_law():
 
 
 def test_index_uniformity():
-    rf = make_rf(kern, m=64, width=6)
+    params = HllParams(64, 6)
     n = 100000
     buckets = [0] * 64
     for k in range(n):
-        index, _ = rf.hash_split(stream_element(5, k))
+        index, _ = hash_split(stream_element(5, k), params)
         buckets[index] += 1
     expected = n / 64
     chi2 = sum((b - expected) ** 2 / expected for b in buckets)
@@ -90,7 +91,7 @@ def test_stream_seeds_decorrelated():
 def test_insert_returns_increment():
     rf = make_rf(kern, m=16, width=6)
     e = stream_element(1, 0)
-    _, rank = rf.hash_split(e)
+    _, rank = hash_split(e, HllParams(16, 6))
     assert rf.insert(e) == rank
     assert rf.insert(e) == 0
 
@@ -163,7 +164,7 @@ def test_twins_expose_the_same_names(pure_kernel, compiled_kernel):
         return {name for name in names if not name.startswith("_")}
 
     assert public(dir(pure_kernel.RegisterFile)) == public(dir(compiled_kernel.RegisterFile))
-    assert {"scan", "witness"} <= public(dir(pure_kernel.RegisterFile))
+    assert {"scan", "scan_stream", "witness"} <= public(dir(pure_kernel.RegisterFile))
     assert "stream_elements" in kern.__all__
     for name in kern.__all__:
         if name != "BACKEND":
@@ -574,6 +575,78 @@ def test_stream_elements_refuses_what_the_twins_refuse(kernels):
                 kernel.stream_elements(0, 0, count)
 
 
+# -- the scan of a stream span ----------------------------------------------------
+# RegisterFile.scan_stream generates the span it scans. On each twin it must
+# equal scan(stream_elements(...)) bit for bit: the same return value, kept
+# elements and registers.
+
+
+def scan_stream_both(kernel, m, width, salt, preload, seed, start, count):
+    """(outcome, kept, registers) of scan_stream and of scan(stream_elements(...))."""
+    results = []
+    for stream in (True, False):
+        rf = make_rf(kernel, m=m, width=width, salt=salt)
+        rf.insert_many(stream_span(5, 10**6, preload))
+        kept = []
+        if stream:
+            outcome = rf.scan_stream(seed, start, count, kept)
+        else:
+            outcome = rf.scan(kernel.stream_elements(seed, start, count), kept)
+        results.append((outcome, kept, rf.dump_registers()))
+    return results
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
+def test_scan_stream_matches_a_scan_of_stream_elements(kernels, count):
+    # The second start wraps past 2**64 within three elements; a preload of
+    # 3,000 takes R=16 and R=1024 past the estimate's crossover.
+    for kernel in kernels:
+        for m, width, salt in ((16, 6, 0), (1024, 5, MASK64), (4096, 6, 0x0123456789ABCDEF)):
+            for seed, start in ((5, 0), (MASK64, 2**64 - 3), (3, -7)):
+                for preload in (0, 3000):
+                    stream, reference = scan_stream_both(
+                        kernel, m, width, salt, preload, seed, start, count
+                    )
+                    assert stream == reference, (kernel.__name__, m, seed, start, preload)
+                    assert stream[0][1] == count
+
+
+@pytest.mark.parametrize("m", [16, 4096])
+@pytest.mark.parametrize("width", [4, 5, 6])
+def test_scan_stream_clamps_ranks_as_scan_does(kernels, m, width):
+    # At R=16 element ranks reach 18 in this span, so at width 4 (at most
+    # 15) the clamp decides registers.
+    elements = _pykernel.stream_elements(0, 0, 8 * BLOCK)
+    assert max(hash_split(e, HllParams(16, 8))[1] for e in elements) == 18
+    for kernel in kernels:
+        stream, reference = scan_stream_both(kernel, m, width, 0, 0, 0, 0, 8 * BLOCK)
+        assert stream == reference, kernel.__name__
+        if m == 16:
+            assert max(stream[2]) == (15 if width == 4 else 18)
+
+
+def test_scan_stream_refuses_what_the_twins_refuse(kernels):
+    refused = {
+        TypeError: [
+            (1.0, 0, 1, []), (0, "0", 1, []), (0, 0, 1.5, []), (0, 0, None, []),
+            (None, 0, 0, []), (0, 0, 1, None), (0, 0, 1, ()), (0, 0, 0, {}),
+        ],
+        ValueError: [(0, 0, -1, []), (0, 0, -1, None)],
+        OverflowError: [(0, 0, 2**63, []), (0, 0, -(2**63) - 1, None)],
+    }
+    for kernel in kernels:
+        rf = make_rf(kernel, m=16)
+        for error, calls in refused.items():
+            for seed, start, count, kept in calls:
+                with pytest.raises(error):
+                    rf.scan_stream(seed, start, count, kept)
+                assert not kept
+        assert rf.dump_registers() == bytes(16)
+        kept = []
+        assert rf.scan_stream(seed=1 << 64, start=0, count=3, kept=kept) == (3, 3)
+        assert rf.dump_registers() != bytes(16) and len(kept) == 3
+
+
 # -- both twins, step by step ----------------------------------------------------
 
 
@@ -583,7 +656,7 @@ def test_elements_and_int_arguments_are_type_checked(kernels):
     for kernel in kernels:
         rf = make_rf(kernel, m=16)
         for not_bytes in (bytearray(b"abc"), memoryview(b"abc"), [1, 2, 3], "abc", None, 7):
-            for call in (kernel.hash64, rf.hash_split, rf.insert):
+            for call in (kernel.hash64, rf.insert):
                 with pytest.raises(TypeError):
                     call(not_bytes)
         for not_int in (1.0, "1", None, b"\x01"):
@@ -613,6 +686,7 @@ INTS = st.one_of(
     st.integers(-(1 << 70), 1 << 70),
     st.sampled_from([0, 1, -1, True, (1 << 63) - 1, 1 << 63, -(1 << 63) - 1, MASK64, 1 << 64]),
 )
+HUGE_COUNTS = (2**63, -(2**63) - 1)  # beyond a Py_ssize_t: refused before any work
 ELEMENTS = st.binary(max_size=40)
 NOT_BYTES = st.one_of(
     st.builds(bytearray, st.binary(max_size=9)),
@@ -640,6 +714,7 @@ class TwinRegisterFiles(RuleBasedStateMachine):
     def start(self, setting):
         m, width, salt = setting
         self.m, self.max = m, min((1 << width) - 1, 63)
+        self.params = HllParams(m, width, salt)
         self.twins = [
             (kernel, make_rf(kernel, m=m, width=width, salt=salt))
             for kernel in (_pykernel, self.compiled)
@@ -680,7 +755,9 @@ class TwinRegisterFiles(RuleBasedStateMachine):
 
     @rule(element=st.one_of(ELEMENTS, NOT_BYTES))
     def insert(self, element):
-        self.same(lambda kernel, rf: (rf.hash_split(element), rf.insert(element)))
+        self.same(
+            lambda kernel, rf: (hash_split(element, self.params, kernel.hash64), rf.insert(element))
+        )
 
     @rule(
         elements=st.lists(ELEMENTS, max_size=40),
@@ -734,6 +811,22 @@ class TwinRegisterFiles(RuleBasedStateMachine):
             return rf.scan(iter(elements), kepts[-1])
 
         self.same(scan)
+        assert kepts[0] == kepts[1]
+
+    @rule(
+        seed=st.one_of(INTS, NOT_INTS),
+        start=st.one_of(INTS, NOT_INTS),
+        count=st.one_of(st.integers(-2, 3 * BLOCK), st.sampled_from(HUGE_COUNTS), NOT_INTS),
+        kept=st.sampled_from([[], None, ()]),
+    )
+    def scan_stream(self, seed, start, count, kept):
+        kepts = []
+
+        def scan_stream(kernel, rf):
+            kepts.append(None if kept is None else type(kept)())
+            return rf.scan_stream(seed, start, count, kepts[-1])
+
+        self.same(scan_stream)
         assert kepts[0] == kepts[1]
 
     @rule(

@@ -62,6 +62,31 @@ def test_insert_rejects_empty():
     assert kept == [b"a"]
 
 
+@pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
+def test_in_process_oracle_refuses_a_bad_element_alike_everywhere(bad):
+    # Only an empty bytes is a ValueError; a falsy element of another type
+    # is a TypeError, as the kernels raise. A refused call changes nothing.
+    oracle = make_oracle(HllParams(64))
+    error = ValueError if type(bad) is bytes else TypeError
+    kept = []
+    for call in (
+        lambda: oracle.insert(bad),
+        lambda: oracle.insert_many([b"a", bad]),
+        lambda: oracle.scan([bad], kept),
+    ):
+        with pytest.raises(error):
+            call()
+        assert oracle.sketch.registers == bytes(64) and kept == []
+    # scan_stream takes no element: each of these in any argument's place
+    # is a TypeError.
+    for at in range(4):
+        args = [1, 0, 10, kept]
+        args[at] = bad
+        with pytest.raises(TypeError):
+            oracle.scan_stream(*args)
+        assert oracle.sketch.registers == bytes(64) and kept == []
+
+
 def test_counting_oracle_counts_calls():
     oracle = CountingOracle(make_oracle(HllParams(64)))
     oracle.reset()

@@ -200,6 +200,24 @@ def test_oracle_refuses_a_str_element_before_sending_it():
                 resp_encode([b"PFADD", b"k", "a"])
 
 
+@pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
+def test_oracle_refuses_a_bad_element_alike_everywhere(bad):
+    # The in-process oracle's error types: only an empty bytes is a
+    # ValueError. A refused element is never queued or sent.
+    error = ValueError if type(bad) is bytes else TypeError
+    with running_server() as server:
+        for batch in (False, True):
+            with RemoteOracle(server.url(), batch=batch) as oracle:
+                oracle.reset()
+                kept = []
+                with pytest.raises(error):
+                    oracle.insert(bad)
+                with pytest.raises(error):
+                    oracle.scan([bad], kept)
+                assert oracle._pending == [] and kept == []
+        assert b"PFADD" not in server.commands_seen
+
+
 def test_oracle_surfaces_wrong_type_errors():
     with running_server() as server:
         with RemoteOracle(server.url("strkey")) as oracle:
@@ -272,8 +290,8 @@ def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
 
 
 def test_scan_paths_agree_and_query_once_per_insertion():
-    # The reference loop (through CountingOracle), the in-process scan and
-    # both remote modes keep byte-identical phase sets, and each scan
+    # The reference loops (through CountingOracle), the in-process kernel
+    # paths and both remote modes keep byte-identical phase sets, and each scan
     # observes the estimate once per insertion plus once at the start.
     params = HllParams(256, 6)
     c = 2000
@@ -286,6 +304,7 @@ def test_scan_paths_agree_and_query_once_per_insertion():
                 return counters[-1]
 
             runs = [run_attack(counting, seed, c), run_attack(lambda: make_oracle(params), seed, c)]
+            assert runs[1].reports == runs[0].reports
             assert sum(o.insertions for o in counters) == runs[0].total_insertions
             assert sum(o.estimate_queries for o in counters) == sum(r.estimate_queries for r in runs[0].reports)
             for batch in (True, False):

@@ -18,15 +18,15 @@ from hllrt import (
     witness_subset,
 )
 from hllrt._kernel import _pykernel
+from splits import hash_split
 
 
 def find_element(params, index=None, rank=None, start=0):
     """Scan the deterministic stream for an element with the wanted split."""
     gen = ElementGenerator(999)
-    split = HllSketch(params).hash_split
     for k in range(start, start + 2_000_000):
         e = gen.element(k)
-        i, r = split(e)
+        i, r = hash_split(e, params)
         if (index is None or i == index) and (rank is None or r == rank):
             return e
     raise AssertionError("no element found with the requested split")
@@ -78,25 +78,21 @@ def test_alpha_constants():
 
 
 def test_hash_split_deterministic_and_bounded():
+    # Each insert into an empty sketch sets the one register the split
+    # names, to the split's rank.
     params = HllParams(64, 6)
-    sketch = HllSketch(params)
     for k in range(200):
         e = ElementGenerator(1).element(k)
-        a = sketch.hash_split(e)
-        b = HllSketch(params).hash_split(e)
-        assert a == b
-        index, rank = a
+        index, rank = hash_split(e, params)
+        assert (index, rank) == hash_split(e, params)
         assert 0 <= index < 64
         assert 1 <= rank <= (1 << params.register_width) - 1
-    assert sketch.registers == bytes(64)  # splitting inserts nothing
+        sketch = HllSketch(params)
+        sketch.insert(e)
+        assert sketch.registers == bytes(index) + bytes([rank]) + bytes(63 - index)
 
 
-def test_hash_split_rejects_empty():
-    with pytest.raises(ValueError):
-        HllSketch(HllParams(64)).hash_split(b"")
-
-
-@pytest.mark.parametrize("method", ["hash_split", "insert", "insert_increment"])
+@pytest.mark.parametrize("method", ["insert", "insert_increment"])
 @pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
 def test_single_element_methods_refuse_with_the_kernels_error_types(kernels, monkeypatch, method, bad):
     # Only an empty bytes is a ValueError; a falsy element of another type
@@ -110,19 +106,22 @@ def test_single_element_methods_refuse_with_the_kernels_error_types(kernels, mon
 
 
 def test_hash_split_salt_changes_mapping():
-    unsalted = HllSketch(HllParams(1024, 6))
-    salted = HllSketch(HllParams(1024, 6, salt=12345))
+    unsalted = HllParams(1024, 6)
+    salted = HllParams(1024, 6, salt=12345)
     elements = [ElementGenerator(2).element(k) for k in range(100)]
-    assert any(unsalted.hash_split(e) != salted.hash_split(e) for e in elements)
+    assert any(hash_split(e, unsalted) != hash_split(e, salted) for e in elements)
+    sketches = [HllSketch(unsalted), HllSketch(salted)]
+    for sketch in sketches:
+        sketch.insert_many(elements)
+    assert sketches[0].registers != sketches[1].registers
 
 
 def test_hash_split_clamps_rank_to_register_width():
     # Width 4 stores ranks up to 15; an element whose hash would give a
-    # longer run is stored as 15 by both the split and the insert.
+    # longer run is stored as 15.
     params = HllParams(16, 4)
     e = find_element(HllParams(16, 8), rank=16)
-    assert HllSketch(HllParams(16, 8)).hash_split(e)[1] == 16
-    index, rank = HllSketch(params).hash_split(e)
+    index, rank = hash_split(e, params)
     assert rank == 15
     sketch = HllSketch(params)
     sketch.insert(e)
@@ -328,7 +327,7 @@ def two_pass_witness(elements, params):
     target = full.registers
     expected = {}
     for element in elements:
-        index, rank = full.hash_split(element)
+        index, rank = hash_split(element, params)
         if index not in expected and rank == target[index]:
             expected[index] = element
     return [expected[i] for i in sorted(expected)]
