@@ -19,6 +19,7 @@ import json
 import os
 import statistics
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import analysis
@@ -153,13 +154,15 @@ def _resolve_target(args) -> str:
     return target
 
 
-def _oracle_factory(args):
+@contextmanager
+def _target_oracle(args):
+    """One oracle for the whole command; a remote one is closed on the way out."""
     target = _resolve_target(args)
     if target == "inproc":
-        params = HllParams(args.registers, args.width)
-        return lambda: make_oracle(params)
-    endpoint = parse_endpoint(target)
-    return lambda: RemoteOracle(endpoint, batch=True)
+        yield make_oracle(HllParams(args.registers, args.width))
+        return
+    with RemoteOracle(parse_endpoint(target), batch=True) as oracle:
+        yield oracle
 
 
 def _read_elements(path: str) -> list[bytes]:
@@ -178,7 +181,6 @@ def _read_elements(path: str) -> list[bytes]:
 
 
 def _cmd_attack(args) -> int:
-    factory = _oracle_factory(args)
     checkpoint = None
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
@@ -186,17 +188,18 @@ def _cmd_attack(args) -> int:
         def checkpoint(phase_set: AttackSet) -> None:
             phase_set.save(os.path.join(args.checkpoint_dir, f"phase{phase_set.phase}.txt"))
 
-    try:
-        run = run_attack(factory, args.seed, args.cardinality, checkpoint)
-    except AttackAborted as aborted:
-        if args.checkpoint_dir:
-            path = os.path.join(args.checkpoint_dir,
-                                f"aborted.phase{aborted.partial.phase}.txt")
-            aborted.partial.save(path)
-            print(f"aborted: {aborted}; partial set saved to {path}", file=sys.stderr)
-        else:
-            print(f"aborted: {aborted}", file=sys.stderr)
-        return EXIT_TARGET
+    with _target_oracle(args) as oracle:
+        try:
+            run = run_attack(lambda: oracle, args.seed, args.cardinality, checkpoint)
+        except AttackAborted as aborted:
+            if args.checkpoint_dir:
+                path = os.path.join(args.checkpoint_dir,
+                                    f"aborted.phase{aborted.partial.phase}.txt")
+                aborted.partial.save(path)
+                print(f"aborted: {aborted}; partial set saved to {path}", file=sys.stderr)
+            else:
+                print(f"aborted: {aborted}", file=sys.stderr)
+            return EXIT_TARGET
     run.attack_set.save(args.out)
     if args.report:
         payload = {
@@ -206,6 +209,8 @@ def _cmd_attack(args) -> int:
             "total_insertions": run.total_insertions,
             "phases": [asdict(report) for report in run.reports],
         }
+        if isinstance(oracle, RemoteOracle):
+            payload["remote"] = oracle.traffic()
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -217,8 +222,8 @@ def _cmd_attack(args) -> int:
 
 def _cmd_verify(args) -> int:
     attack_set = AttackSet.load(args.set_file)
-    oracle = _oracle_factory(args)()
-    estimate = verify(oracle, attack_set)
+    with _target_oracle(args) as oracle:
+        estimate = verify(oracle, attack_set)
     size = len(attack_set.elements)
     inflation = estimate / size if size else 0.0
     print(f"estimate: {estimate}")
@@ -274,35 +279,35 @@ def _cmd_experiment(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if any(c < 1 for c in cardinalities):
         raise _UsageError("cardinalities must be >= 1")
-    factory = _oracle_factory(args)
     rows: list[dict] = []
     aborted: AttackAborted | None = None
-    for cardinality in cardinalities:
-        for seed in seeds:
-            try:
-                run = run_attack(factory, seed, cardinality)
-            except AttackAborted as exc:
-                aborted = exc
+    with _target_oracle(args) as oracle:
+        for cardinality in cardinalities:
+            for seed in seeds:
+                try:
+                    run = run_attack(lambda: oracle, seed, cardinality)
+                except AttackAborted as exc:
+                    aborted = exc
+                    break
+                scan_insertions = [
+                    run.reports[0].insertions_performed,
+                    len(run.phase_sets[0].elements) + run.reports[1].insertions_performed,
+                    run.reports[2].insertions_performed,
+                ]
+                for phase_index in range(3):
+                    phase_set = run.phase_sets[phase_index]
+                    rows.append({
+                        "R": args.registers,
+                        "C": cardinality,
+                        "seed": seed,
+                        "phase": phase_index + 1,
+                        "set_size": len(phase_set.elements),
+                        "estimate": verify(oracle, phase_set),
+                        "insertions": scan_insertions[phase_index],
+                        "wall_time_ms": round(run.wall_times_ms[phase_index], 3),
+                    })
+            if aborted:
                 break
-            scan_insertions = [
-                run.reports[0].insertions_performed,
-                len(run.phase_sets[0].elements) + run.reports[1].insertions_performed,
-                run.reports[2].insertions_performed,
-            ]
-            for phase_index in range(3):
-                phase_set = run.phase_sets[phase_index]
-                rows.append({
-                    "R": args.registers,
-                    "C": cardinality,
-                    "seed": seed,
-                    "phase": phase_index + 1,
-                    "set_size": len(phase_set.elements),
-                    "estimate": verify(factory(), phase_set),
-                    "insertions": scan_insertions[phase_index],
-                    "wall_time_ms": round(run.wall_times_ms[phase_index], 3),
-                })
-        if aborted:
-            break
     _write_rows(args.out, rows, args.format)
     if args.plot_data:
         _write_plot_data(args.plot_data, rows)

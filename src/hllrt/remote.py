@@ -21,6 +21,13 @@ idempotent, and a PFCOUNT sent last counts the same registers either
 way. A pipeline with a PFCOUNT before its last command (a scan's) is
 never replayed, because the server may have applied later PFADDs before
 the drop; it raises instead.
+
+Replies, and on the test server commands, are decoded by ``RespStream``,
+which parses each frame where it sits in its buffer. A command array's
+bulk strings are parsed in one inline loop while each is buffered whole;
+any other item, or one cut by the buffer's end, takes the general path,
+which refills. The oracle counts its traffic once per exchange: round
+trips, commands, bytes each way, reconnects and replays.
 """
 
 from __future__ import annotations
@@ -85,13 +92,16 @@ class RespArray:
 RespValue = SimpleString | ErrorReply | BulkString | RespArray | int
 
 
-def resp_encode(command: Sequence[bytes]) -> bytes:
-    """Encode a command as a RESP array of bulk strings."""
-    if not command:
-        raise ValueError("command must be non-empty")
-    out = [b"*%d\r\n" % len(command)]
-    for part in command:
-        out.append(b"$%d\r\n%s\r\n" % (len(part), part))
+def resp_encode(*commands: Sequence[bytes]) -> bytes:
+    """Encode commands back to back, each as a RESP array of bulk strings."""
+    out: list[bytes] = []
+    append = out.append
+    for command in commands:
+        if not command:
+            raise ValueError("command must be non-empty")
+        append(b"*%d\r\n" % len(command))
+        for part in command:
+            append(b"$%d\r\n%s\r\n" % (len(part), part))
     return b"".join(out)
 
 
@@ -119,84 +129,108 @@ def encode_value(value: RespValue) -> bytes:
 
 
 class RespStream:
-    """Buffered reader of RESP replies from a socket or file-like source.
+    """Buffered reader of RESP values from a socket or file-like source.
 
-    Reads by offset into one ``bytearray``; consumed bytes are dropped
-    only when the buffer is refilled, so a burst of pipelined replies is
-    decoded without copying the rest of the buffer after each one.
+    Each frame is parsed where it sits in the buffer, an immutable
+    ``bytes``: one ``find`` per line, the type byte compared as an int
+    (an integer reply first), and a bulk string's bytes and CRLF checked
+    with one slice. An array's bulk-string items are parsed inline, in one
+    loop, while each whole item is buffered. Any other item, or one that
+    needs a refill, and every later item of that array, goes through
+    ``read_value`` itself. Consumed bytes are dropped only when the buffer
+    is refilled; ``received`` counts the bytes read from the source.
     """
 
     def __init__(self, source) -> None:
         self._source = source
-        self._buffer = bytearray()
+        self._buffer = b""
         self._pos = 0
+        self.received = 0
+        self._block = memoryview(bytearray(65536)) if isinstance(source, socket.socket) else None
 
-    def _fill(self) -> None:
-        if isinstance(self._source, socket.socket):
-            chunk = self._source.recv(65536)
-        else:
-            chunk = self._source.read(65536)
-        if not chunk:
-            raise ProtocolError("unexpected end of stream")
-        del self._buffer[: self._pos]
-        self._pos = 0
-        self._buffer += chunk
+    def _fill(self, need: int = 0) -> None:
+        """Read at least once, and on until ``need`` unread bytes are buffered.
 
-    def _read_line(self) -> bytes:
+        A socket is read into one block and what came is copied out:
+        recv's own 64 KiB bytes, shrunk to what came, fragment the heap
+        (the client's RSS grew with every attack). The reads are joined
+        with the unread bytes once, so a long bulk string is not copied
+        again on every read.
+        """
+        parts = [self._buffer[self._pos :]]
+        have = len(parts[0])
         while True:
-            end = self._buffer.find(b"\r\n", self._pos)
-            if end >= 0:
-                line = bytes(self._buffer[self._pos : end])
-                self._pos = end + 2
-                return line
-            self._fill()
-
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._buffer) - self._pos < n:
-            self._fill()
-        data = bytes(self._buffer[self._pos : self._pos + n])
-        self._pos += n
-        return data
+            if self._block is not None:
+                chunk = bytes(self._block[: self._source.recv_into(self._block)])
+            else:
+                chunk = self._source.read(65536)
+            if not chunk:
+                raise ProtocolError("unexpected end of stream")
+            self.received += len(chunk)
+            parts.append(chunk)
+            have += len(chunk)
+            if have >= need:
+                break
+        self._buffer = b"".join(parts)
+        self._pos = 0
 
     def read_value(self) -> RespValue:
-        """Consume exactly one reply, leaving the stream at the next one."""
-        line = self._read_line()
-        if not line:
-            raise ProtocolError("empty reply line")
-        kind, rest = line[:1], line[1:]
-        if kind == b"+":
-            return SimpleString(rest.decode("utf-8"))
-        if kind == b"-":
-            return ErrorReply(rest.decode("utf-8"))
-        if kind == b":":
+        """Consume exactly one value, leaving the stream at the next one."""
+        buf, pos = self._buffer, self._pos
+        end = buf.find(b"\r\n", pos)
+        while end < 0:
+            self._fill()
+            buf, pos = self._buffer, 0
+            end = buf.find(b"\r\n")
+        self._pos = end + 2
+        kind = buf[pos]  # an empty line gives b"\r": an unknown type
+        if kind == 58:  # b":"
             try:
-                return int(rest)
+                return int(buf[pos + 1 : end])
             except ValueError as exc:
-                raise ProtocolError(f"bad integer reply {line!r}") from exc
-        if kind == b"$":
-            try:
-                length = int(rest)
-            except ValueError as exc:
-                raise ProtocolError(f"bad bulk length {line!r}") from exc
-            if length == -1:
-                return BulkString(None)
-            if length < 0:
-                raise ProtocolError(f"bad bulk length {length}")
-            data = self._read_exact(length)
-            if self._read_exact(2) != b"\r\n":
+                raise ProtocolError(f"bad integer reply {buf[pos:end]!r}") from exc
+        if kind == 43:  # b"+"
+            return SimpleString(buf[pos + 1 : end].decode("utf-8"))
+        if kind == 45:  # b"-"
+            return ErrorReply(buf[pos + 1 : end].decode("utf-8"))
+        if kind != 36 and kind != 42:  # b"$", b"*"
+            raise ProtocolError(f"unknown reply type {buf[pos:end]!r}")
+        try:
+            length = int(buf[pos + 1 : end])
+        except ValueError as exc:
+            raise ProtocolError(f"bad length {buf[pos:end]!r}") from exc
+        if length < 0:
+            if length != -1:
+                raise ProtocolError(f"bad length {length}")
+            return BulkString(None) if kind == 36 else RespArray(None)
+        if kind == 36:
+            if len(self._buffer) - self._pos < length + 2:
+                self._fill(length + 2)
+            buf, start = self._buffer, self._pos
+            stop = start + length
+            if buf[stop : stop + 2] != b"\r\n":
                 raise ProtocolError("bulk string missing CRLF terminator")
-            return BulkString(data)
-        if kind == b"*":
-            try:
-                count = int(rest)
-            except ValueError as exc:
-                raise ProtocolError(f"bad array length {line!r}") from exc
-            if count == -1:
-                return RespArray(None)
-            if count < 0:
-                raise ProtocolError(f"bad array length {count}")
-            return RespArray(tuple(self.read_value() for _ in range(count)))
-        raise ProtocolError(f"unknown reply type {line!r}")
+            self._pos = stop + 2
+            return BulkString(buf[start:stop])
+        items: list[RespValue] = []
+        append = items.append
+        pos = end + 2
+        try:
+            for _ in range(length):
+                end = buf.find(b"\r\n", pos)
+                if end < 0 or buf[pos] != 36:
+                    break
+                start = end + 2
+                stop = start + int(buf[pos + 1 : end])
+                if stop < start or buf[stop : stop + 2] != b"\r\n":
+                    break  # $-1, a short buffer or a bad terminator
+                append(BulkString(buf[start:stop]))
+                pos = stop + 2
+        except ValueError:
+            pass  # a bad length: the general path raises ProtocolError
+        self._pos = pos
+        items.extend([self.read_value() for _ in range(length - len(items))])
+        return RespArray(tuple(items))
 
 
 @dataclass(frozen=True)
@@ -227,7 +261,14 @@ def parse_endpoint(url: str) -> RedisEndpoint:
 
 
 class RemoteOracle(CardinalityOracle):
-    """CardinalityOracle speaking RESP to one key on one server."""
+    """CardinalityOracle speaking RESP to one key on one server.
+
+    Counts its traffic once per exchange: ``round_trips`` (pipelines
+    sent, replays included), ``commands``, ``bytes_out``, ``bytes_in``,
+    ``reconnects`` (connections opened after the first pipeline) and
+    ``replays`` (pipelines sent again after a drop); ``traffic`` gives
+    them as a dict.
+    """
 
     def __init__(
         self,
@@ -243,6 +284,9 @@ class RemoteOracle(CardinalityOracle):
         self._sock: socket.socket | None = None
         self._stream: RespStream | None = None
         self._pending: list[bytes] = []  # queued PFADD elements (batch mode)
+        self.round_trips = self.commands = self.bytes_out = 0
+        self.reconnects = self.replays = 0
+        self._closed_bytes_in = 0  # received on connections since closed
 
     # -- connection management -------------------------------------------
 
@@ -259,8 +303,18 @@ class RemoteOracle(CardinalityOracle):
             try:
                 self._sock.close()
             finally:
+                self._closed_bytes_in = self.bytes_in
                 self._sock = None
                 self._stream = None
+
+    @property
+    def bytes_in(self) -> int:
+        stream = self._stream
+        return self._closed_bytes_in + (stream.received if stream is not None else 0)
+
+    def traffic(self) -> dict[str, int]:
+        names = ("round_trips", "commands", "bytes_out", "bytes_in", "reconnects", "replays")
+        return {name: getattr(self, name) for name in names}
 
     def __enter__(self) -> "RemoteOracle":
         return self
@@ -276,18 +330,25 @@ class RemoteOracle(CardinalityOracle):
         applied PFADDs after that count before the drop, so replayed
         counts would be skewed. That failure, and a second one, propagate.
         """
-        payload = b"".join(resp_encode(command) for command in commands)
+        payload = resp_encode(*commands)
         for attempt in (0, 1):
             try:
                 if self._sock is None:
+                    if self.round_trips:
+                        self.reconnects += 1
                     self._connect()
                 assert self._sock is not None and self._stream is not None
+                self.round_trips += 1
+                self.commands += len(commands)
+                self.bytes_out += len(payload)
                 self._sock.sendall(payload)
-                return [self._stream.read_value() for _ in commands]
+                read = self._stream.read_value
+                return [read() for _ in commands]
             except (ConnectionError, TimeoutError, ProtocolError, OSError):
                 self.close()
                 if attempt == 1 or any(command[0] == b"PFCOUNT" for command in commands[:-1]):
                     raise
+                self.replays += 1
         raise AssertionError("unreachable")
 
     @staticmethod

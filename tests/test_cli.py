@@ -1,7 +1,9 @@
 """CLI surface: subcommands, file outputs, exit codes."""
 
 import csv
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -233,3 +235,32 @@ def test_env_var_supplies_default_target(tmp_path, monkeypatch):
                        "--out", str(out)) == 0
         elements = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert elements
+
+
+def test_remote_commands_close_their_connection_and_report_traffic(tmp_path):
+    out = tmp_path / "v.txt"
+    report_path = tmp_path / "report.json"
+    with running_server(register_count=256) as server:
+        url = server.url("clikey")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("attack", "--cardinality", "600", "--seed", "2", "--out", str(out),
+                           "--report", str(report_path), "--target", url) == 0
+            attack_commands = len(server.commands_seen)
+            assert run_cli("verify", "--set-file", str(out), "--target", url) == 0
+            assert run_cli("experiment", "--cardinalities", "300", "--seeds", "1",
+                           "--out", str(tmp_path / "e.csv"), "--target", url) == 0
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    traffic = json.loads(report_path.read_text())["remote"]
+    assert traffic["commands"] == attack_commands
+    assert traffic["bytes_out"] > traffic["bytes_in"] > 0
+    assert 0 < traffic["round_trips"] < attack_commands
+    assert (traffic["reconnects"], traffic["replays"]) == (0, 0)
+
+
+def test_inproc_report_has_no_remote_traffic(tmp_path):
+    report_path = tmp_path / "report.json"
+    assert run_cli("attack", "--registers", "64", "--cardinality", "200", "--out",
+                   str(tmp_path / "v.txt"), "--report", str(report_path)) == 0
+    assert "remote" not in json.loads(report_path.read_text())

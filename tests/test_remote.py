@@ -87,14 +87,15 @@ def test_decode_consumes_exactly_one_reply():
 
 
 class Trickle:
-    """File-like source handing out 1-7 bytes per read."""
+    """File-like source handing out 1 to ``most`` (default 7) bytes per read."""
 
-    def __init__(self, data, seed):
+    def __init__(self, data, seed, most=7):
         self._data = io.BytesIO(data)
         self._rng = random.Random(seed)
+        self._most = most
 
     def read(self, n):
-        return self._data.read(min(n, self._rng.randint(1, 7)))
+        return self._data.read(min(n, self._rng.randint(1, self._most)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -105,6 +106,17 @@ def test_decode_pipelined_replies_from_short_reads(seed):
     stream = RespStream(Trickle(b"".join(encode_value(v) for v in values), seed))
     for value in values:
         assert stream.read_value() == value
+    with pytest.raises(ProtocolError, match="end of stream"):
+        stream.read_value()
+
+
+def test_decode_bulk_strings_longer_than_a_read():
+    # Each spans several 64 KiB reads; the second ends its array.
+    long = bytes(range(256)) * 1000 + b"\r\n"
+    data = encode_value(BulkString(long)) + encode_value(RespArray((BulkString(b"k"), BulkString(long))))
+    stream = RespStream(io.BytesIO(data))
+    assert stream.read_value() == BulkString(long)
+    assert stream.read_value() == RespArray((BulkString(b"k"), BulkString(long)))
     with pytest.raises(ProtocolError, match="end of stream"):
         stream.read_value()
 
@@ -120,6 +132,53 @@ def test_decode_malformed_framing():
         resp_decode(b"$3\r\nabcXX")  # bad terminator
     with pytest.raises(ProtocolError):
         resp_decode(b":42")  # no CRLF, stream ends
+
+
+# An array whose items are all bulk strings is parsed inline; any other
+# item, or one the buffer's end cuts, takes the general path.
+MALFORMED_ARRAYS = [
+    b"*2\r\n$1\r\na\r\n$x\r\nb\r\n",  # a non-integer length
+    b"*2\r\n$1\r\na\r\n$1x\r\nb\r\n",
+    b"*2\r\n$1\r\na\r\n$-2\r\n",
+    b"*2\r\n$1\r\na\r\n$1\r\nbXX:1\r\n",  # no CRLF after the bytes
+    b"*2\r\n$1\r\na\r\n$3\r\nabc\n",
+    b"*2\r\n$1\r\na\r\n$5\r\nab\r\n",  # truncated bytes
+    b"*3\r\n$1\r\na\r\n$1\r\nb\r\n",  # a missing item
+    b"*2\r\n$1\r\na\r\n$1",  # a truncated length line
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_ARRAYS)
+def test_decode_rejects_a_malformed_bulk_item_in_an_array(data):
+    with pytest.raises(ProtocolError):
+        resp_decode(data)
+    for seed in range(3):
+        with pytest.raises(ProtocolError):
+            RespStream(Trickle(data, seed)).read_value()
+
+
+ARRAY_GOLDEN = [
+    (b"*0\r\n", RespArray(())),
+    (b"*1\r\n$0\r\n\r\n", RespArray((BulkString(b""),))),
+    (b"*3\r\n$1\r\na\r\n$-1\r\n$1\r\nb\r\n",
+     RespArray((BulkString(b"a"), BulkString(None), BulkString(b"b")))),
+    (b"*3\r\n:7\r\n$2\r\nab\r\n:-3\r\n", RespArray((7, BulkString(b"ab"), -3))),
+    (b"*3\r\n$1\r\na\r\n*2\r\n$1\r\nx\r\n*-1\r\n$1\r\nb\r\n",
+     RespArray((BulkString(b"a"), RespArray((BulkString(b"x"), RespArray(None))), BulkString(b"b")))),
+    (b"*2\r\n$4\r\na\r\nb\r\n$6\r\n\r\n\r\n\r\n\r\n",
+     RespArray((BulkString(b"a\r\nb"), BulkString(b"\r\n\r\n\r\n")))),
+    (b"*3\r\n$5\r\nPFADD\r\n$1\r\nk\r\n+OK\r\n",
+     RespArray((BulkString(b"PFADD"), BulkString(b"k"), SimpleString("OK")))),
+]
+
+
+@pytest.mark.parametrize("data, value", ARRAY_GOLDEN)
+def test_decode_array_items_golden(data, value):
+    assert resp_decode(data) == value
+    for seed in range(3):
+        stream = RespStream(Trickle(data + b":1\r\n", seed))
+        assert stream.read_value() == value
+        assert stream.read_value() == 1
 
 
 def _values(depth):
@@ -151,6 +210,26 @@ def _values(depth):
 @settings(max_examples=200, deadline=None)
 def test_codec_roundtrip(value):
     assert resp_decode(encode_value(value)) == value
+
+
+_commands = st.builds(
+    lambda parts: RespArray(tuple(parts)),
+    st.lists(st.builds(BulkString, st.binary(max_size=40)), min_size=1, max_size=4),
+)
+
+
+@given(
+    st.lists(st.one_of(_commands, _values(3)), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([7, 64, 65536]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pipeline_decodes_through_short_reads(values, seed, most):
+    # Reads of 1 to ``most`` bytes put buffer ends inside arrays and items.
+    stream = RespStream(Trickle(b"".join(encode_value(v) for v in values), seed, most))
+    assert [stream.read_value() for _ in values] == values
+    with pytest.raises(ProtocolError, match="end of stream"):
+        stream.read_value()
 
 
 # -- endpoints -------------------------------------------------------------------
@@ -319,6 +398,94 @@ def test_scan_paths_agree_and_query_once_per_insertion():
                 for report in run.reports:
                     assert report.estimate_queries == report.insertions_performed + 1
             assert len(runs[0].phase_sets[1]) > len(runs[0].phase_sets[0])
+
+
+class SendRecorder:
+    """Socket stand-in that keeps each payload it forwards."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(data)
+        self.sock.sendall(data)
+
+    def close(self):
+        self.sock.close()
+
+
+def test_scan_sends_each_pipeline_byte_for_byte(monkeypatch):
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
+    elements = [b"g%d" % k for k in range(150)]
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url("golden"), batch=True) as oracle:
+            oracle.reset()
+            oracle.insert(b"preloaded")
+            recorder = oracle._sock = SendRecorder(oracle._sock)
+            exchanged = []
+            exchange = oracle._exchange
+
+            def logged(commands):
+                exchanged.append([list(command) for command in commands])
+                return exchange(commands)
+
+            oracle._exchange = logged
+            oracle.scan(elements, [])
+    add = lambda e: [b"PFADD", b"golden", e]  # noqa: E731
+    count = [b"PFCOUNT", b"golden"]
+    expected = [[add(b"preloaded"), count]]
+    expected += [[c for e in elements[k : k + 32] for c in (add(e), count)] for k in range(0, 150, 32)]
+    assert exchanged == expected
+    assert recorder.sent == [b"".join(resp_encode(c) for c in commands) for commands in expected]
+
+
+def test_oracle_counts_a_scans_traffic_per_pipeline(monkeypatch):
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
+    params = HllParams(256, 6)
+    elements = [b"t%d" % k for k in range(100)]
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url("traffic"), batch=True) as oracle:
+            oracle.reset()
+            oracle.scan(elements, [])
+            traffic = oracle.traffic()
+    # DEL, the first PFCOUNT, then 32 + 32 + 32 + 4 PFADD/PFCOUNT pairs.
+    key = b"traffic"
+    commands = [[b"DEL", key], [b"PFCOUNT", key]]
+    commands += [c for e in elements for c in ([b"PFADD", key, e], [b"PFCOUNT", key])]
+    local = make_oracle(params)
+    local.reset()
+    replies = [b":0\r\n", b":0\r\n"]  # DEL, then the first PFCOUNT
+    for element in elements:
+        local.insert(element)
+        replies += [b":1\r\n", b":%d\r\n" % local.estimate()]  # PFADD replies 0 or 1
+    assert traffic == {
+        "round_trips": 6,
+        "commands": len(commands),
+        "bytes_out": sum(len(resp_encode(c)) for c in commands),
+        "bytes_in": len(b"".join(replies)),
+        "reconnects": 0,
+        "replays": 0,
+    }
+    assert server.commands_seen.count(b"PFADD") == 100
+
+
+def test_oracle_counts_a_drop_as_one_reconnect_and_one_replay():
+    with running_server(register_count=1024, drop_after=5) as server:
+        with RemoteOracle(server.url("k")) as oracle:
+            oracle.reset()
+            for e in (b"a", b"b", b"c", b"d", b"e", b"f", b"g"):
+                oracle.insert(e)
+            assert oracle.estimate() == 7
+            traffic = oracle.traffic()
+    # The PFADD of b"e" went out twice: once on the dropped connection.
+    sent = [[b"DEL", b"k"]] + [[b"PFADD", b"k", e] for e in (b"a", b"b", b"c", b"d", b"e")]
+    sent += [[b"PFADD", b"k", e] for e in (b"e", b"f", b"g")] + [[b"PFCOUNT", b"k"]]
+    assert traffic["round_trips"] == traffic["commands"] == 10
+    assert traffic["bytes_out"] == sum(len(resp_encode(c)) for c in sent)
+    assert traffic["bytes_in"] == 9 * len(b":0\r\n")  # 5 replies before the drop, 4 after
+    assert (traffic["reconnects"], traffic["replays"]) == (1, 1)
+    assert len(server.commands_seen) == 9
 
 
 def test_oracle_times_out_on_a_silent_server():

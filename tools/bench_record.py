@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Record the benchmark's end-to-end metrics over seeds 1-5 as BENCH_<backend>.json.
+"""Record the benchmark's end-to-end metrics of a change and its parent as BENCH_<backend>.json.
 
-    python3 tools/bench_record.py                       # this checkout
-    python3 tools/bench_record.py --repo ../other-checkout
+    python3 tools/bench_record.py --parent ../parent-checkout
+    python3 tools/bench_record.py --repo ../change --parent ../parent-checkout
 
-Runs ``perfbench/run.py`` of the checkout given by ``--repo`` once for each
-workload and seed, one run at a time and each as long as that checkout's
-``BENCHMARK.json`` says (``run_seconds``). It writes
-``BENCH_<backend>.json`` at the root of that checkout: for each workload
-the median and interquartile range (IQR) of the four end-to-end metrics
-and the failed-unit ratio, with the kernel backend, Python version, nproc
-and git commit of the checkout.
+Runs ``perfbench/run.py`` of both checkouts once for each workload and
+seed (1-5), one run at a time, the two sides in turn: for each seed both
+sides run back to back, the parent first on odd seeds and the change first
+on even ones, so that the machine's drift falls on both alike. Each run is
+as long as the change's ``BENCHMARK.json`` says (``run_seconds``). It
+writes ``BENCH_<backend>.json`` at the root of ``--repo``: for each
+workload and side the median and interquartile range (IQR) of the four
+end-to-end metrics, the runs in seed order, and the failed-unit ratio,
+with the kernel backend, Python version, nproc and the git commit of each
+checkout. Both checkouts must run the same backend.
 """
 
 from __future__ import annotations
@@ -52,37 +55,51 @@ def commit_of(repo: Path) -> str:
     return head.stdout.strip() + ("+uncommitted changes" if dirty.stdout.strip() else "")
 
 
+def side_record(runs: list[tuple[dict, dict]]) -> dict:
+    return {
+        "failed_ratio": sum(r["failed"] for _, r in runs) / sum(r["attempted"] for _, r in runs),
+        "metrics": {
+            metric: {"unit": runs[0][1]["metrics"][metric]["unit"]}
+            | summary([r["metrics"][metric]["value"] for _, r in runs])
+            for metric in METRICS
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
+    parser.add_argument("--repo", type=Path, default=ROOT, help="the change's checkout (default: this one)")
+    parser.add_argument("--parent", type=Path, required=True, help="the parent commit's checkout")
     args = parser.parse_args(argv)
-    repo = args.repo.resolve()
-    seconds = json.loads((repo / "BENCHMARK.json").read_text())["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.repo.resolve()}
+    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
 
-    record = {"commit": commit_of(repo), "seconds": seconds, "seeds": list(SEEDS), "workloads": {}}
+    record = {
+        "commits": {side: commit_of(repo) for side, repo in sides.items()},
+        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "workloads": {},
+    }
+    contexts = []
     for workload in WORKLOADS:
-        runs = []
+        runs: dict[str, list] = {side: [] for side in sides}
         for seed in SEEDS:
-            context, result = run_once(repo, workload, seed, seconds)
-            runs.append((context, result))
-            values = ", ".join(f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS)
-            print(f"{workload} seed={seed}: failed {result['failed']}/{result['attempted']}, {values}",
-                  flush=True)
-        for key in ("backend", "python", "nproc"):
-            found = {context[key] for context, _ in runs} | ({record[key]} if key in record else set())
-            if len(found) != 1:
-                raise SystemExit(f"runs disagree on {key}: {sorted(found)}")
-            record[key] = found.pop()
-        record["workloads"][workload] = {
-            "failed_ratio": sum(r["failed"] for _, r in runs) / sum(r["attempted"] for _, r in runs),
-            "metrics": {
-                metric: {"unit": runs[0][1]["metrics"][metric]["unit"]}
-                | summary([r["metrics"][metric]["value"] for _, r in runs])
-                for metric in METRICS
-            },
-        }
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                context, result = run_once(sides[side], workload, seed, seconds)
+                runs[side].append((context, result))
+                contexts.append(context)
+                values = ", ".join(f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS)
+                print(f"{workload} seed={seed} {side}: failed {result['failed']}/{result['attempted']}, "
+                      f"{values}", flush=True)
+        record["workloads"][workload] = {side: side_record(runs[side]) for side in sides}
+    for key in ("backend", "python", "nproc"):
+        found = {context[key] for context in contexts}
+        if len(found) != 1:
+            raise SystemExit(f"runs disagree on {key}: {sorted(found)}")
+        record[key] = found.pop()
 
-    out = repo / f"BENCH_{record['backend']}.json"
+    out = sides["change"] / f"BENCH_{record['backend']}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
