@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConnectionError, TimeoutError, ServerError, ProtocolError, OSError) as exc:
+    except (ServerError, ProtocolError, OSError) as exc:
         print(f"target error: {exc}", file=sys.stderr)
         return EXIT_TARGET
 

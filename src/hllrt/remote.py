@@ -22,12 +22,16 @@ way. A pipeline with a PFCOUNT before its last command (a scan's) is
 never replayed, because the server may have applied later PFADDs before
 the drop; it raises instead.
 
-Replies, and on the test server commands, are decoded by ``RespStream``,
-which parses each frame where it sits in its buffer. A command array's
-bulk strings are parsed in one inline loop while each is buffered whole;
-any other item, or one cut by the buffer's end, takes the general path,
-which refills. The oracle counts its traffic once per exchange: round
-trips, commands, bytes each way, reconnects and replays.
+Replies, and on the test server commands, are decoded by ``RespStream``
+into plain Python values, as redis-py and hiredis do: an integer is an
+``int``, a bulk string ``bytes``, a simple string ``str``, an array a
+``list``, ``$-1`` and ``*-1`` are ``None``, and an error reply is an
+``ErrorReply``. Integers and lengths must be an optional ``-`` and ASCII
+digits. Each frame is parsed where it sits in its buffer. A command
+array's bulk strings are parsed in one inline loop while each is
+buffered whole; any other item, or one cut by the buffer's end, takes
+the general path, which refills. The oracle counts its traffic once per
+exchange: round trips, commands, bytes each way, reconnects and replays.
 """
 
 from __future__ import annotations
@@ -40,10 +44,7 @@ from typing import Iterable, Sequence
 from .oracle import CardinalityOracle
 
 __all__ = [
-    "SimpleString",
     "ErrorReply",
-    "BulkString",
-    "RespArray",
     "RespValue",
     "ProtocolError",
     "ServerError",
@@ -69,27 +70,14 @@ class ServerError(Exception):
 
 
 @dataclass(frozen=True)
-class SimpleString:
-    value: str
-
-
-@dataclass(frozen=True)
 class ErrorReply:
+    """An error reply; kept apart from a simple string, which is a ``str``."""
+
     message: str
 
 
-@dataclass(frozen=True)
-class BulkString:
-    value: bytes | None
-
-
-@dataclass(frozen=True)
-class RespArray:
-    items: tuple | None
-
-
-# Integers travel as plain Python ints.
-RespValue = SimpleString | ErrorReply | BulkString | RespArray | int
+# A decoded value: None stands for both $-1 and *-1.
+RespValue = int | bytes | str | list | ErrorReply | None
 
 
 def resp_encode(*commands: Sequence[bytes]) -> bytes:
@@ -106,34 +94,35 @@ def resp_encode(*commands: Sequence[bytes]) -> bytes:
 
 
 def encode_value(value: RespValue) -> bytes:
-    """Encode any RESP value (server side / round-trip testing)."""
+    """Encode a value as ``read_value`` returns it (server side / round-trip testing)."""
+    if value is None:
+        return b"$-1\r\n"
     if isinstance(value, bool):
         raise TypeError("RESP has no boolean type")
     if isinstance(value, int):
         return b":%d\r\n" % value
-    if isinstance(value, SimpleString):
-        return b"+%s\r\n" % value.value.encode("utf-8")
+    if isinstance(value, bytes):
+        return b"$%d\r\n%s\r\n" % (len(value), value)
+    if isinstance(value, str):
+        return b"+%s\r\n" % value.encode("utf-8")
     if isinstance(value, ErrorReply):
         return b"-%s\r\n" % value.message.encode("utf-8")
-    if isinstance(value, BulkString):
-        if value.value is None:
-            return b"$-1\r\n"
-        return b"$%d\r\n%s\r\n" % (len(value.value), value.value)
-    if isinstance(value, RespArray):
-        if value.items is None:
-            return b"*-1\r\n"
-        return b"*%d\r\n" % len(value.items) + b"".join(
-            encode_value(item) for item in value.items
-        )
+    if isinstance(value, list):
+        return b"*%d\r\n" % len(value) + b"".join(encode_value(item) for item in value)
     raise TypeError(f"not a RESP value: {value!r}")
 
 
 class RespStream:
     """Buffered reader of RESP values from a socket or file-like source.
 
+    ``read_value`` returns ``:n`` as an ``int``, ``$`` as ``bytes``, ``*``
+    as a ``list``, ``+`` as a ``str``, ``-`` as an ``ErrorReply``, and both
+    ``$-1`` and ``*-1`` as ``None``. An integer or a length that is not an
+    optional ``-`` and ASCII digits raises ``ProtocolError``.
+
     Each frame is parsed where it sits in the buffer, an immutable
     ``bytes``: one ``find`` per line, the type byte compared as an int
-    (an integer reply first), and a bulk string's bytes and CRLF checked
+    (the numeric types first), and a bulk string's bytes and CRLF checked
     with one slice. An array's bulk-string items are parsed inline, in one
     loop, while each whole item is buffered. Any other item, or one that
     needs a refill, and every later item of that array, goes through
@@ -184,53 +173,50 @@ class RespStream:
             end = buf.find(b"\r\n")
         self._pos = end + 2
         kind = buf[pos]  # an empty line gives b"\r": an unknown type
-        if kind == 58:  # b":"
-            try:
-                return int(buf[pos + 1 : end])
-            except ValueError as exc:
-                raise ProtocolError(f"bad integer reply {buf[pos:end]!r}") from exc
-        if kind == 43:  # b"+"
-            return SimpleString(buf[pos + 1 : end].decode("utf-8"))
-        if kind == 45:  # b"-"
-            return ErrorReply(buf[pos + 1 : end].decode("utf-8"))
-        if kind != 36 and kind != 42:  # b"$", b"*"
+        if kind not in b":$*":
+            if kind == 43:  # b"+"
+                return buf[pos + 1 : end].decode("utf-8")
+            if kind == 45:  # b"-"
+                return ErrorReply(buf[pos + 1 : end].decode("utf-8"))
             raise ProtocolError(f"unknown reply type {buf[pos:end]!r}")
-        try:
-            length = int(buf[pos + 1 : end])
-        except ValueError as exc:
-            raise ProtocolError(f"bad length {buf[pos:end]!r}") from exc
-        if length < 0:
-            if length != -1:
-                raise ProtocolError(f"bad length {length}")
-            return BulkString(None) if kind == 36 else RespArray(None)
-        if kind == 36:
-            if len(self._buffer) - self._pos < length + 2:
-                self._fill(length + 2)
+        text = buf[pos + 1 : end]
+        if not text.isdigit() and not (text[:1] == b"-" and text[1:].isdigit()):
+            raise ProtocolError(f"bad integer or length {buf[pos:end]!r}")
+        number = int(text)
+        if kind == 58:  # b":"
+            return number
+        if number < 0:
+            if number != -1:
+                raise ProtocolError(f"bad length {number}")
+            return None
+        if kind == 36:  # b"$"
+            if len(self._buffer) - self._pos < number + 2:
+                self._fill(number + 2)
             buf, start = self._buffer, self._pos
-            stop = start + length
+            stop = start + number
             if buf[stop : stop + 2] != b"\r\n":
                 raise ProtocolError("bulk string missing CRLF terminator")
             self._pos = stop + 2
-            return BulkString(buf[start:stop])
+            return buf[start:stop]
         items: list[RespValue] = []
         append = items.append
         pos = end + 2
-        try:
-            for _ in range(length):
-                end = buf.find(b"\r\n", pos)
-                if end < 0 or buf[pos] != 36:
-                    break
-                start = end + 2
-                stop = start + int(buf[pos + 1 : end])
-                if stop < start or buf[stop : stop + 2] != b"\r\n":
-                    break  # $-1, a short buffer or a bad terminator
-                append(BulkString(buf[start:stop]))
-                pos = stop + 2
-        except ValueError:
-            pass  # a bad length: the general path raises ProtocolError
+        for _ in range(number):
+            end = buf.find(b"\r\n", pos)
+            if end < 0 or buf[pos] != 36:
+                break
+            text = buf[pos + 1 : end]
+            if not text.isdigit():
+                break  # $-1 or a bad length: the general path decides
+            start = end + 2
+            stop = start + int(text)
+            if buf[stop : stop + 2] != b"\r\n":
+                break  # a short buffer or a bad terminator
+            append(buf[start:stop])
+            pos = stop + 2
         self._pos = pos
-        items.extend([self.read_value() for _ in range(length - len(items))])
-        return RespArray(tuple(items))
+        items.extend([self.read_value() for _ in range(number - len(items))])
+        return items
 
 
 @dataclass(frozen=True)
@@ -344,7 +330,7 @@ class RemoteOracle(CardinalityOracle):
                 self._sock.sendall(payload)
                 read = self._stream.read_value
                 return [read() for _ in commands]
-            except (ConnectionError, TimeoutError, ProtocolError, OSError):
+            except (ProtocolError, OSError):
                 self.close()
                 if attempt == 1 or any(command[0] == b"PFCOUNT" for command in commands[:-1]):
                     raise
@@ -363,7 +349,7 @@ class RemoteOracle(CardinalityOracle):
 
     def ping(self) -> bool:
         reply = self._exchange([[b"PING"]])[0]
-        return reply == SimpleString("PONG")
+        return reply == "PONG"
 
     def reset(self) -> None:
         self._pending.clear()

@@ -126,9 +126,7 @@ class HllSketch:
 
     def insert(self, element: bytes) -> bool:
         """Insert an element; True iff a register value increased."""
-        if type(element) is bytes and not element:
-            raise ValueError("element must be non-empty")
-        return self._core.insert(element) > 0
+        return self.insert_increment(element) > 0
 
     def insert_increment(self, element: bytes) -> int:
         """Insert an element; return the register increment (0 if none)."""

@@ -14,7 +14,7 @@ import socketserver
 import threading
 from contextlib import contextmanager
 
-from hllrt.remote import ErrorReply, ProtocolError, RespArray, RespStream, SimpleString, encode_value
+from hllrt.remote import ErrorReply, ProtocolError, RespStream, encode_value
 from hllrt.sketch import HllParams, HllSketch
 
 WRONGTYPE = "WRONGTYPE Operation against a key holding the wrong kind of value"
@@ -29,12 +29,12 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 command = stream.read_value()
-            except (ProtocolError, ConnectionError, OSError):
+            except (ProtocolError, OSError):
                 return
             reply = self.server.dispatch(command)
             try:
                 self.request.sendall(encode_value(reply))
-            except (ConnectionError, OSError):
+            except OSError:
                 return
             if self.server.should_drop():
                 return  # simulate a dying connection
@@ -68,19 +68,17 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
                 return True
         return False
 
-    def dispatch(self, command):
-        if not isinstance(command, RespArray) or not command.items:
+    def dispatch(self, parts):
+        if type(parts) is not list or not parts:
             return ErrorReply("ERR expected a command array")
-        parts = []
-        for item in command.items:
-            if not hasattr(item, "value") or not isinstance(item.value, bytes):
+        for part in parts:
+            if type(part) is not bytes:
                 return ErrorReply("ERR command arguments must be bulk strings")
-            parts.append(item.value)
         name = parts[0].upper()
         with self.lock:
             self.commands_seen.append(name)
             if name == b"PING":
-                return SimpleString("PONG")
+                return "PONG"
             if name == b"PFADD":
                 if len(parts) < 2:
                     return ErrorReply("ERR wrong number of arguments for 'pfadd'")
@@ -115,7 +113,7 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
                 if len(parts) != 3:
                     return ErrorReply("ERR wrong number of arguments for 'set'")
                 self.keys[parts[1]] = parts[2]
-                return SimpleString("OK")
+                return "OK"
         return ErrorReply(f"ERR unknown command '{parts[0].decode('utf-8', 'replace')}'")
 
 

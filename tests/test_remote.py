@@ -23,14 +23,11 @@ from hllrt import (
 from hllrt import remote
 from hllrt.attack import phase1
 from hllrt.remote import (
-    BulkString,
     ErrorReply,
     ProtocolError,
     RemoteOracle,
-    RespArray,
     RespStream,
     ServerError,
-    SimpleString,
     encode_value,
     parse_endpoint,
     resp_encode,
@@ -59,12 +56,15 @@ def test_encode_rejects_empty_command():
 
 def test_encode_value_forms():
     assert encode_value(42) == b":42\r\n"
-    assert encode_value(SimpleString("OK")) == b"+OK\r\n"
+    assert encode_value("OK") == b"+OK\r\n"
     assert encode_value(ErrorReply("ERR boom")) == b"-ERR boom\r\n"
-    assert encode_value(BulkString(None)) == b"$-1\r\n"
-    assert encode_value(BulkString(b"hey")) == b"$3\r\nhey\r\n"
-    assert encode_value(RespArray(None)) == b"*-1\r\n"
-    assert encode_value(RespArray((1, BulkString(b"a")))) == b"*2\r\n:1\r\n$1\r\na\r\n"
+    assert encode_value(None) == b"$-1\r\n"
+    assert encode_value(b"hey") == b"$3\r\nhey\r\n"
+    assert encode_value([]) == b"*0\r\n"
+    assert encode_value([1, b"a"]) == b"*2\r\n:1\r\n$1\r\na\r\n"
+    for bad in (True, (1, b"a"), bytearray(b"a"), 1.5):
+        with pytest.raises(TypeError):
+            encode_value(bad)
 
 
 # -- decoding -------------------------------------------------------------------
@@ -72,18 +72,23 @@ def test_encode_value_forms():
 
 def test_decode_golden_replies():
     assert resp_decode(b":42\r\n") == 42
-    assert resp_decode(b"$-1\r\n") == BulkString(None)
-    assert resp_decode(b"+OK\r\n") == SimpleString("OK")
+    assert resp_decode(b":-7\r\n") == -7
+    assert resp_decode(b"$-1\r\n") is None
+    assert resp_decode(b"$2\r\nOK\r\n") == b"OK"
+    assert resp_decode(b"+OK\r\n") == "OK"
     assert resp_decode(b"-ERR nope\r\n") == ErrorReply("ERR nope")
-    assert resp_decode(b"*2\r\n:1\r\n$2\r\nab\r\n") == RespArray((1, BulkString(b"ab")))
-    assert resp_decode(b"*-1\r\n") == RespArray(None)
+    assert resp_decode(b"*2\r\n:1\r\n$2\r\nab\r\n") == [1, b"ab"]
+    # The null array decodes to None too, which encodes as the null bulk
+    # string: the one frame that does not round-trip byte for byte.
+    assert resp_decode(b"*-1\r\n") is None
+    assert encode_value(resp_decode(b"*-1\r\n")) == b"$-1\r\n"
 
 
 def test_decode_consumes_exactly_one_reply():
     stream = RespStream(io.BytesIO(b":1\r\n:2\r\n+OK\r\n"))
     assert stream.read_value() == 1
     assert stream.read_value() == 2
-    assert stream.read_value() == SimpleString("OK")
+    assert stream.read_value() == "OK"
 
 
 class Trickle:
@@ -101,8 +106,8 @@ class Trickle:
 @pytest.mark.parametrize("seed", range(5))
 def test_decode_pipelined_replies_from_short_reads(seed):
     bulk = bytes(range(256)) * 3 + b"\r\n in the payload"
-    values = [k * 37 for k in range(200)] + [BulkString(bulk), SimpleString("OK"), -1, BulkString(b"")]
-    values += [RespArray((BulkString(b"x" * 40), 7)), ErrorReply("ERR late"), 123456789]
+    values = [k * 37 for k in range(200)] + [bulk, "OK", -1, b""]
+    values += [[b"x" * 40, 7], ErrorReply("ERR late"), 123456789]
     stream = RespStream(Trickle(b"".join(encode_value(v) for v in values), seed))
     for value in values:
         assert stream.read_value() == value
@@ -113,25 +118,42 @@ def test_decode_pipelined_replies_from_short_reads(seed):
 def test_decode_bulk_strings_longer_than_a_read():
     # Each spans several 64 KiB reads; the second ends its array.
     long = bytes(range(256)) * 1000 + b"\r\n"
-    data = encode_value(BulkString(long)) + encode_value(RespArray((BulkString(b"k"), BulkString(long))))
+    data = encode_value(long) + encode_value([b"k", long])
     stream = RespStream(io.BytesIO(data))
-    assert stream.read_value() == BulkString(long)
-    assert stream.read_value() == RespArray((BulkString(b"k"), BulkString(long)))
+    assert stream.read_value() == long
+    assert stream.read_value() == [b"k", long]
     with pytest.raises(ProtocolError, match="end of stream"):
         stream.read_value()
 
 
+MALFORMED = [
+    b"?weird\r\n",
+    b":notanint\r\n",
+    b"$5\r\nab\r\n",  # truncated bulk
+    b"$3\r\nabcXX",  # bad terminator
+    b":42",  # no CRLF, stream ends
+    # Integers and lengths are an optional "-" and ASCII digits, nothing
+    # else that int() would take.
+    b":1_000\r\n",
+    b": 7\r\n",
+    b":+7\r\n",
+    b":7 \r\n",
+    b":\r\n",
+    b":-\r\n",
+    b"$1_0\r\n0123456789\r\n",
+    b"$+2\r\nab\r\n",
+    b"*1\r\n$ 2\r\nab\r\n",
+    b"*+1\r\n$1\r\na\r\n",
+]
+
+
 def test_decode_malformed_framing():
-    with pytest.raises(ProtocolError):
-        resp_decode(b"?weird\r\n")
-    with pytest.raises(ProtocolError):
-        resp_decode(b":notanint\r\n")
-    with pytest.raises(ProtocolError):
-        resp_decode(b"$5\r\nab\r\n")  # truncated bulk
-    with pytest.raises(ProtocolError):
-        resp_decode(b"$3\r\nabcXX")  # bad terminator
-    with pytest.raises(ProtocolError):
-        resp_decode(b":42")  # no CRLF, stream ends
+    for data in MALFORMED:
+        with pytest.raises(ProtocolError):
+            resp_decode(data)
+        for seed in range(3):
+            with pytest.raises(ProtocolError):
+                RespStream(Trickle(data, seed)).read_value()
 
 
 # An array whose items are all bulk strings is parsed inline; any other
@@ -140,6 +162,8 @@ MALFORMED_ARRAYS = [
     b"*2\r\n$1\r\na\r\n$x\r\nb\r\n",  # a non-integer length
     b"*2\r\n$1\r\na\r\n$1x\r\nb\r\n",
     b"*2\r\n$1\r\na\r\n$-2\r\n",
+    b"*2\r\n$1\r\na\r\n$+1\r\nb\r\n",  # a sign the general path refuses
+    b"*2\r\n$1\r\na\r\n$1_0\r\n0123456789\r\n",
     b"*2\r\n$1\r\na\r\n$1\r\nbXX:1\r\n",  # no CRLF after the bytes
     b"*2\r\n$1\r\na\r\n$3\r\nabc\n",
     b"*2\r\n$1\r\na\r\n$5\r\nab\r\n",  # truncated bytes
@@ -158,17 +182,13 @@ def test_decode_rejects_a_malformed_bulk_item_in_an_array(data):
 
 
 ARRAY_GOLDEN = [
-    (b"*0\r\n", RespArray(())),
-    (b"*1\r\n$0\r\n\r\n", RespArray((BulkString(b""),))),
-    (b"*3\r\n$1\r\na\r\n$-1\r\n$1\r\nb\r\n",
-     RespArray((BulkString(b"a"), BulkString(None), BulkString(b"b")))),
-    (b"*3\r\n:7\r\n$2\r\nab\r\n:-3\r\n", RespArray((7, BulkString(b"ab"), -3))),
-    (b"*3\r\n$1\r\na\r\n*2\r\n$1\r\nx\r\n*-1\r\n$1\r\nb\r\n",
-     RespArray((BulkString(b"a"), RespArray((BulkString(b"x"), RespArray(None))), BulkString(b"b")))),
-    (b"*2\r\n$4\r\na\r\nb\r\n$6\r\n\r\n\r\n\r\n\r\n",
-     RespArray((BulkString(b"a\r\nb"), BulkString(b"\r\n\r\n\r\n")))),
-    (b"*3\r\n$5\r\nPFADD\r\n$1\r\nk\r\n+OK\r\n",
-     RespArray((BulkString(b"PFADD"), BulkString(b"k"), SimpleString("OK")))),
+    (b"*0\r\n", []),
+    (b"*1\r\n$0\r\n\r\n", [b""]),
+    (b"*3\r\n$1\r\na\r\n$-1\r\n$1\r\nb\r\n", [b"a", None, b"b"]),
+    (b"*3\r\n:7\r\n$2\r\nab\r\n:-3\r\n", [7, b"ab", -3]),
+    (b"*3\r\n$1\r\na\r\n*2\r\n$1\r\nx\r\n*-1\r\n$1\r\nb\r\n", [b"a", [b"x", None], b"b"]),
+    (b"*2\r\n$4\r\na\r\nb\r\n$6\r\n\r\n\r\n\r\n\r\n", [b"a\r\nb", b"\r\n\r\n\r\n"]),
+    (b"*3\r\n$5\r\nPFADD\r\n$1\r\nk\r\n+OK\r\n", [b"PFADD", b"k", "OK"]),
 ]
 
 
@@ -192,18 +212,14 @@ def _values(depth):
     )
     scalar = st.one_of(
         st.integers(min_value=-(2**63), max_value=2**63 - 1),
-        st.builds(SimpleString, line_text),
+        line_text,
         st.builds(ErrorReply, line_text),
-        st.builds(BulkString, st.one_of(st.none(), st.binary(max_size=40))),
+        st.none(),
+        st.binary(max_size=40),
     )
     if depth == 0:
         return scalar
-    inner = _values(depth - 1)
-    return st.one_of(
-        scalar,
-        st.builds(RespArray, st.one_of(st.none(), st.tuples())),
-        st.builds(lambda items: RespArray(tuple(items)), st.lists(inner, max_size=4)),
-    )
+    return st.one_of(scalar, st.lists(_values(depth - 1), max_size=4))
 
 
 @given(_values(3))
@@ -212,10 +228,7 @@ def test_codec_roundtrip(value):
     assert resp_decode(encode_value(value)) == value
 
 
-_commands = st.builds(
-    lambda parts: RespArray(tuple(parts)),
-    st.lists(st.builds(BulkString, st.binary(max_size=40)), min_size=1, max_size=4),
-)
+_commands = st.lists(st.binary(max_size=40), min_size=1, max_size=4)
 
 
 @given(
@@ -303,6 +316,19 @@ def test_oracle_surfaces_wrong_type_errors():
             oracle._exchange([[b"SET", b"strkey", b"hello"]])
             with pytest.raises(ServerError, match="WRONGTYPE"):
                 oracle.estimate()
+
+
+def test_server_refuses_a_command_argument_that_is_not_a_bulk_string():
+    frames = [b"*2\r\n$4\r\nPING\r\n:1\r\n", b"*2\r\n$4\r\nPING\r\n*1\r\n$1\r\nx\r\n",
+              b"*2\r\n$4\r\nPING\r\n$-1\r\n", b"*1\r\n:1\r\n"]
+    with running_server() as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"".join(frames) + resp_encode([b"PING"]))
+            stream = RespStream(sock)
+            for _ in frames:
+                assert stream.read_value() == ErrorReply("ERR command arguments must be bulk strings")
+            assert stream.read_value() == "PONG"
+        assert server.commands_seen == [b"PING"]
 
 
 def test_pipelined_batch_equals_sequential():

@@ -5,15 +5,18 @@
     python3 tools/bench_record.py --repo ../change --parent ../parent-checkout
 
 Runs ``perfbench/run.py`` of both checkouts once for each workload and
-seed (1-5), one run at a time, the two sides in turn: for each seed both
+seed (1-10), one run at a time, the two sides in turn: for each seed both
 sides run back to back, the parent first on odd seeds and the change first
 on even ones, so that the machine's drift falls on both alike. Each run is
 as long as the change's ``BENCHMARK.json`` says (``run_seconds``). It
 writes ``BENCH_<backend>.json`` at the root of ``--repo``: for each
 workload and side the median and interquartile range (IQR) of the four
-end-to-end metrics, the runs in seed order, and the failed-unit ratio,
-with the kernel backend, Python version, nproc and the git commit of each
-checkout. Both checkouts must run the same backend.
+end-to-end metrics, the runs in seed order, and the failed-unit ratio;
+for each workload and metric, in how many seeds' pairs the change read
+better than the parent (``change_better_pairs``, by the metric's
+``better`` in ``BENCHMARK.json``); and the kernel backend, Python version,
+nproc and the git commit of each checkout. Both checkouts must run the
+same backend.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("attack-inproc", "attack-resp", "ingest-detect")
-SEEDS = (1, 2, 3, 4, 5)
+SEEDS = tuple(range(1, 11))  # ten alternating pairs per workload
 METRICS = ("setup_s", "unit_cal.p50", "elements_per_cal", "peak_rss_mb")
 
 
@@ -66,13 +69,27 @@ def side_record(runs: list[tuple[dict, dict]]) -> dict:
     }
 
 
+def better_pairs(parent: list, change: list, better: dict[str, str]) -> dict[str, int]:
+    """Per metric, the number of seeds in which the change read better than the parent."""
+    counts = {}
+    for metric in METRICS:
+        sign = 1 if better[metric] == "higher" else -1
+        counts[metric] = sum(
+            sign * (c["metrics"][metric]["value"] - p["metrics"][metric]["value"]) > 0
+            for (_, p), (_, c) in zip(parent, change)
+        )
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="the change's checkout (default: this one)")
     parser.add_argument("--parent", type=Path, required=True, help="the parent commit's checkout")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.repo.resolve()}
-    seconds = json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
     record = {
         "commits": {side: commit_of(repo) for side, repo in sides.items()},
@@ -93,6 +110,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed={seed} {side}: failed {result['failed']}/{result['attempted']}, "
                       f"{values}", flush=True)
         record["workloads"][workload] = {side: side_record(runs[side]) for side in sides}
+        record["workloads"][workload]["change_better_pairs"] = better_pairs(runs["parent"], runs["change"], better)
     for key in ("backend", "python", "nproc"):
         found = {context[key] for context in contexts}
         if len(found) != 1:
