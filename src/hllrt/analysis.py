@@ -52,7 +52,10 @@ def expected_missed_lpca(register_count: int, distinct_items: int) -> float:
     the window after the first. That gives (switch_factor - 1) * R**2 / N,
     i.e. 1.5 * R**2 / N. Tied geometric ranks favour the earliest holder
     of the maximum, so the count of the mechanism itself runs higher
-    (``predicted_phase1_ratio`` keeps the ties).
+    (``predicted_phase1_ratio`` keeps the ties): per-register bookkeeping
+    at R=256, N/R=10 counts 44.7 missed maxima (30 seeds) against this
+    formula's 38.4, and the geometric-rank sum gives about 2.26 * R**2 / N
+    in the deep regime. The formula stays as the paper's approximation.
     """
     if distinct_items < register_count:
         raise ValueError(

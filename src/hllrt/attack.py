@@ -21,11 +21,11 @@ queries the estimate once per insertion plus once at the start, and the
 phase-2 preload is one ``CardinalityOracle.insert_many``. An in-process
 oracle runs all of them inside the kernel: phases 1 and 2 call its
 ``scan_stream``, which generates and hashes the stream in the kernel and
-makes ``bytes`` only for the elements it keeps. Any other oracle (remote,
-counting, or duck-typed with only reset/insert/estimate) gets the
-reference path: the stream generated a block at a time
-(``stream_elements``), never held whole, and an ``insert`` per preloaded
-element.
+makes ``bytes`` only for the elements it keeps. A remote oracle
+pipelines its scans and its preload. Any other oracle (counting, or
+duck-typed with only reset/insert/estimate) gets the reference path: the
+stream generated a block at a time (``stream_elements``), never held
+whole, and an ``insert`` per preloaded element.
 """
 
 from __future__ import annotations
@@ -364,8 +364,11 @@ def run_attack(
 
 
 def verify(oracle: CardinalityOracle, attack_set: AttackSet) -> int:
-    """Insert an attack set into a reset oracle; return the final estimate."""
+    """Insert an attack set into a reset oracle; return the final estimate.
+
+    The set goes in through ``insert_many``, looked up on the type as in
+    ``phase2``: an oracle with only reset/insert/estimate gets the loop.
+    """
     oracle.reset()
-    for element in attack_set.elements:
-        oracle.insert(element)
+    getattr(type(oracle), "insert_many", CardinalityOracle.insert_many)(oracle, attack_set.elements)
     return oracle.estimate()

@@ -161,7 +161,7 @@ def _target_oracle(args):
     if target == "inproc":
         yield make_oracle(HllParams(args.registers, args.width))
         return
-    with RemoteOracle(parse_endpoint(target), batch=True) as oracle:
+    with RemoteOracle(parse_endpoint(target)) as oracle:
         yield oracle
 
 

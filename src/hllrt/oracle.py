@@ -4,13 +4,15 @@ The oracle contract is deliberately tiny: reset, insert, integer
 estimate. The attack code is written against this interface alone, so
 anything implementing it (in-process sketch, remote Redis key) is a
 valid target. Two bulk calls are built from those three: ``scan``, the
-attack's unit of work, and ``insert_many``, its phase-2 preload. An
-oracle may override either only with code that observes the same
-estimates and leaves the same registers as the loop it replaces.
-``InProcessOracle`` overrides both with the kernel's (``RegisterFile.scan``
-and ``HllSketch.insert_many``) and adds ``scan_stream``: the scan of a
-span of the attack's stream, generated inside the kernel, which equals
-``scan(stream_elements(seed, start, count), kept)``.
+attack's unit of work, and ``insert_many``, through which phase 2
+preloads and ``verify`` replays a set. An oracle may override either
+only with code that observes the same estimates and leaves the same
+registers as the loop it replaces. ``InProcessOracle`` overrides both
+with the kernel's (``RegisterFile.scan`` and ``HllSketch.insert_many``)
+and adds ``scan_stream``: the scan of a span of the attack's stream,
+generated inside the kernel, which equals
+``scan(stream_elements(seed, start, count), kept)``. ``RemoteOracle``
+overrides both with pipelines.
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ class CountingOracle(CardinalityOracle):
 
     Used to instrument attack cost (oracle insertions are the unit the
     complexity bound is stated in) and to demonstrate that the attack
-    touches nothing beyond the black-box interface: this wrapper exposes
-    only the three oracle methods plus counters.
+    touches nothing beyond the black-box interface: this wrapper defines
+    only the three oracle methods plus counters, and inherits the
+    reference ``insert_many`` and ``scan`` loops, which call them.
     """
 
     def __init__(self, inner: CardinalityOracle) -> None:

@@ -6,14 +6,16 @@ connection, strictly sequential or pipelined FIFO. The oracle maps the
 black-box contract onto those commands (reset = DEL, insert = PFADD,
 estimate = PFCOUNT).
 
-Batched mode amortizes round trips. Insertions are queued and flushed
-together with the next PFCOUNT as one pipeline. A scan sends the same
+Every call is its own exchange and has reached the server when it
+returns: nothing is queued. ``insert_many`` sends its PFADDs in
+pipelines of ``_PIPELINE`` (1,024) commands. A scan sends the same
 commands whatever the replies are, so ``RemoteOracle.scan`` pipelines
-it whole: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` (1,024) commands
-per round trip, the count after each PFADD read from its pair (sound under
-the one-writer-per-key model this oracle assumes). Every PFCOUNT goes
-to the server; no estimate is cached. PFADD's changed bit is ignored: the
-adversarial model only grants estimate differences.
+it whole: its first PFCOUNT alone, then ``PFADD e`` / ``PFCOUNT`` pairs,
+``_PIPELINE`` commands per round trip, the count after each PFADD read
+from its pair (sound under the one-writer-per-key model this oracle
+assumes). Every PFCOUNT goes to the server; no estimate is cached.
+PFADD's changed bit is ignored: the adversarial model only grants
+estimate differences.
 
 A dropped connection is reopened and the failed pipeline sent once more
 only when its replies cannot change: PFADD, DEL and PING are
@@ -27,11 +29,12 @@ into plain Python values, as redis-py and hiredis do: an integer is an
 ``int``, a bulk string ``bytes``, a simple string ``str``, an array a
 ``list``, ``$-1`` and ``*-1`` are ``None``, and an error reply is an
 ``ErrorReply``. Integers and lengths must be an optional ``-`` and ASCII
-digits. Each frame is parsed where it sits in its buffer. A command
-array's bulk strings are parsed in one inline loop while each is
-buffered whole; any other item, or one cut by the buffer's end, takes
-the general path, which refills. The oracle counts its traffic once per
-exchange: round trips, commands, bytes each way, reconnects and replays.
+digits, and a simple string or an error must be UTF-8. Each frame is
+parsed where it sits in its buffer. A command array's bulk strings are
+parsed in one inline loop while each is buffered whole; any other item,
+or one cut by the buffer's end, takes the general path, which refills.
+The oracle counts its traffic once per exchange: round trips, commands,
+bytes each way, reconnects and replays.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ class RespStream:
     ``read_value`` returns ``:n`` as an ``int``, ``$`` as ``bytes``, ``*``
     as a ``list``, ``+`` as a ``str``, ``-`` as an ``ErrorReply``, and both
     ``$-1`` and ``*-1`` as ``None``. An integer or a length that is not an
-    optional ``-`` and ASCII digits raises ``ProtocolError``.
+    optional ``-`` and ASCII digits raises ``ProtocolError``, and so does a
+    ``+`` or ``-`` line that is not UTF-8.
 
     Each frame is parsed where it sits in the buffer, an immutable
     ``bytes``: one ``find`` per line, the type byte compared as an int
@@ -174,11 +178,13 @@ class RespStream:
         self._pos = end + 2
         kind = buf[pos]  # an empty line gives b"\r": an unknown type
         if kind not in b":$*":
-            if kind == 43:  # b"+"
-                return buf[pos + 1 : end].decode("utf-8")
-            if kind == 45:  # b"-"
-                return ErrorReply(buf[pos + 1 : end].decode("utf-8"))
-            raise ProtocolError(f"unknown reply type {buf[pos:end]!r}")
+            if kind != 43 and kind != 45:  # b"+", b"-"
+                raise ProtocolError(f"unknown reply type {buf[pos:end]!r}")
+            try:
+                text = buf[pos + 1 : end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"line is not UTF-8: {buf[pos:end]!r}") from exc
+            return text if kind == 43 else ErrorReply(text)
         text = buf[pos + 1 : end]
         if not text.isdigit() and not (text[:1] == b"-" and text[1:].isdigit()):
             raise ProtocolError(f"bad integer or length {buf[pos:end]!r}")
@@ -249,6 +255,10 @@ def parse_endpoint(url: str) -> RedisEndpoint:
 class RemoteOracle(CardinalityOracle):
     """CardinalityOracle speaking RESP to one key on one server.
 
+    Each call is one exchange, or for ``insert_many`` and ``scan`` a run
+    of pipelines, and has reached the server when it returns. ``batch``
+    is accepted only as ``True``, the one mode there is.
+
     Counts its traffic once per exchange: ``round_trips`` (pipelines
     sent, replays included), ``commands``, ``bytes_out``, ``bytes_in``,
     ``reconnects`` (connections opened after the first pipeline) and
@@ -259,17 +269,18 @@ class RemoteOracle(CardinalityOracle):
     def __init__(
         self,
         endpoint: str | RedisEndpoint,
-        batch: bool = False,
+        batch: bool = True,
         timeout: float = 5.0,
     ) -> None:
+        if batch is not True:
+            raise ValueError("RemoteOracle has one mode: batch must be True")
         if isinstance(endpoint, str):
             endpoint = parse_endpoint(endpoint)
         self.endpoint = endpoint
-        self.batch = batch
         self.timeout = timeout
+        self._key = endpoint.key.encode("utf-8")
         self._sock: socket.socket | None = None
         self._stream: RespStream | None = None
-        self._pending: list[bytes] = []  # queued PFADD elements (batch mode)
         self.round_trips = self.commands = self.bytes_out = 0
         self.reconnects = self.replays = 0
         self._closed_bytes_in = 0  # received on connections since closed
@@ -352,9 +363,7 @@ class RemoteOracle(CardinalityOracle):
         return reply == "PONG"
 
     def reset(self) -> None:
-        self._pending.clear()
-        reply = self._exchange([[b"DEL", self.endpoint.key.encode("utf-8")]])[0]
-        self._expect_int(reply, "DEL")
+        self._expect_int(self._exchange([[b"DEL", self._key]])[0], "DEL")
 
     @staticmethod
     def _element(element: bytes) -> bytes:
@@ -365,50 +374,28 @@ class RemoteOracle(CardinalityOracle):
         return element
 
     def insert(self, element: bytes) -> None:
-        element = self._element(element)
-        if self.batch:
-            self._pending.append(element)
-            if len(self._pending) >= 2 * _PIPELINE:
-                self._flush_pending(keep=_PIPELINE)
-            return
-        key = self.endpoint.key.encode("utf-8")
-        reply = self._exchange([[b"PFADD", key, element]])[0]
+        reply = self._exchange([[b"PFADD", self._key, self._element(element)]])[0]
         self._expect_int(reply, "PFADD")
 
-    def _flush_pending(self, keep: int = 0) -> None:
-        key = self.endpoint.key.encode("utf-8")
-        while len(self._pending) > keep:
-            chunk, self._pending = (
-                self._pending[:_PIPELINE],
-                self._pending[_PIPELINE:],
-            )
-            replies = self._exchange([[b"PFADD", key, element] for element in chunk])
-            for reply in replies:
+    def insert_many(self, elements: Iterable[bytes]) -> None:
+        """PFADD every element in order, ``_PIPELINE`` commands a round trip.
+
+        A bad element is refused before any PFADD is sent.
+        """
+        elements = [self._element(e) for e in elements]
+        key = self._key
+        for start in range(0, len(elements), _PIPELINE):
+            chunk = elements[start : start + _PIPELINE]
+            for reply in self._exchange([[b"PFADD", key, element] for element in chunk]):
                 self._expect_int(reply, "PFADD")
 
     def estimate(self) -> int:
-        self._flush_pending(keep=_PIPELINE - 1)
-        key = self.endpoint.key.encode("utf-8")
-        commands: list[Sequence[bytes]] = [
-            [b"PFADD", key, element] for element in self._pending
-        ]
-        commands.append([b"PFCOUNT", key])
-        replies = self._exchange(commands)
-        self._pending.clear()
-        for reply in replies[:-1]:
-            self._expect_int(reply, "PFADD")
-        return self._expect_int(replies[-1], "PFCOUNT")
+        return self._expect_int(self._exchange([[b"PFCOUNT", self._key]])[0], "PFCOUNT")
 
     def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
-        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` commands a round trip.
-
-        Batch mode only; otherwise the reference loop (one round trip per
-        command). The first count also flushes any queued preload.
-        """
-        if not self.batch:
-            return super().scan(elements, kept)
+        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` commands a round trip."""
         last = self.estimate()
-        key = self.endpoint.key.encode("utf-8")
+        key = self._key
         count = [b"PFCOUNT", key]
         expect_int = self._expect_int
         append = kept.append

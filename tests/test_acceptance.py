@@ -320,11 +320,10 @@ def test_criterion_10_resp_integration():
     server_registers = int(os.environ.get("HLLRT_REDIS_R", "16384"))
     cardinality = 20000
 
-    def factory():
-        return RemoteOracle(url, batch=True)
-
-    run = run_attack(factory, seed=1, target_cardinality=cardinality)
-    estimate = verify(factory(), run.attack_set)
+    # One oracle, closed on the way out, as ``hllrt attack`` runs it.
+    with RemoteOracle(url) as oracle:
+        run = run_attack(lambda: oracle, seed=1, target_cardinality=cardinality)
+        estimate = verify(oracle, run.attack_set)
     size = len(run.attack_set.elements)
     ok = abs(estimate - cardinality) <= 0.05 * cardinality
     detail = f"estimate {estimate} vs C={cardinality}; |V| = {size}"

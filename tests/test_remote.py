@@ -144,6 +144,9 @@ MALFORMED = [
     b"$+2\r\nab\r\n",
     b"*1\r\n$ 2\r\nab\r\n",
     b"*+1\r\n$1\r\na\r\n",
+    # A simple string or an error is UTF-8.
+    b"+\xff\r\n",
+    b"-\xff\r\n",
 ]
 
 
@@ -279,11 +282,11 @@ def test_oracle_basic_cycle():
 def test_oracle_refuses_a_str_element_before_sending_it():
     # Like every other oracle: an element is bytes, never encoded from text.
     with running_server() as server:
-        with RemoteOracle(server.url(), batch=True) as oracle:
+        with RemoteOracle(server.url()) as oracle:
             oracle.reset()
             with pytest.raises(TypeError):
                 oracle.insert("a")
-            assert oracle._pending == []
+            assert server.commands_seen == [b"DEL"]
             kept = []
             with pytest.raises(TypeError):
                 oracle.scan(["a"], kept)
@@ -295,18 +298,20 @@ def test_oracle_refuses_a_str_element_before_sending_it():
 @pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
 def test_oracle_refuses_a_bad_element_alike_everywhere(bad):
     # The in-process oracle's error types: only an empty bytes is a
-    # ValueError. A refused element is never queued or sent.
+    # ValueError. A refused element is never sent, nor are the good
+    # elements ahead of it in an ``insert_many``.
     error = ValueError if type(bad) is bytes else TypeError
     with running_server() as server:
-        for batch in (False, True):
-            with RemoteOracle(server.url(), batch=batch) as oracle:
-                oracle.reset()
-                kept = []
-                with pytest.raises(error):
-                    oracle.insert(bad)
-                with pytest.raises(error):
-                    oracle.scan([bad], kept)
-                assert oracle._pending == [] and kept == []
+        with RemoteOracle(server.url()) as oracle:
+            oracle.reset()
+            kept = []
+            with pytest.raises(error):
+                oracle.insert(bad)
+            with pytest.raises(error):
+                oracle.insert_many([b"ok", bad])
+            with pytest.raises(error):
+                oracle.scan([bad], kept)
+            assert kept == []
         assert b"PFADD" not in server.commands_seen
 
 
@@ -332,6 +337,7 @@ def test_server_refuses_a_command_argument_that_is_not_a_bulk_string():
 
 
 def test_pipelined_batch_equals_sequential():
+    # ``insert_many``'s pipelines leave the registers an ``insert`` loop leaves.
     elements = [b"e%d" % k for k in range(500)]
     with running_server(register_count=1024) as server:
         with RemoteOracle(server.url("seq")) as sequential:
@@ -339,10 +345,10 @@ def test_pipelined_batch_equals_sequential():
             for e in elements:
                 sequential.insert(e)
             expected = sequential.estimate()
-        with RemoteOracle(server.url("bat"), batch=True) as batched:
+        with RemoteOracle(server.url("bat")) as batched:
             batched.reset()
-            for e in elements:
-                batched.insert(e)
+            batched.insert_many(elements)
+            assert server.keys[b"bat"].registers == server.keys[b"seq"].registers
             assert batched.estimate() == expected
             # a repeated count asks the server again and reads the same value
             assert batched.estimate() == expected
@@ -350,30 +356,54 @@ def test_pipelined_batch_equals_sequential():
             assert batched.estimate() >= expected
 
 
-def test_batch_mode_bounds_pipeline_size(monkeypatch):
-    # A long insert-only burst must flush in bounded chunks rather than
-    # as one giant pipeline.
+def test_insert_many_bounds_pipeline_size(monkeypatch):
+    # A long insert_many goes out in bounded pipelines rather than as one
+    # giant one.
     monkeypatch.setattr(remote, "_PIPELINE", 128)
     with running_server(register_count=1024) as server:
-        with RemoteOracle(server.url("big"), batch=True) as oracle:
+        with RemoteOracle(server.url("big")) as oracle:
             oracle.reset()
-            for k in range(5000):
-                oracle.insert(b"elem-%d" % k)
-            assert len(oracle._pending) <= 2 * 128
+            sizes = []
+            exchange = oracle._exchange
+
+            def logged(commands):
+                sizes.append(len(commands))
+                return exchange(commands)
+
+            oracle._exchange = logged
+            oracle.insert_many(b"elem-%d" % k for k in range(5000))
+            assert sizes == [128] * 39 + [8]
             estimate = oracle.estimate()
             assert abs(estimate - 5000) <= 0.1 * 5000
 
 
+def test_every_insert_has_reached_the_server_when_it_returns():
+    # Nothing is queued for a later call, so closing the oracle loses
+    # nothing. ``batch`` is accepted only as True, the one mode there is.
+    with running_server(register_count=1024) as server:
+        with RemoteOracle(server.url(), batch=True) as oracle:
+            oracle.reset()
+            oracle.insert(b"a")
+        with RemoteOracle(server.url()) as fresh:
+            assert fresh.estimate() == 1
+            fresh.insert_many([b"b", b"c"])
+        with RemoteOracle(server.url()) as fresh:
+            assert fresh.estimate() == 3
+    for batch in (False, None, 1):
+        with pytest.raises(ValueError):
+            RemoteOracle(server.url(), batch=batch)
+
+
 def test_oracle_reconnects_once_after_a_drop():
-    # Unbatched, the drop hits a lone PFADD; batched, a pipeline of PFADDs
-    # ending in its only PFCOUNT. Both are replayed once.
-    for batch in (False, True):
-        with running_server(register_count=1024, drop_after=5) as server:
-            with RemoteOracle(server.url(), batch=batch) as oracle:
-                oracle.reset()
-                for e in (b"a", b"b", b"c", b"d", b"e", b"f", b"g"):
-                    oracle.insert(e)
-                assert oracle.estimate() == 7
+    # The drop hits a pipeline of PFADDs, which is replayed once.
+    with running_server(register_count=1024, drop_after=5) as server:
+        with RemoteOracle(server.url()) as oracle:
+            oracle.reset()
+            for e in (b"a", b"b", b"c", b"d"):
+                oracle.insert(e)
+            oracle.insert_many([b"e", b"f", b"g"])
+            assert oracle.estimate() == 7
+            assert (oracle.reconnects, oracle.replays) == (1, 1)
 
 
 def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
@@ -384,7 +414,7 @@ def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
     gen = ElementGenerator(8)
     expected, _ = phase1(make_oracle(params), gen, 2000)
     with running_server(register_count=256, drop_after=300) as server:
-        with RemoteOracle(server.url(), batch=True) as oracle:
+        with RemoteOracle(server.url()) as oracle:
             oracle.reset()
             with pytest.raises(AttackAborted) as excinfo:
                 phase1(oracle, gen, 2000)
@@ -396,7 +426,7 @@ def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
 
 def test_scan_paths_agree_and_query_once_per_insertion():
     # The reference loops (through CountingOracle), the in-process kernel
-    # paths and both remote modes keep byte-identical phase sets, and each scan
+    # paths and the remote pipelines keep byte-identical phase sets, and each scan
     # observes the estimate once per insertion plus once at the start.
     params = HllParams(256, 6)
     c = 2000
@@ -412,13 +442,12 @@ def test_scan_paths_agree_and_query_once_per_insertion():
             assert runs[1].reports == runs[0].reports
             assert sum(o.insertions for o in counters) == runs[0].total_insertions
             assert sum(o.estimate_queries for o in counters) == sum(r.estimate_queries for r in runs[0].reports)
-            for batch in (True, False):
-                with RemoteOracle(server.url(f"parity-{batch}"), batch=batch) as oracle:
-                    start = len(server.commands_seen)
-                    runs.append(run_attack(lambda: oracle, seed, c))
-                seen = Counter(server.commands_seen[start:])
-                assert seen[b"PFADD"] == runs[-1].total_insertions
-                assert seen[b"PFCOUNT"] == sum(r.estimate_queries for r in runs[-1].reports)
+            with RemoteOracle(server.url("parity")) as oracle:
+                start = len(server.commands_seen)
+                runs.append(run_attack(lambda: oracle, seed, c))
+            seen = Counter(server.commands_seen[start:])
+            assert seen[b"PFADD"] == runs[-1].total_insertions
+            assert seen[b"PFCOUNT"] == sum(r.estimate_queries for r in runs[-1].reports)
             for run in runs:
                 assert [s.elements for s in run.phase_sets] == [s.elements for s in runs[0].phase_sets]
                 for report in run.reports:
@@ -445,9 +474,8 @@ def test_scan_sends_each_pipeline_byte_for_byte(monkeypatch):
     monkeypatch.setattr(remote, "_PIPELINE", 64)
     elements = [b"g%d" % k for k in range(150)]
     with running_server(register_count=256) as server:
-        with RemoteOracle(server.url("golden"), batch=True) as oracle:
+        with RemoteOracle(server.url("golden")) as oracle:
             oracle.reset()
-            oracle.insert(b"preloaded")
             recorder = oracle._sock = SendRecorder(oracle._sock)
             exchanged = []
             exchange = oracle._exchange
@@ -457,10 +485,11 @@ def test_scan_sends_each_pipeline_byte_for_byte(monkeypatch):
                 return exchange(commands)
 
             oracle._exchange = logged
+            oracle.insert(b"preloaded")
             oracle.scan(elements, [])
     add = lambda e: [b"PFADD", b"golden", e]  # noqa: E731
     count = [b"PFCOUNT", b"golden"]
-    expected = [[add(b"preloaded"), count]]
+    expected = [[add(b"preloaded")], [count]]
     expected += [[c for e in elements[k : k + 32] for c in (add(e), count)] for k in range(0, 150, 32)]
     assert exchanged == expected
     assert recorder.sent == [b"".join(resp_encode(c) for c in commands) for commands in expected]
@@ -471,7 +500,7 @@ def test_oracle_counts_a_scans_traffic_per_pipeline(monkeypatch):
     params = HllParams(256, 6)
     elements = [b"t%d" % k for k in range(100)]
     with running_server(register_count=256) as server:
-        with RemoteOracle(server.url("traffic"), batch=True) as oracle:
+        with RemoteOracle(server.url("traffic")) as oracle:
             oracle.reset()
             oracle.scan(elements, [])
             traffic = oracle.traffic()
@@ -527,6 +556,29 @@ def test_oracle_times_out_on_a_silent_server():
         silent.close()
 
 
+def test_oracle_closes_its_connection_on_a_reply_that_is_not_utf8():
+    # The PING is replayed once on a fresh connection, then the error
+    # propagates; no connection is left open with replies unread.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer():
+            for _ in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(64)
+                    conn.sendall(b"+\xff\r\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        oracle = RemoteOracle(f"redis://127.0.0.1:{listener.getsockname()[1]}/k")
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            oracle.ping()
+        assert oracle._sock is None
+        assert (oracle.round_trips, oracle.replays) == (2, 1)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 def test_connection_refused_propagates():
     oracle = RemoteOracle("redis://127.0.0.1:1/k", timeout=0.5)
     with pytest.raises(OSError):
@@ -535,16 +587,21 @@ def test_connection_refused_propagates():
 
 def test_attack_runs_over_resp():
     # Full black-box attack across TCP: same code path as in-process,
-    # only the oracle differs.
+    # only the oracle differs. One oracle serves every phase, as in
+    # ``hllrt attack``.
     r = 1024
     c = 5 * r
     with running_server(register_count=r) as server:
-
-        def factory():
-            return RemoteOracle(server.url("attacked"), batch=True)
-
-        run = run_attack(factory, seed=5, target_cardinality=c)
-        remote_estimate = verify(factory(), run.attack_set)
+        with RemoteOracle(server.url("attacked")) as oracle:
+            run = run_attack(lambda: oracle, seed=5, target_cardinality=c)
+            round_trips = oracle.round_trips
+            remote_estimate = verify(oracle, run.attack_set)
+        # Each phase: DEL, the first PFCOUNT, a pipeline per 512 PFADD /
+        # PFCOUNT pairs; phase 2 first preloads 1,024 PFADDs a pipeline.
+        y1, y2, _ = run.phase_sets
+        pipelines = lambda n, size: -(-n // size)  # noqa: E731
+        scans = 2 * pipelines(c, 512) + pipelines(len(y2), 512)
+        assert round_trips == 3 * 2 + scans + pipelines(len(y1), 1024)
         assert abs(remote_estimate - c) <= 0.10 * c
         # transfers to a hash-compatible local sketch
         local = verify(make_oracle(server.params), run.attack_set)
