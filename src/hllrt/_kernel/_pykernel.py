@@ -68,6 +68,26 @@ stream, hashes that hex string's words in place: an element's 16 digits
 are two whole words. It slices out ``bytes`` only for an element it
 keeps, so it equals ``scan(stream_elements(...))`` without building the
 elements the scan drops.
+
+``scan_stream`` also remembers the register records of the span it last
+scanned: the elements that raised their register in a scan that started
+from an all-zero file, each as its offset in the span, register index and
+(clamped) rank. A later ``scan_stream`` of the same span, from any state,
+visits only those records, with no stream block and no hash; the
+attack's phase 2 rescans the span phase 1 scanned this way. It is exact:
+registers only rise, so at each element a scan from any state meets a
+register at least as high as the from-empty scan met there. An element
+that was not a record raises nothing, so it changes neither the registers
+nor the estimate (which depends on the registers alone) and is never
+kept. The return value, ``kept`` and the registers stay bit-identical to
+``scan(stream_elements(...))``; a kept element's ``bytes`` are
+regenerated with ``stream_element``. The memo is keyed by the span's
+splitmix64 input (the first element's, mod 2**64), its count, and the
+file's salt, R and largest rank; alpha and the crossover are not in the
+key, since the scanning file computes its own estimate. There is one
+slot, filled only by a from-empty scan that ran to its end and published
+as one tuple, so threads see either the old memo or the new one. Only
+this twin keeps it: the C twin scans every element.
 """
 
 from __future__ import annotations
@@ -76,6 +96,7 @@ import math
 import operator
 import struct
 import sys
+from array import array
 from binascii import hexlify
 from functools import lru_cache
 from itertools import islice
@@ -195,6 +216,12 @@ def _lane_constants(count: int) -> tuple[int, int]:
     """1 and 2**64 - 1 in each of ``count`` 128-bit lanes."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
     return ones, ones * MASK64
+
+
+# The register records of the stream span last scanned to its end from an
+# all-zero file, as (key, offsets, register indices, ranks), or None; see
+# the module docstring. Replaced whole, never changed in place.
+_records = None
 
 
 def _stream_args(seed, start, count) -> int:
@@ -442,18 +469,36 @@ class RegisterFile:
 
         Generates each block as the hex string ``_stream_hex`` formats and
         hashes its words in place, so ``bytes`` are made only for the
-        elements it keeps.
+        elements it keeps. A scan from an all-zero file remembers which
+        elements raised a register; a later scan of the same span visits
+        only those (see the module docstring).
         """
+        global _records
         base = _stream_args(seed, start, count)
         if not isinstance(kept, list):
             raise TypeError(f"expected list, got {type(kept).__name__}")
         if not _LANES:
             return self.scan(stream_elements(seed, start, count), kept)
         append = kept.append
-        bits, mask, max_reg, salt = self._bits, self._count - 1, self._max_reg, self._salt
-        top = 65 - bits
         regs = self._regs
         last = self.estimate()
+        key = (base & MASK64, count, self._salt, self._count, self._max_reg)
+        records = _records
+        if records is not None and records[0] == key:
+            for j, index, rank in zip(*records[1:]):
+                if rank > regs[index]:
+                    self._raise(index, rank)
+                    after = self.estimate()
+                    if after > last:
+                        append(stream_element(seed, start + j))
+                    last = after
+            return last, count
+        bits, mask, max_reg, salt = self._bits, self._count - 1, self._max_reg, self._salt
+        top = 65 - bits
+        # Offsets and indices are kept as 32-bit words, so a longer span or a
+        # larger file is never recorded.
+        record = self._zero == self._count and max(count, self._count) <= 1 << 32
+        offsets, indices, ranks = array("I"), array("I"), bytearray()
         for offset in range(0, count, _BLOCK):
             n = min(_BLOCK, count - offset)
             hexed = _stream_hex(base + offset, n)
@@ -463,11 +508,17 @@ class RegisterFile:
                 if rank > max_reg:
                     rank = max_reg
                 if rank > regs[index]:
+                    if record:
+                        offsets.append(offset + j)
+                        indices.append(index)
+                        ranks.append(rank)
                     self._raise(index, rank)
                     after = self.estimate()
                     if after > last:
                         append(hexed[16 * j : 16 * j + 16])
                     last = after
+        if record:
+            _records = (key, offsets, indices, ranks)
         return last, count
 
     def witness(self, elements) -> list[bytes]:

@@ -21,7 +21,9 @@ queries the estimate once per insertion plus once at the start, and the
 phase-2 preload is one ``CardinalityOracle.insert_many``. An in-process
 oracle runs all of them inside the kernel: phases 1 and 2 call its
 ``scan_stream``, which generates and hashes the stream in the kernel and
-makes ``bytes`` only for the elements it keeps. A remote oracle
+makes ``bytes`` only for the elements it keeps; on the pure kernel,
+phase 2's rescan visits only the elements that raised a register in
+phase 1's scan, the only ones that can raise one again. A remote oracle
 pipelines its scans and its preload. Any other oracle (counting, or
 duck-typed with only reset/insert/estimate) gets the reference path: the
 stream generated a block at a time (``stream_elements``), never held

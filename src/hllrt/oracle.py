@@ -115,7 +115,13 @@ class InProcessOracle(CardinalityOracle):
         return self._scan(elements, kept)
 
     def scan_stream(self, seed: int, start: int, count: int, kept: list[bytes]) -> tuple[int, int]:
-        """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel."""
+        """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel.
+
+        The same estimates, kept elements and registers as that scan. The
+        pure kernel remembers which elements raised a register in the span
+        it last scanned from empty, so phase 2's rescan of phase 1's span
+        touches only those; the compiled kernel scans every element.
+        """
         return self._sketch._core.scan_stream(seed, start, count, kept)
 
 

@@ -79,12 +79,12 @@ class HllParams:
                 f"register_count must be a power of two in "
                 f"[{MIN_REGISTERS}, {MAX_REGISTERS}], got {self.register_count!r}"
             )
-        if self.register_width not in (4, 5, 6, 7, 8):
-            raise ValueError(
-                f"register_width must be in [4, 8], got {self.register_width!r}"
-            )
-        if self.salt is not None and not 0 <= self.salt <= _MASK64:
-            raise ValueError("salt must be a 64-bit unsigned value")
+        width = self.register_width
+        if not isinstance(width, int) or width not in (4, 5, 6, 7, 8):
+            raise ValueError(f"register_width must be an int in [4, 8], got {width!r}")
+        salt = self.salt
+        if salt is not None and not (isinstance(salt, int) and 0 <= salt <= _MASK64):
+            raise ValueError(f"salt must be a 64-bit unsigned int, got {salt!r}")
 
     @property
     def salted(self) -> bool:

@@ -64,6 +64,11 @@ def test_params_validation():
         HllParams(1024, switch_factor=3.0)  # the crossover is fixed at 2.5R
     with pytest.raises(ValueError):
         HllParams(1024, salt=1 << 64)
+    # A width or salt that equals an int but is not one would pass a range
+    # check and then fail in the kernel: refused here, before any sketch.
+    for bad in ({"register_width": 6.0}, {"salt": 1.5}, {"salt": 7.0}, {"register_width": "6"}):
+        with pytest.raises(ValueError):
+            HllParams(1024, **bad)
 
 
 def test_alpha_constants():
