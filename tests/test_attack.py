@@ -20,6 +20,7 @@ from hllrt import (
     verify,
     witness_subset,
 )
+from hllrt._kernel import _pykernel
 from hllrt.attack import phase1, phase2, phase3
 
 
@@ -184,22 +185,27 @@ def test_attack_set_is_a_subset_chain():
     assert len(v.elements) <= len(y2.elements)
 
 
-def test_phase_sets_golden_digests():
+def test_phase_sets_golden_digests(monkeypatch):
     # Pins the attack's output bit for bit, on whichever kernel is active:
     # a kernel rewrite that changed one hash or one stream element would
-    # change these sets. Both kernels produced exactly these digests.
-    run = run_attack(factory_for(HllParams(256, 6)), 7, 2000)
-    digests = [
-        (len(s.elements), hashlib.sha256(b"\n".join(s.elements)).hexdigest())
-        for s in run.phase_sets
-    ]
-    assert digests == [
-        (440, "2999c234e341b4ed77ffa13c315b7f9992eb823531675fb5417d4265a4f51441"),
-        (511, "04dfecd910d9df805890a07538aa9daf04311cb68376b1d02baf0f8290430457"),
-        (256, "e5ddeb73258d7ae2cac51311b0be5781de4c01a0592af6657f66c9d5a0276761"),
-    ]
-    assert [r.insertions_performed for r in run.reports] == [2000, 2000, 511]
-    assert run.total_insertions == 4951
+    # change these sets. Both kernels produced exactly these digests. On the
+    # pure kernel the first run's phase 2 rescans phase 1's span from its
+    # register records, and the second run's phase 1 does too.
+    monkeypatch.setattr(_pykernel, "_records", None)
+    runs = [run_attack(factory_for(HllParams(256, 6)), 7, 2000) for _ in range(2)]
+    for run in runs:
+        digests = [
+            (len(s.elements), hashlib.sha256(b"\n".join(s.elements)).hexdigest())
+            for s in run.phase_sets
+        ]
+        assert digests == [
+            (440, "2999c234e341b4ed77ffa13c315b7f9992eb823531675fb5417d4265a4f51441"),
+            (511, "04dfecd910d9df805890a07538aa9daf04311cb68376b1d02baf0f8290430457"),
+            (256, "e5ddeb73258d7ae2cac51311b0be5781de4c01a0592af6657f66c9d5a0276761"),
+        ]
+        assert [r.insertions_performed for r in run.reports] == [2000, 2000, 511]
+        assert run.total_insertions == 4951
+    assert runs[0].reports == runs[1].reports
 
 
 def test_attack_total_insertions_bounded():

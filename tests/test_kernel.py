@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 from itertools import repeat
 
 import pytest
@@ -647,6 +649,142 @@ def test_scan_stream_refuses_what_the_twins_refuse(kernels):
         assert rf.dump_registers() != bytes(16) and len(kept) == 3
 
 
+# -- the pure twin's register records --------------------------------------------
+# A pure scan_stream from an all-zero file remembers the elements that raised
+# a register; a later scan_stream of the same span visits only those. Every
+# result must still equal scan(stream_elements(...)) bit for bit.
+
+
+def pure_file(m, width, salt, state="empty"):
+    rf = make_rf(_pykernel, m=m, width=width, salt=salt)
+    if state == "preload":
+        rf.insert_many(stream_span(5, 10**6, 3000))
+    elif state == "saturated":
+        rf.load_registers(bytes([min((1 << width) - 1, 63)] * m))
+    return rf
+
+
+def scanned(rf, seed, start, count, stream=True):
+    """(outcome, kept, registers) of scan_stream, or of scan(stream_elements(...))."""
+    kept = []
+    if stream:
+        outcome = rf.scan_stream(seed, start, count, kept)
+    else:
+        outcome = rf.scan(_pykernel.stream_elements(seed, start, count), kept)
+    return outcome, kept, rf.dump_registers()
+
+
+def refuse_streams(monkeypatch):
+    """Make any stream block or lane hash of the pure twin fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("made a stream block or hashed a block")
+
+    monkeypatch.setattr(_pykernel, "_stream_hex", refuse)
+    monkeypatch.setattr(_pykernel, "_word_hashes", refuse)
+
+
+@pytest.mark.parametrize("m, width, salt", [(4096, 6, 0x0123456789ABCDEF), (16, 4, 0)])
+@pytest.mark.parametrize("state", ["empty", "preload", "saturated"])
+def test_rescan_from_any_state_equals_the_reference_with_no_stream_block(
+    monkeypatch, m, width, salt, state
+):
+    # At R=16 this span reaches rank 18, so width 4 clamps ranks to 15.
+    seed, start, count = 0, 0, 8 * BLOCK
+    scanned(pure_file(m, width, salt), seed, start, count)  # records the span
+    reference = scanned(pure_file(m, width, salt, state), seed, start, count, stream=False)
+    rf = pure_file(m, width, salt, state)
+    refuse_streams(monkeypatch)
+    assert scanned(rf, seed, start, count) == reference
+    if (m, state) == (16, "empty"):
+        assert max(reference[2]) == 15
+    if state == "saturated":
+        assert reference[0][0] == rf.estimate() and not reference[1]
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        {"salt": 1},
+        {"m": 2048},
+        {"m": 16, "width": 4},
+        {"count": BLOCK},
+        {"count": 3 * BLOCK},
+        {"start": 1},
+        {"seed": 8},
+    ],
+)
+def test_spans_that_differ_in_their_key_never_share_records(other):
+    span = {"m": 1024, "width": 6, "salt": 0, "seed": 7, "start": 0, "count": 2 * BLOCK}
+    if other.get("m") == 16:
+        span.update(m=16, count=8 * BLOCK)  # width 6 keeps rank 18, width 4 clamps it
+    changed = span | other
+    setting = [(s["m"], s["width"], s["salt"]) for s in (span, changed)]
+    args = [(s["seed"], s["start"], s["count"]) for s in (span, changed)]
+    for state in ("empty", "preload"):
+        scanned(pure_file(*setting[0]), *args[0])  # records the first span
+        reference = scanned(pure_file(*setting[1], state), *args[1], stream=False)
+        assert scanned(pure_file(*setting[1], state), *args[1]) == reference, state
+
+
+def test_a_scan_from_a_non_empty_file_records_nothing(monkeypatch):
+    # The preload raises registers the span would raise, so a scan from it
+    # meets only some of the span's records; kept, they would make a later
+    # scan from empty miss the rest.
+    monkeypatch.setattr(_pykernel, "_records", None)
+    span = (1024, 6, 0), (7, 0, 4 * BLOCK)
+    reference = scanned(pure_file(*span[0]), *span[1], stream=False)
+    scanned(pure_file(*span[0], "preload"), *span[1])
+    assert scanned(pure_file(*span[0]), *span[1]) == reference
+    scanned(pure_file(*span[0]), *span[1])  # now recorded from empty
+    assert scanned(pure_file(*span[0]), *span[1]) == reference
+
+
+def test_equal_splitmix_inputs_share_records(monkeypatch):
+    # Element k of seed s is the mix of _stream_base(s) + k, so two (seed,
+    # start) pairs whose sums agree mod 2**64 name one span.
+    seed, start, count = 9, 40, 3 * BLOCK
+    other_seed = 11
+    other_start = _pykernel._stream_base(seed) + start - _pykernel._stream_base(other_seed)
+    assert _pykernel.stream_elements(other_seed, other_start, count) == (
+        _pykernel.stream_elements(seed, start, count)
+    )
+    scanned(pure_file(1024, 6, 0), seed, start, count)
+    for state in ("empty", "preload"):
+        reference = scanned(pure_file(1024, 6, 0, state), seed, start, count, stream=False)
+        rf = pure_file(1024, 6, 0, state)
+        with monkeypatch.context() as patch:
+            refuse_streams(patch)
+            assert scanned(rf, other_seed, other_start + 2**64, count) == reference
+
+
+def test_threads_sharing_the_records_each_get_the_reference():
+    # One slot serves every thread: a memo published before it is whole, or
+    # changed in place, would hand another thread's rescan too few records.
+    jobs = [((seed, 0, 2 * BLOCK), state) for seed in (21, 22, 23) for state in ("empty", "preload")]
+    references = {job: scanned(pure_file(1024, 6, 0, job[1]), *job[0], stream=False) for job in jobs}
+    wrong = []
+
+    def work(first):
+        for i in range(30):
+            job = jobs[(first + i) % len(jobs)]
+            if scanned(pure_file(1024, 6, 0, job[1]), *job[0]) != references[job]:
+                wrong.append(job)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
 # -- both twins, step by step ----------------------------------------------------
 
 
@@ -697,6 +835,17 @@ NOT_BYTES = st.one_of(
     st.none(),
 )
 DUMPS = ("random", "sparse", "empty", "saturated", "above_max", "short", "bytearray", "list")
+# (seed, start, count) of the spans the rescan rule scans: a few, so that the
+# pure twin often holds their records. The second and third name one span,
+# as do the fourth and fifth (equal splitmix inputs from other seeds).
+RESCANS = (
+    (0, 0, BLOCK + 3),
+    (1, 5, 40),
+    (1, 5 + 2**64, 40),
+    (3, -7, 2 * BLOCK),
+    (4, _pykernel._stream_base(3) - 7 - _pykernel._stream_base(4), 2 * BLOCK),
+    (3, -7, 2 * BLOCK - 1),
+)
 
 
 class TwinRegisterFiles(RuleBasedStateMachine):
@@ -825,6 +974,23 @@ class TwinRegisterFiles(RuleBasedStateMachine):
         def scan_stream(kernel, rf):
             kepts.append(None if kept is None else type(kept)())
             return rf.scan_stream(seed, start, count, kepts[-1])
+
+        self.same(scan_stream)
+        assert kepts[0] == kepts[1]
+
+    @rule(span=st.sampled_from(RESCANS), record=st.booleans())
+    def rescan(self, span, record):
+        # With ``record``, a scratch pure file of this setting first scans the
+        # span from empty, so the pure twin's scan below visits its records.
+        if record:
+            make_rf(_pykernel, self.m, self.params.register_width, self.params.salt).scan_stream(
+                *span, []
+            )
+        kepts = []
+
+        def scan_stream(kernel, rf):
+            kepts.append([])
+            return rf.scan_stream(*span, kepts[-1])
 
         self.same(scan_stream)
         assert kepts[0] == kepts[1]
