@@ -1,7 +1,9 @@
 /* Compiled register-file kernel: the twin of _pykernel.py, written against
  * the CPython C API. It has the same names and arguments, returns
  * bit-identical hashes and estimates, and raises the same exception type for
- * every bad argument (_pykernel's docstring states the policy). */
+ * every bad argument (_pykernel's docstring states the policy). check_element
+ * holds the one element rule for insert, insert_many, scan and witness:
+ * insert_many checks every element before it changes a register. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
@@ -172,7 +174,8 @@ static PyObject *rf_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     if (!PyArg_ParseTupleAndKeywords(args, kw, "niKdd:RegisterFile", names, &count, &width,
                                      &salt, &alpha, &switch_factor))
         return NULL;
-    if (count < 1) return PyErr_Format(PyExc_ValueError, "register_count must be positive");
+    if (count < 1 || count & (count - 1))
+        return PyErr_Format(PyExc_ValueError, "register_count must be a power of two");
     if (width < 0) return PyErr_Format(PyExc_ValueError, "negative shift count");
     RegisterFile *self = (RegisterFile *)type->tp_alloc(type, 0);
     if (!self) return NULL;
@@ -207,21 +210,20 @@ static void split_hash(RegisterFile *self, u64 h, Py_ssize_t *index, int *rank) 
     *index = (Py_ssize_t)(h & (u64)(self->count - 1));
 }
 
-/* The (register index, rank) pair an element selects. */
-static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
+/* Refuse an element that is not a non-empty bytes: the element rule. */
+static int check_element(PyObject *element) {
     if (expect_bytes(element) < 0) return -1;
+    if (PyBytes_GET_SIZE(element)) return 0;
+    PyErr_SetString(PyExc_ValueError, "element must be non-empty");
+    return -1;
+}
+
+/* The (register index, rank) pair an element selects, under the element rule. */
+static int split(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
+    if (check_element(element) < 0) return -1;
     const unsigned char *p = (const unsigned char *)PyBytes_AS_STRING(element);
     split_hash(self, hash(p, PyBytes_GET_SIZE(element), self->salt), index, rank);
     return 0;
-}
-
-/* split, refusing an empty element as scan and witness do. */
-static int split_nonempty(RegisterFile *self, PyObject *element, Py_ssize_t *index, int *rank) {
-    if (PyBytes_CheckExact(element) && PyBytes_GET_SIZE(element) == 0) {
-        PyErr_SetString(PyExc_ValueError, "element must be non-empty");
-        return -1;
-    }
-    return split(self, element, index, rank);
 }
 
 /* Raise a register to rank if that is higher; return the increment. */
@@ -243,20 +245,22 @@ static PyObject *rf_insert(RegisterFile *self, FASTCALL_ARGS) {
     return PyLong_FromLong(raise_to(self, index, rank));
 }
 
+/* Checks every element before it inserts any, so a refusal changes nothing. */
 static PyObject *rf_insert_many(RegisterFile *self, FASTCALL_ARGS) {
-    PyObject *a[1], *it, *element;
+    PyObject *a[1], *seq;
     Py_ssize_t index, changed = 0;
     int rank;
     if (PARSE("insert_many(elements)", 1, a, "elements") < 0) return NULL;
-    if (!(it = PyObject_GetIter(a[0]))) return NULL;
-    while ((element = PyIter_Next(it))) {
-        int bad = split(self, element, &index, &rank) < 0;
-        Py_DECREF(element);
-        if (bad) break;
+    if (!(seq = PySequence_Fast(a[0], "expected an iterable of elements"))) return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), j = 0;
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    while (j < n && check_element(items[j]) == 0) j++;
+    for (Py_ssize_t i = 0; j == n && i < n; i++) {
+        split(self, items[i], &index, &rank); /* cannot fail: every item passed above */
         changed += raise_to(self, index, rank) > 0;
     }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? NULL : PyLong_FromSsize_t(changed);
+    Py_DECREF(seq);
+    return j < n ? NULL : PyLong_FromSsize_t(changed);
 }
 
 static double z_sum(RegisterFile *self) { return (double)self->zs * Z_SCALE; }
@@ -288,7 +292,7 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     if (!(it = PyObject_GetIter(a[0]))) return NULL;
     double last = estimate(self), after;
     while ((element = PyIter_Next(it))) {
-        int bad = split_nonempty(self, element, &index, &rank) < 0;
+        int bad = split(self, element, &index, &rank) < 0;
         if (!bad && raise_to(self, index, rank)) {
             after = estimate(self);
             bad = after > last && PyList_Append(a[1], element) < 0;
@@ -343,7 +347,7 @@ static PyObject *rf_witness(RegisterFile *self, FASTCALL_ARGS) {
     PyObject **slots = PyMem_Calloc(self->count, sizeof(PyObject *)); /* strong references */
     if (!ranks || !slots) PyErr_NoMemory();
     while (!PyErr_Occurred() && (element = PyIter_Next(it))) {
-        if (split_nonempty(self, element, &index, &rank) == 0 && rank > ranks[index]) {
+        if (split(self, element, &index, &rank) == 0 && rank > ranks[index]) {
             ranks[index] = (unsigned char)rank;
             Py_XDECREF(slots[index]);
             slots[index] = element;

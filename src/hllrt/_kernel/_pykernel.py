@@ -8,11 +8,13 @@ every float expression is written the same way in both backends, so an
 estimate computed here equals the one computed by the extension on the
 same stream.
 
-Both raise the same exception type for every bad argument. An element
-must be exactly ``bytes`` (and non-empty for ``scan`` and ``witness``);
-a salt, seed, ``k`` or ``start`` any int, reduced mod 2**64; a count a
-non-negative int (``OverflowError`` if it does not fit in a
-``Py_ssize_t``); a dump exactly ``bytes`` of R values in 0..max (else
+Both raise the same exception type for every bad argument. The
+``RegisterFile`` methods hold the one element rule: an element is
+non-empty ``bytes``, else ``TypeError``, or ``ValueError`` if empty
+(``hash64`` hashes any ``bytes``); ``insert_many`` checks every element
+before it changes a register. A salt, seed, ``k`` or ``start`` any int,
+reduced mod 2**64; a count a non-negative int (``OverflowError`` if it
+does not fit in a ``Py_ssize_t``); a dump exactly ``bytes`` of R values in 0..max (else
 ``ValueError``), and a bad dump changes nothing; ``scan`` and
 ``scan_stream`` keep into exactly a ``list``, and ``scan_stream`` checks
 its seed, start and count as ``stream_elements`` does, then ``kept``.
@@ -297,28 +299,27 @@ def _blocks(elements):
             return
 
 
-def _block_hashes(block: list, salt: int, empty_ok: bool) -> list[int]:
-    """``hash64(e, salt)`` for the elements of ``block`` up to the first it refuses.
+def _block_hashes(block: list, salt: int) -> list[int]:
+    """``hash64(e, salt)`` for the elements of ``block`` up to the first bad one.
 
-    It refuses an element that is not ``bytes`` and, unless ``empty_ok``,
-    an empty one; a result shorter than the block marks that element. A
-    block of ``bytes`` that all have one length is hashed in one lane
-    pass, any other block one element at a time.
+    A bad element is one ``_refuse`` raises for; a result shorter than the
+    block marks it. A block of ``bytes`` that all have one length is
+    hashed in one lane pass, any other block one element at a time.
     """
     if _LANES and set(map(type, block)) == {bytes}:
         lengths = set(map(len, block))
-        if len(lengths) == 1 and (empty_ok or 0 not in lengths):
+        if len(lengths) == 1 and 0 not in lengths:
             return _lane_hashes(block, lengths.pop(), salt)
     hashes = []
     for element in block:
-        if type(element) is not bytes or not (element or empty_ok):
+        if type(element) is not bytes or not element:
             break
         hashes.append(hash64(element, salt))
     return hashes
 
 
 def _refuse(element) -> None:
-    """Raise the error ``_block_hashes`` stopped at ``element`` for."""
+    """Raise for an element that breaks the element rule: non-empty ``bytes``."""
     if type(element) is not bytes:
         raise TypeError(f"expected bytes, got {type(element).__name__}")
     raise ValueError("element must be non-empty")
@@ -359,8 +360,8 @@ class RegisterFile:
         if not isinstance(salt, int):
             raise TypeError(f"expected int, got {type(salt).__name__}")
         alpha, switch_factor = _real(alpha), _real(switch_factor)
-        if register_count < 1:
-            raise ValueError("register_count must be positive")
+        if register_count < 1 or register_count & (register_count - 1):
+            raise ValueError("register_count must be a power of two")
         self._count = register_count
         self._salt = salt & MASK64
         self._switch = switch_factor
@@ -390,6 +391,8 @@ class RegisterFile:
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
         h = hash64(element, self._salt)
+        if not element:
+            _refuse(element)
         bits = self._bits
         index = h & (self._count - 1)
         rank = 65 - bits - (h >> bits).bit_length()
@@ -402,19 +405,20 @@ class RegisterFile:
     def insert_many(self, elements) -> int:
         """Insert a batch; return how many changed a register.
 
-        Reads ``_BLOCK`` elements at a time and hashes each block with
-        ``_block_hashes``, so it inserts the elements before a bad one
-        and then raises what ``insert`` would. An iterable that raises
-        mid-block has the elements it yielded inserted first, as the
-        compiled kernel's element-by-element loop would.
+        Checks every element first (an input that is not a ``list`` is
+        copied into one), so a bad one, or an iterable that raises, changes
+        nothing. Then hashes ``_BLOCK`` at a time with ``_block_hashes``.
         """
+        if type(elements) is not list:
+            elements = list(elements)
+        if not set(map(type, elements)) <= {bytes} or not all(elements):
+            _refuse(next(e for e in elements if type(e) is not bytes or not e))
         bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
         top = 65 - bits
         changed = 0
         for block in _blocks(elements):
-            hashes = _block_hashes(block, self._salt, True)
             regs = self._regs
-            for h in hashes:
+            for h in _block_hashes(block, self._salt):
                 index = h & mask
                 rank = top - (h >> bits).bit_length()
                 if rank > max_reg:
@@ -422,8 +426,6 @@ class RegisterFile:
                 if rank > regs[index]:
                     self._raise(index, rank)
                     changed += 1
-            if len(hashes) < len(block):
-                _refuse(block[len(hashes)])
         return changed
 
     def scan(self, elements, kept: list) -> tuple[int, int]:
@@ -434,9 +436,9 @@ class RegisterFile:
         insertions): ``CardinalityOracle.scan`` over this register file,
         except that the estimate is computed only after an insertion that
         changed a register, since it depends on the registers alone.
-        Blocks are read and hashed as in ``insert_many``; an empty element
-        raises ``ValueError`` and one that is not ``bytes`` ``TypeError``,
-        each after every element before it was inserted and judged.
+        Blocks are read and hashed as in ``insert_many``; a bad element
+        raises what ``insert`` would, after every element before it was
+        inserted and judged.
         """
         if not isinstance(kept, list):
             raise TypeError(f"expected list, got {type(kept).__name__}")
@@ -446,7 +448,7 @@ class RegisterFile:
         last = self.estimate()
         insertions = 0
         for block in _blocks(elements):
-            hashes = _block_hashes(block, self._salt, False)
+            hashes = _block_hashes(block, self._salt)
             regs = self._regs
             for element, h in zip(block, hashes):
                 index = h & mask
@@ -533,7 +535,7 @@ class RegisterFile:
         ranks = bytearray(self._count)
         slots: list = [None] * self._count
         for block in _blocks(elements):
-            hashes = _block_hashes(block, self._salt, False)
+            hashes = _block_hashes(block, self._salt)
             for element, h in zip(block, hashes):
                 index = h & mask
                 rank = top - (h >> bits).bit_length()

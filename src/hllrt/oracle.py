@@ -8,7 +8,7 @@ attack's unit of work, and ``insert_many``, through which phase 2
 preloads and ``verify`` replays a set. An oracle may override either
 only with code that observes the same estimates and leaves the same
 registers as the loop it replaces. ``InProcessOracle`` overrides both
-with the kernel's (``RegisterFile.scan`` and ``HllSketch.insert_many``)
+with the kernel's (``RegisterFile.scan`` and ``RegisterFile.insert_many``)
 and adds ``scan_stream``: the scan of a span of the attack's stream,
 generated inside the kernel, which equals
 ``scan(stream_elements(seed, start, count), kept)``. ``RemoteOracle``
@@ -98,12 +98,10 @@ class InProcessOracle(CardinalityOracle):
         self._sketch.reset()
 
     def insert(self, element: bytes) -> None:
-        if type(element) is bytes and not element:  # the kernel type-checks the rest
-            raise ValueError("element must be non-empty")
         self._insert(element)
 
     def insert_many(self, elements: Iterable[bytes]) -> None:
-        # Refuses a bad element before it inserts anything.
+        # The kernel refuses a bad element before it inserts anything.
         self._sketch.insert_many(elements)
 
     def estimate(self) -> int:

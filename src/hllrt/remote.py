@@ -365,6 +365,7 @@ class RemoteOracle(CardinalityOracle):
     def reset(self) -> None:
         self._expect_int(self._exchange([[b"DEL", self._key]])[0], "DEL")
 
+    # The one copy of the kernel's element rule above a kernel: none runs here.
     @staticmethod
     def _element(element: bytes) -> bytes:
         if type(element) is not bytes:

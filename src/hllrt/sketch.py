@@ -130,24 +130,14 @@ class HllSketch:
 
     def insert_increment(self, element: bytes) -> int:
         """Insert an element; return the register increment (0 if none)."""
-        if type(element) is bytes and not element:
-            raise ValueError("element must be non-empty")
         return self._core.insert(element)
 
     def insert_many(self, elements: Iterable[bytes]) -> int:
         """Insert a batch of elements; return how many changed a register.
 
-        An element that is not ``bytes`` (``TypeError``) or is empty
-        (``ValueError``) is refused before anything is inserted, so an
-        input that is not a ``list`` is copied into one first.
+        The kernel refuses an element that is not ``bytes`` (``TypeError``)
+        or is empty (``ValueError``) before it inserts anything.
         """
-        if type(elements) is not list:
-            elements = list(elements)
-        if not set(map(type, elements)) <= {bytes}:
-            bad = next(e for e in elements if type(e) is not bytes)
-            raise TypeError(f"expected bytes, got {type(bad).__name__}")
-        if not all(elements):
-            raise ValueError("element must be non-empty")
         return self._core.insert_many(elements)
 
     # -- estimates -------------------------------------------------------

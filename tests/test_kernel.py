@@ -187,6 +187,14 @@ def test_constructor_refuses_the_types_c_parses_refuse(kernels):
         assert kernel.RegisterFile(*good).estimate() == 0
 
 
+@pytest.mark.parametrize("m", [3, 24, 1000])
+def test_constructor_refuses_a_register_count_that_is_not_a_power_of_two(kernels, m):
+    # The index is hash & (R - 1): other R would leave registers unreachable.
+    for kernel in kernels:
+        with pytest.raises(ValueError):
+            make_rf(kernel, m=m)
+
+
 def test_parity_hash(pure_kernel, compiled_kernel):
     rng = random.Random(11)
     for _ in range(3000):
@@ -365,7 +373,7 @@ def test_block_hash_matches_hash64():
 @given(
     salt=st.sampled_from(SALTS),
     seed=st.integers(0, MASK64),
-    lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
 )
 @settings(max_examples=8, deadline=None)
 def test_insert_many_equals_sequential_inserts(kernels, count, salt, seed, lengths):
@@ -421,22 +429,19 @@ def test_insert_many_golden_register_digests(kernels):
             assert (changed, rf.estimate(), digest) == expected, (kernel.__name__, mixed, hex(salt))
 
 
-def test_insert_many_inserts_up_to_a_non_bytes_element_then_raises(kernels):
+def test_insert_many_refuses_a_non_bytes_element_before_inserting_any(kernels):
     elements = [stream_element(8, k) for k in range(BLOCK + 10)]
-    bad = BLOCK + 5  # in the second block, after a whole block went through the lanes
+    bad = BLOCK + 5  # in the second block, after a whole block of good elements
     for kernel in kernels:
         for not_bytes in ("not bytes", bytearray(16), memoryview(elements[0])):
             bulk = make_rf(kernel)
             with pytest.raises(TypeError):
                 bulk.insert_many(elements[:bad] + [not_bytes] + elements[bad:])
-            prefix = make_rf(kernel)
-            for element in elements[:bad]:
-                prefix.insert(element)
-            assert bulk.dump_registers() == prefix.dump_registers()
-            assert bulk.z_sum() == prefix.z_sum()
+            assert bulk.dump_registers() == bytes(1024)
+            assert bulk.z_sum() == make_rf(kernel).z_sum()
 
 
-def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises(kernels):
+def test_insert_many_inserts_nothing_from_a_failing_iterable(kernels):
     elements = [stream_element(9, k) for k in range(BLOCK + 10)]
     stop = BLOCK + 5  # mid-way through the second block
 
@@ -448,11 +453,39 @@ def test_insert_many_inserts_what_a_failing_iterable_yielded_then_raises(kernels
         bulk = make_rf(kernel)
         with pytest.raises(RuntimeError):
             bulk.insert_many(failing())
-        prefix = make_rf(kernel)
-        for element in elements[:stop]:
-            prefix.insert(element)
-        assert bulk.dump_registers() == prefix.dump_registers()
-        assert bulk.z_sum() == prefix.z_sum()
+        assert bulk.dump_registers() == bytes(1024)
+        assert bulk.z_sum() == make_rf(kernel).z_sum()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [None, "", bytearray(), memoryview(b"ab"), b""],
+    ids=["None", "str", "bytearray", "memoryview", "empty"],
+)
+@pytest.mark.parametrize("at", [0, BLOCK // 2, BLOCK + 5])
+def test_every_element_method_refuses_a_bad_element_alike(kernels, bad, at):
+    # The one element rule, held by the kernel: TypeError for anything that
+    # is not bytes, ValueError for an empty bytes, the same on both twins.
+    # insert and insert_many leave the file as it was.
+    error = ValueError if type(bad) is bytes else TypeError
+    elements = [stream_element(12, k) for k in range(BLOCK + 10)]
+    elements.insert(at, bad)
+    for kernel in kernels:
+        rf = make_rf(kernel)
+        rf.insert_many(stream_span(13, 0, 300))
+        before = (rf.dump_registers(), rf.z_sum())
+        for call in (
+            lambda: rf.insert(bad),
+            lambda: rf.insert_many(elements),
+            lambda: rf.insert_many(iter(elements)),
+        ):
+            with pytest.raises(error):
+                call()
+            assert (rf.dump_registers(), rf.z_sum()) == before, kernel.__name__
+        with pytest.raises(error):
+            rf.witness(iter(elements))
+        with pytest.raises(error):
+            rf.scan(iter(elements), [])
 
 
 # -- the kernel scan ---------------------------------------------------------------
@@ -910,7 +943,7 @@ class TwinRegisterFiles(RuleBasedStateMachine):
 
     @rule(
         elements=st.lists(ELEMENTS, max_size=40),
-        bad=st.one_of(st.none(), NOT_BYTES),
+        bad=st.one_of(st.none(), NOT_BYTES, st.just(b"")),
         at=st.integers(0, 40),
     )
     def insert_many(self, elements, bad, at):
@@ -947,7 +980,7 @@ class TwinRegisterFiles(RuleBasedStateMachine):
 
     @rule(
         elements=st.lists(ELEMENTS, max_size=40),
-        bad=st.one_of(st.none(), NOT_BYTES),
+        bad=st.one_of(st.none(), NOT_BYTES, st.just(b"")),
         at=st.integers(0, 40),
     )
     def scan(self, elements, bad, at):

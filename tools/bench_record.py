@@ -52,9 +52,11 @@ def summary(values: list[float]) -> dict:
 
 
 def commit_of(repo: Path) -> str:
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, stdout=subprocess.PIPE, text=True)
+    """The checkout's HEAD commit; raises ``CalledProcessError`` if it is not a git work tree."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, stdout=subprocess.PIPE, text=True,
+                          check=True)
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                           cwd=repo, stdout=subprocess.PIPE, text=True)
+                           cwd=repo, stdout=subprocess.PIPE, text=True, check=True)
     return head.stdout.strip() + ("+uncommitted changes" if dirty.stdout.strip() else "")
 
 
