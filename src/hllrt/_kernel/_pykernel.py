@@ -14,12 +14,13 @@ non-empty ``bytes``, else ``TypeError``, or ``ValueError`` if empty
 (``hash64`` hashes any ``bytes``); ``insert_many`` checks every element
 before it changes a register. A salt, seed, ``k`` or ``start`` any int,
 reduced mod 2**64; a count a non-negative int (``OverflowError`` if it
-does not fit in a ``Py_ssize_t``); a dump exactly ``bytes`` of R values in 0..max (else
-``ValueError``), and a bad dump changes nothing; ``scan`` and
-``scan_stream`` keep into exactly a ``list``, and ``scan_stream`` checks
-its seed, start and count as ``stream_elements`` does, then ``kept``.
-The constructor converts its arguments as the C twin's ``"niKdd"``
-parse does. An argument of any other type raises ``TypeError``.
+does not fit in a ``Py_ssize_t``); a dump exactly ``bytes`` of R values
+in 0..max (else ``ValueError``), and a bad dump changes nothing;
+``scan`` and ``scan_stream`` keep into exactly a ``list``, and
+``scan_stream`` checks its seed, start and count as ``stream_elements``
+does, then ``kept``. The constructor converts its arguments as the C
+twin's ``"niKdd"`` parse does. An argument of any other type raises
+``TypeError``.
 
 The register file holds R small counters. Inserting an element hashes it
 once to 64 bits; the low log2(R) bits select a register and the remaining
