@@ -20,7 +20,6 @@ from .attack import (
     AttackAborted,
     AttackRun,
     AttackSet,
-    ElementGenerator,
     PhaseReport,
     phase1,
     phase2,
@@ -53,7 +52,6 @@ __all__ = [
     "InProcessOracle",
     "CountingOracle",
     "make_oracle",
-    "ElementGenerator",
     "AttackSet",
     "PhaseReport",
     "AttackRun",

@@ -16,31 +16,29 @@ stream S of C distinct elements:
 
 Total oracle insertions are 2C plus the two intermediate set sizes,
 i.e. O(C): the attack costs the same order of work as honestly
-inserting C elements. Each pass is one ``CardinalityOracle.scan``, which
-queries the estimate once per insertion plus once at the start, and the
-phase-2 preload is one ``CardinalityOracle.insert_many``. An in-process
-oracle runs all of them inside the kernel: phases 1 and 2 call its
-``scan_stream``, which generates and hashes the stream in the kernel and
-makes ``bytes`` only for the elements it keeps; on the pure kernel,
-phase 2's rescan visits only the elements that raised a register in
-phase 1's scan, the only ones that can raise one again. A remote oracle
-pipelines its scans and its preload. Any other oracle (counting, or
-duck-typed with only reset/insert/estimate) gets the reference path: the
-stream generated a block at a time (``stream_elements``), never held
-whole, and an ``insert`` per preloaded element.
+inserting C elements. S is the attack's stream under the run's seed,
+so phases 1 and 2 each call ``CardinalityOracle.scan_stream`` on its
+first C elements, phase 3 calls ``CardinalityOracle.scan`` on Y, and
+the phase-2 preload is one ``CardinalityOracle.insert_many``. Each scan
+queries the estimate once per insertion plus once at the start. Which
+code runs is the oracle's: an in-process oracle runs every call inside
+the kernel, a remote one pipelines them, and any other gets the
+reference loops, which generate S a block at a time and never hold it
+whole. ``run_attack`` makes a ``CardinalityOracle`` of a factory result
+that has only reset/insert/estimate by wrapping it in
+``CountingOracle``.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
-from ._kernel import stream_element, stream_elements
-from .oracle import CardinalityOracle
+from .oracle import CardinalityOracle, CountingOracle
 
 __all__ = [
-    "ElementGenerator",
     "AttackSet",
     "PhaseReport",
     "AttackRun",
@@ -53,30 +51,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Elements ElementGenerator.stream generates at a time: few enough that a
-# long stream is never held whole.
-_CHUNK = 512
-
-
-class ElementGenerator:
-    """Deterministic stream of distinct elements.
-
-    Element k is a pure function of (seed, k), so the stream can be
-    re-walked in any phase, or resumed at any index, without storing it.
-    """
-
-    __slots__ = ("seed",)
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed & _MASK64
-
-    def element(self, k: int) -> bytes:
-        return stream_element(self.seed, k)
-
-    def stream(self, count: int) -> Iterator[bytes]:
-        """Elements 0 .. count - 1, generated ``_CHUNK`` at a time as they are read."""
-        for start in range(0, count, _CHUNK):
-            yield from stream_elements(self.seed, start, min(_CHUNK, count - start))
 
 
 @dataclass
@@ -211,32 +185,11 @@ class AttackAborted(RuntimeError):
         self.partial = partial
 
 
-def _scan(
-    oracle: CardinalityOracle,
-    elements: Iterable[bytes] | ElementGenerator,
-    kept: list[bytes],
-    phase: int,
-    target_cardinality: int,
-    seed: int,
-) -> tuple[int, int, int]:
-    """Insert each element, keeping those that raise the integer estimate.
-
-    An ``ElementGenerator`` stands for its first ``target_cardinality``
-    elements. Returns (final estimate, insertions, estimate queries); a
-    scan observes the estimate once per insertion plus once at the start.
-    On oracle failure raises AttackAborted carrying what was kept so far.
-    """
-    # Methods are looked up on the type: an object with only
-    # reset/insert/estimate gets the reference loop.
-    scan_stream = getattr(type(oracle), "scan_stream", None)
-    scan = getattr(type(oracle), "scan", CardinalityOracle.scan)
+@contextmanager
+def _aborting(kept: list[bytes], phase: int, target_cardinality: int, seed: int):
+    """Turn an oracle failure inside the block into AttackAborted carrying ``kept``."""
     try:
-        if not isinstance(elements, ElementGenerator):
-            last, insertions = scan(oracle, elements, kept)
-        elif scan_stream is None:
-            last, insertions = scan(oracle, elements.stream(target_cardinality), kept)
-        else:
-            last, insertions = scan_stream(oracle, elements.seed, 0, target_cardinality, kept)
+        yield
     except Exception as exc:
         partial = AttackSet(
             elements=kept,
@@ -249,40 +202,44 @@ def _scan(
             f"oracle failed during phase {phase} after keeping {len(kept)} elements: {exc}",
             partial,
         ) from exc
-    return last, insertions, insertions + 1
+
+
+def _checked(seed: int, target_cardinality: int) -> int:
+    """The seed mod 2**64, once seed and target are ints and the target is at least 1."""
+    if not isinstance(target_cardinality, int):
+        raise TypeError(
+            f"target cardinality must be an int, got {type(target_cardinality).__name__}"
+        )
+    if target_cardinality < 1:
+        raise ValueError("target cardinality must be at least 1")
+    return seed & _MASK64
 
 
 def phase1(
-    oracle: CardinalityOracle, stream: ElementGenerator, target_cardinality: int
+    oracle: CardinalityOracle, seed: int, target_cardinality: int
 ) -> tuple[AttackSet, PhaseReport]:
-    """Greedy first pass: keep every element of S that raises the estimate."""
-    if target_cardinality < 1:
-        raise ValueError("target cardinality must be at least 1")
+    """Greedy first pass: keep every element of S that raises the estimate.
+
+    S is the first ``target_cardinality`` elements of the stream keyed by
+    ``seed`` mod 2**64, the seed the set records.
+    """
+    seed = _checked(seed, target_cardinality)
     kept: list[bytes] = []
-    last, insertions, queries = _scan(oracle, stream, kept, 1, target_cardinality, stream.seed)
-    result = AttackSet(kept, 1, target_cardinality, last, stream.seed)
-    return result, PhaseReport(1, len(kept), last, insertions, queries)
+    with _aborting(kept, 1, target_cardinality, seed):
+        last, insertions = oracle.scan_stream(seed, 0, target_cardinality, kept)
+    result = AttackSet(kept, 1, target_cardinality, last, seed)
+    return result, PhaseReport(1, len(kept), last, insertions, insertions + 1)
 
 
-def phase2(
-    oracle: CardinalityOracle, y: AttackSet, stream: ElementGenerator
-) -> tuple[AttackSet, PhaseReport]:
-    """Recovery pass: preload Y, rescan S, append the new risers."""
-    if stream.seed != y.source_seed:
-        raise ValueError("stream seed does not match the phase-1 set")
-    getattr(type(oracle), "insert_many", CardinalityOracle.insert_many)(oracle, y.elements)
-    additions: list[bytes] = []
-    try:
-        last, insertions, queries = _scan(
-            oracle, stream, additions, 2, y.target_cardinality, y.source_seed
-        )
-    except AttackAborted as aborted:
-        aborted.partial.elements = y.elements + aborted.partial.elements
-        raise
-    result = AttackSet(
-        y.elements + additions, 2, y.target_cardinality, last, y.source_seed
-    )
-    return result, PhaseReport(2, len(result.elements), last, insertions, queries)
+def phase2(oracle: CardinalityOracle, y: AttackSet) -> tuple[AttackSet, PhaseReport]:
+    """Recovery pass: preload Y, rescan Y's stream, append the new risers."""
+    _checked(y.source_seed, y.target_cardinality)
+    oracle.insert_many(y.elements)
+    kept = list(y.elements)
+    with _aborting(kept, 2, y.target_cardinality, y.source_seed):
+        last, insertions = oracle.scan_stream(y.source_seed, 0, y.target_cardinality, kept)
+    result = AttackSet(kept, 2, y.target_cardinality, last, y.source_seed)
+    return result, PhaseReport(2, len(kept), last, insertions, insertions + 1)
 
 
 def phase3(
@@ -290,16 +247,10 @@ def phase3(
 ) -> tuple[AttackSet, PhaseReport]:
     """Minimizing pass: replay Y in reverse order, keep only the risers."""
     kept: list[bytes] = []
-    last, insertions, queries = _scan(
-        oracle,
-        iter(reversed(y2.elements)),
-        kept,
-        3,
-        y2.target_cardinality,
-        y2.source_seed,
-    )
+    with _aborting(kept, 3, y2.target_cardinality, y2.source_seed):
+        last, insertions = oracle.scan(reversed(y2.elements), kept)
     result = AttackSet(kept, 3, y2.target_cardinality, last, y2.source_seed)
-    return result, PhaseReport(3, len(kept), last, insertions, queries)
+    return result, PhaseReport(3, len(kept), last, insertions, insertions + 1)
 
 
 @dataclass
@@ -324,21 +275,24 @@ def run_attack(
     ``checkpoint``, when given, receives each phase's completed set (so
     a remote run that dies later can resume). Total insertions are
     C (phase 1) + |Y| + C (phase 2 preload and rescan) + |Y2| (phase 3),
-    bounded by 3C whenever |Y| + |Y2| <= C.
+    bounded by 3C whenever |Y| + |Y2| <= C. A factory result that is not
+    a ``CardinalityOracle`` is wrapped in ``CountingOracle``.
     """
-    stream = ElementGenerator(seed)
+    seed = _checked(seed, target_cardinality)
 
     def fresh() -> CardinalityOracle:
         oracle = oracle_factory()
+        if not isinstance(oracle, CardinalityOracle):
+            oracle = CountingOracle(oracle)
         oracle.reset()
         return oracle
 
     t0 = time.perf_counter()
-    y1, report1 = phase1(fresh(), stream, target_cardinality)
+    y1, report1 = phase1(fresh(), seed, target_cardinality)
     t1 = time.perf_counter()
     if checkpoint:
         checkpoint(y1)
-    y2, report2 = phase2(fresh(), y1, stream)
+    y2, report2 = phase2(fresh(), y1)
     t2 = time.perf_counter()
     if checkpoint:
         checkpoint(y2)
@@ -366,11 +320,7 @@ def run_attack(
 
 
 def verify(oracle: CardinalityOracle, attack_set: AttackSet) -> int:
-    """Insert an attack set into a reset oracle; return the final estimate.
-
-    The set goes in through ``insert_many``, looked up on the type as in
-    ``phase2``: an oracle with only reset/insert/estimate gets the loop.
-    """
+    """Insert an attack set into a reset oracle; return the final estimate."""
     oracle.reset()
-    getattr(type(oracle), "insert_many", CardinalityOracle.insert_many)(oracle, attack_set.elements)
+    oracle.insert_many(attack_set.elements)
     return oracle.estimate()

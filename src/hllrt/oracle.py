@@ -3,16 +3,15 @@
 The oracle contract is deliberately tiny: reset, insert, integer
 estimate. The attack code is written against this interface alone, so
 anything implementing it (in-process sketch, remote Redis key) is a
-valid target. Two bulk calls are built from those three: ``scan``, the
-attack's unit of work, and ``insert_many``, through which phase 2
-preloads and ``verify`` replays a set. An oracle may override either
-only with code that observes the same estimates and leaves the same
-registers as the loop it replaces. ``InProcessOracle`` overrides both
-with the kernel's (``RegisterFile.scan`` and ``RegisterFile.insert_many``)
-and adds ``scan_stream``: the scan of a span of the attack's stream,
-generated inside the kernel, which equals
-``scan(stream_elements(seed, start, count), kept)``. ``RemoteOracle``
-overrides both with pipelines.
+valid target. Three bulk calls are built from those three: ``scan``, the
+attack's unit of work; ``scan_stream``, the scan of a span of the
+attack's stream; and ``insert_many``, through which phase 2 preloads and
+``verify`` replays a set. An oracle may override any of them only with
+code that observes the same estimates and leaves the same registers as
+the reference it replaces. ``InProcessOracle`` overrides all three with
+the kernel's. ``RemoteOracle`` overrides ``scan`` and ``insert_many``
+with pipelines; its inherited ``scan_stream`` pipelines through its
+``scan``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,14 @@ from __future__ import annotations
 import abc
 from typing import Iterable
 
+from ._kernel import stream_elements
 from .sketch import HllParams, HllSketch
 
 __all__ = ["CardinalityOracle", "InProcessOracle", "CountingOracle", "make_oracle"]
+
+# Stream elements the reference scan_stream generates at a time: few
+# enough that a long span is never held whole.
+_BLOCK = 512
 
 
 class CardinalityOracle(abc.ABC):
@@ -72,6 +76,21 @@ class CardinalityOracle(abc.ABC):
                 append(element)
             last = after
         return last, insertions
+
+    def scan_stream(self, seed: int, start: int, count: int, kept: list[bytes]) -> tuple[int, int]:
+        """``scan(stream_elements(seed, start, count), kept)``, ``_BLOCK`` elements at a time.
+
+        The first block is made before the scan starts, so an argument
+        ``stream_elements`` refuses raises before the first insertion.
+        """
+        first = stream_elements(seed, start, min(count, _BLOCK))
+
+        def span():
+            yield from first
+            for offset in range(_BLOCK, count, _BLOCK):
+                yield from stream_elements(seed, start + offset, min(_BLOCK, count - offset))
+
+        return self.scan(span(), kept)
 
 
 class InProcessOracle(CardinalityOracle):
@@ -135,10 +154,12 @@ class CountingOracle(CardinalityOracle):
     complexity bound is stated in) and to demonstrate that the attack
     touches nothing beyond the black-box interface: this wrapper defines
     only the three oracle methods plus counters, and inherits the
-    reference ``insert_many`` and ``scan`` loops, which call them.
+    reference ``insert_many``, ``scan`` and ``scan_stream``, which call
+    them. ``inner`` needs only those three methods, so the wrapper also
+    adapts a bare object that has nothing else.
     """
 
-    def __init__(self, inner: CardinalityOracle) -> None:
+    def __init__(self, inner) -> None:
         self._inner = inner
         self.insertions = 0
         self.estimate_queries = 0

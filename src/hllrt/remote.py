@@ -245,10 +245,11 @@ def parse_endpoint(url: str) -> RedisEndpoint:
         raise ValueError(f"endpoint missing host: {url!r}")
     port = 6379
     if sep:
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise ValueError(f"bad port in endpoint {url!r}") from exc
+        # int() would also take a sign, '_', spaces and non-ASCII digits,
+        # and the resolver wraps a port past 65535 mod 65536.
+        if not (port_text.isascii() and port_text.isdigit() and 1 <= int(port_text) <= 65535):
+            raise ValueError(f"bad port in endpoint {url!r}: want 1..65535")
+        port = int(port_text)
     return RedisEndpoint(host, port, key)
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from hllrt import (
     CountingOracle,
-    ElementGenerator,
     HllParams,
     HllSketch,
     SnsGuard,
@@ -147,10 +146,9 @@ def test_criterion_3_phase1_deficit():
         cardinality = mult * PRESTO_R
         ratios, predictions, gaps = [], [], []
         for seed in (1, 2, 3):
-            gen = ElementGenerator(seed)
-            y1, _ = phase1(make_oracle(params), gen, cardinality)
+            y1, _ = phase1(make_oracle(params), seed, cardinality)
             stream_sketch = HllSketch(params)
-            stream_sketch.insert_many(gen.stream(cardinality))
+            stream_sketch.insert_many(stream_elements(seed, 0, cardinality))
             ratio = verify(make_oracle(params), y1) / stream_sketch.estimate()
             prediction = predicted_phase1_ratio(
                 PRESTO_R, cardinality, stream_sketch.z_denominator()
@@ -231,7 +229,7 @@ def test_criterion_6_sns_detector(sns_attack_sets):
     honest_alarms = 0
     for seed in range(200):
         guard = SnsGuard(params, shadow_salt=splitmix64(20_000 + seed) | 1)
-        guard.insert_many(ElementGenerator(30_000 + seed).stream(20 * r))
+        guard.insert_many(stream_elements(30_000 + seed, 0, 20 * r))
         honest_alarms += guard.check().alarm
 
     ok = attack_alarms >= 0.98 * 50 and honest_alarms <= 0.05 * 200
@@ -260,7 +258,7 @@ def test_criterion_7_stats_monitor(sns_attack_sets):
 
     increments = []
     honest = HllSketch(params)
-    for element in ElementGenerator(555).stream(20 * r):
+    for element in stream_elements(555, 0, 20 * r):
         increment = honest.insert_increment(element)
         if increment:
             increments.append(increment)
@@ -290,7 +288,7 @@ def test_criterion_9_small_instance_oracle_equivalence():
         cardinality = 500
         run = run_attack(lambda: make_oracle(params), seed, cardinality)
         attack_set = run.attack_set
-        stream = list(ElementGenerator(seed).stream(cardinality))
+        stream = stream_elements(seed, 0, cardinality)
         full = HllSketch(params)
         full.insert_many(stream)
         replay = HllSketch(params)

@@ -7,11 +7,11 @@ import statistics
 import pytest
 
 from hllrt import (
-    ElementGenerator,
     HllParams,
     HllSketch,
     alpha_for_registers,
 )
+from hllrt._kernel import stream_elements
 from hllrt.analysis import (
     estimate_increment,
     expected_missed_lpca,
@@ -48,13 +48,12 @@ def missed_registers(params, seed, n):
     and predicted_phase1_ratio: the registers whose maximum arrives during
     the low-range window without being the register's first element, as
     (first arrival's rank, maximum) of each."""
-    gen = ElementGenerator(seed)
     sketch = HllSketch(params)
     first_arrival = {}
     best = {}
     switch_at = None
     threshold = params.switch_factor * params.register_count
-    for k, element in enumerate(gen.stream(n)):
+    for k, element in enumerate(stream_elements(seed, 0, n)):
         index, rank = hash_split(element, params)
         if index not in first_arrival:
             first_arrival[index] = (rank, k)

@@ -11,7 +11,6 @@ from hllrt import (
     AttackSet,
     CardinalityOracle,
     CountingOracle,
-    ElementGenerator,
     HllParams,
     HllSketch,
     InProcessOracle,
@@ -20,7 +19,7 @@ from hllrt import (
     verify,
     witness_subset,
 )
-from hllrt._kernel import _pykernel
+from hllrt._kernel import _pykernel, stream_elements
 from hllrt.attack import phase1, phase2, phase3
 
 
@@ -30,18 +29,8 @@ def factory_for(params):
 
 def stream_sketch(params, seed, n):
     sketch = HllSketch(params)
-    sketch.insert_many(ElementGenerator(seed).stream(n))
+    sketch.insert_many(stream_elements(seed, 0, n))
     return sketch
-
-
-# -- element generator ---------------------------------------------------------
-
-
-def test_generator_indexable_and_distinct():
-    gen = ElementGenerator(42)
-    assert gen.element(500) == list(gen.stream(501))[500]
-    batch = list(gen.stream(5000))
-    assert len(set(batch)) == 5000
 
 
 # -- phase 1 -------------------------------------------------------------------
@@ -49,7 +38,7 @@ def test_generator_indexable_and_distinct():
 
 def test_phase1_single_element():
     params = HllParams(64, 6)
-    y1, report = phase1(make_oracle(params), ElementGenerator(7), 1)
+    y1, report = phase1(make_oracle(params), 7, 1)
     assert len(y1.elements) == 1
     assert y1.achieved_estimate == 1
     assert report.set_size == 1
@@ -62,11 +51,10 @@ def test_phase1_keeps_exactly_the_estimate_raisers():
     # and check phase 1 kept exactly the elements whose insertion moved
     # the integer estimate.
     params = HllParams(16, 6)
-    gen = ElementGenerator(3)
-    y1, report = phase1(make_oracle(params), gen, 200)
+    y1, report = phase1(make_oracle(params), 3, 200)
     sketch = HllSketch(params)
     expected = []
-    for element in gen.stream(200):
+    for element in stream_elements(3, 0, 200):
         before = sketch.estimate()
         sketch.insert(element)
         if sketch.estimate() > before:
@@ -74,15 +62,38 @@ def test_phase1_keeps_exactly_the_estimate_raisers():
     assert y1.elements == expected
     assert report.insertions_performed == 200
     assert report.estimate_queries == 201
-    # An object with only the three oracle methods gets the reference scan.
-    inner = make_oracle(params)
-    bare = SimpleNamespace(reset=inner.reset, insert=inner.insert, estimate=inner.estimate)
-    assert phase1(bare, gen, 200)[0].elements == expected
 
 
 def test_phase1_requires_positive_target():
     with pytest.raises(ValueError):
-        phase1(make_oracle(HllParams(64)), ElementGenerator(1), 0)
+        phase1(make_oracle(HllParams(64)), 1, 0)
+
+
+def test_a_bad_target_is_refused_before_any_oracle_call():
+    # A caller's error, not an oracle failure: TypeError, not AttackAborted,
+    # and run_attack asks the factory for no oracle.
+    oracle = CountingOracle(make_oracle(HllParams(64)))
+    for target in (100.0, "100", None):
+        with pytest.raises(TypeError):
+            phase1(oracle, 1, target)
+        with pytest.raises(TypeError):
+            phase2(oracle, AttackSet([b"a"], 1, target, 1, 1))
+        with pytest.raises(TypeError):
+            run_attack(lambda: pytest.fail("factory called"), 1, target)
+    with pytest.raises(ValueError):
+        phase2(oracle, AttackSet([b"a"], 1, -5, 1, 1))
+    assert (oracle.resets, oracle.insertions, oracle.estimate_queries) == (0, 0, 0)
+
+
+def test_the_seed_is_reduced_mod_2_64(tmp_path):
+    params = HllParams(64, 6)
+    negative = run_attack(factory_for(params), -1, 300)
+    top = run_attack(factory_for(params), 2**64 - 1, 300)
+    assert [s.elements for s in negative.phase_sets] == [s.elements for s in top.phase_sets]
+    assert {s.source_seed for s in negative.phase_sets} == {2**64 - 1}
+    path = tmp_path / "v.txt"
+    negative.attack_set.save(path)
+    assert path.read_text().startswith("# seed=18446744073709551615\n")
 
 
 # -- phase 2 -------------------------------------------------------------------
@@ -93,10 +104,10 @@ def test_phase2_no_additions_when_y_holds_the_maxima():
     # so the rescan can never raise the estimate.
     params = HllParams(64, 6)
     seed, c = 11, 2000
-    elements = list(ElementGenerator(seed).stream(c))
+    elements = stream_elements(seed, 0, c)
     witnesses = witness_subset(elements, params)
     y = AttackSet(witnesses, 1, c, -1, seed)
-    y2, report = phase2(make_oracle(params), y, ElementGenerator(seed))
+    y2, report = phase2(make_oracle(params), y)
     assert y2.elements == witnesses
     assert report.set_size == len(witnesses)
 
@@ -106,22 +117,14 @@ def test_phase2_recovers_full_register_support():
     # stream touches (phase 1 alone can miss some).
     params = HllParams(256, 6)
     seed, c = 5, 10000
-    gen = ElementGenerator(seed)
-    y1, _ = phase1(make_oracle(params), gen, c)
-    y2, _ = phase2(make_oracle(params), y1, gen)
+    y1, _ = phase1(make_oracle(params), seed, c)
+    y2, _ = phase2(make_oracle(params), y1)
     full = stream_sketch(params, seed, c)
     replay = HllSketch(params)
     replay.insert_many(y2.elements)
     support_full = [i for i in range(256) if full.registers[i]]
     support_replay = [i for i in range(256) if replay.registers[i]]
     assert support_replay == support_full
-
-
-def test_phase2_rejects_mismatched_stream():
-    params = HllParams(64, 6)
-    y1, _ = phase1(make_oracle(params), ElementGenerator(1), 100)
-    with pytest.raises(ValueError):
-        phase2(make_oracle(params), y1, ElementGenerator(2))
 
 
 def test_phase2_additions_track_the_missed_maxima_mechanism():
@@ -136,9 +139,8 @@ def test_phase2_additions_track_the_missed_maxima_mechanism():
     additions = []
     simulated = []
     for seed in range(20):
-        gen = ElementGenerator(seed)
-        y1, _ = phase1(make_oracle(params), gen, c)
-        y2, _ = phase2(make_oracle(params), y1, gen)
+        y1, _ = phase1(make_oracle(params), seed, c)
+        y2, _ = phase2(make_oracle(params), y1)
         additions.append(len(y2.elements) - len(y1.elements))
         simulated.append(missed_maxima_simulation(params, seed, c))
     mean_added = statistics.fmean(additions)
@@ -153,7 +155,7 @@ def test_phase2_additions_track_the_missed_maxima_mechanism():
 def test_phase3_keeps_reversed_witnesses():
     params = HllParams(64, 6)
     seed, c = 21, 2000
-    elements = list(ElementGenerator(seed).stream(c))
+    elements = stream_elements(seed, 0, c)
     witnesses = witness_subset(elements, params)
     y2 = AttackSet(witnesses, 2, c, -1, seed)
     v, _ = phase3(make_oracle(params), y2)
@@ -179,7 +181,7 @@ def test_attack_set_is_a_subset_chain():
     seed, c = 3, 5000
     run = run_attack(factory_for(params), seed, c)
     y1, y2, v = run.phase_sets
-    stream = set(ElementGenerator(seed).stream(c))
+    stream = set(stream_elements(seed, 0, c))
     assert set(v.elements) <= set(y2.elements) <= stream
     assert set(y1.elements) <= set(y2.elements)
     assert len(v.elements) <= len(y2.elements)
@@ -251,6 +253,21 @@ def test_attack_only_touches_the_oracle_interface():
     run = run_attack(lambda: CountingOracle(make_oracle(params)), 5, 1000)
     assert len(run.attack_set.elements) > 0
     assert [r.phase for r in run.reports] == [1, 2, 3]
+
+
+def test_a_bare_three_method_object_runs_the_attack():
+    # run_attack wraps an object with only reset/insert/estimate in
+    # CountingOracle; its phase sets are a plain oracle's.
+    params = HllParams(64, 6)
+
+    def bare():
+        inner = make_oracle(params)
+        return SimpleNamespace(reset=inner.reset, insert=inner.insert, estimate=inner.estimate)
+
+    plain = run_attack(factory_for(params), 3, 1000)
+    run = run_attack(bare, 3, 1000)
+    assert [s.elements for s in run.phase_sets] == [s.elements for s in plain.phase_sets]
+    assert run.reports == plain.reports
 
 
 def test_attack_transfers_between_same_parameter_oracles():
@@ -331,7 +348,7 @@ def test_phase1_abort_carries_partial_set():
     params = HllParams(64, 6)
     oracle = FlakyOracle(params, fail_after=50)
     with pytest.raises(AttackAborted) as excinfo:
-        phase1(oracle, ElementGenerator(1), 1000)
+        phase1(oracle, 1, 1000)
     partial = excinfo.value.partial
     assert partial.phase == 1
     assert 0 < len(partial.elements) <= 50
@@ -340,11 +357,10 @@ def test_phase1_abort_carries_partial_set():
 
 def test_phase2_abort_keeps_the_preloaded_prefix():
     params = HllParams(64, 6)
-    gen = ElementGenerator(4)
-    y1, _ = phase1(make_oracle(params), gen, 300)
+    y1, _ = phase1(make_oracle(params), 4, 300)
     flaky = FlakyOracle(params, fail_after=len(y1.elements) + 10)
     with pytest.raises(AttackAborted) as excinfo:
-        phase2(flaky, y1, gen)
+        phase2(flaky, y1)
     partial = excinfo.value.partial
     assert partial.phase == 2
     assert partial.elements[: len(y1.elements)] == y1.elements

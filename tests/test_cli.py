@@ -98,11 +98,11 @@ def test_detect_stats_flags_attack_sets(attack_file, capsys):
 
 
 def test_detect_honest_stream_is_quiet(tmp_path, capsys):
-    from hllrt import ElementGenerator
+    from hllrt._kernel import stream_elements
 
     stream_file = tmp_path / "honest.txt"
     with open(stream_file, "w") as fh:
-        for e in ElementGenerator(9).stream(20000):
+        for e in stream_elements(9, 0, 20000):
             fh.write(e.decode() + "\n")
     for mode in ("sns", "stats"):
         assert run_cli("detect", "--registers", "1024", "--input",
@@ -218,6 +218,14 @@ def test_bad_target_exits_usage(tmp_path):
     out = tmp_path / "v.txt"
     assert run_cli("attack", "--cardinality", "10", "--out", str(out),
                    "--target", "carrier-pigeon://x") == 1
+
+
+def test_port_out_of_range_exits_usage_error(tmp_path):
+    out = tmp_path / "v.txt"
+    for port in ("71915", "99999", "-1"):
+        assert run_cli("attack", "--cardinality", "10", "--out", str(out),
+                       "--target", f"redis://127.0.0.1:{port}/k") == 1
+    assert not out.exists()
 
 
 def test_unreachable_redis_exits_target_error(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from hllrt import (
     DetectionReport,
-    ElementGenerator,
     HllParams,
     HllSketch,
     SnsGuard,
@@ -17,6 +16,7 @@ from hllrt import (
     merge,
     run_attack,
 )
+from hllrt._kernel import stream_elements
 
 PARAMS = HllParams(1024, 6)
 
@@ -38,7 +38,7 @@ def test_empty_guard_reports_nothing():
 
 def test_honest_stream_keeps_both_estimates_close():
     guard = SnsGuard(HllParams(4096, 6), shadow_salt=991)
-    guard.insert_many(ElementGenerator(17).stream(50000))
+    guard.insert_many(stream_elements(17, 0, 50000))
     report = guard.check()
     assert report.alarm is False
     assert abs(report.public_estimate - report.shadow_estimate) <= 0.1 * max(
@@ -74,9 +74,9 @@ def test_attack_set_trips_the_guard():
 
 def test_guard_public_sketch_remains_mergeable():
     guard = SnsGuard(PARAMS, shadow_salt=77)
-    guard.insert_many(ElementGenerator(4).stream(1000))
+    guard.insert_many(stream_elements(4, 0, 1000))
     other = HllSketch(PARAMS)
-    other.insert_many(ElementGenerator(5).stream(1000))
+    other.insert_many(stream_elements(5, 0, 1000))
     combined = merge(guard.public_sketch, other)
     assert combined.estimate() >= guard.public_sketch.estimate()
 
@@ -171,7 +171,7 @@ def test_honest_stream_low_fraction_and_mean_increment_near_two():
     monitor = StatsMonitor(1024)
     increments = []
     report = None
-    for element in ElementGenerator(42).stream(10 * 1024):
+    for element in stream_elements(42, 0, 10 * 1024):
         increment = sketch.insert_increment(element)
         if increment:
             increments.append(increment)
@@ -187,7 +187,7 @@ def test_monitor_reports_match_a_recount_of_the_window():
     monitor = StatsMonitor(64, window_size=16)
     sketch = HllSketch(HllParams(64, 6))
     monitored = []
-    for element in ElementGenerator(5).stream(600):
+    for element in stream_elements(5, 0, 600):
         increment = sketch.insert_increment(element)
         estimate = sketch.estimate()
         report = monitor.observe(increment > 0, increment, estimate)

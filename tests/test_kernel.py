@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 
 import hllrt._kernel as kern
 import hllrt.sketch
-from hllrt import CardinalityOracle, HllParams, HllSketch, make_oracle
+from hllrt import CardinalityOracle, CountingOracle, HllParams, HllSketch, make_oracle
 from hllrt._kernel import BACKEND, RegisterFile, _pykernel, hash64, stream_element
 from splits import hash_split
 
@@ -680,6 +680,56 @@ def test_scan_stream_refuses_what_the_twins_refuse(kernels):
         kept = []
         assert rf.scan_stream(seed=1 << 64, start=0, count=3, kept=kept) == (3, 3)
         assert rf.dump_registers() != bytes(16) and len(kept) == 3
+
+
+# -- the reference scan of a stream span -------------------------------------------
+# CardinalityOracle.scan_stream, which CountingOracle and RemoteOracle inherit,
+# is the reference InProcessOracle's kernel scan_stream replaces: the same
+# return value, kept elements and registers on every span.
+
+
+def scan_stream_reference_and_kernel(kernel, monkeypatch, m, width, salt, preload, seed, start, count):
+    """(outcome, kept, registers) of the reference scan_stream and of the in-process one."""
+    monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+    results = []
+    for wrap in (CountingOracle, lambda oracle: oracle):
+        inner = make_oracle(HllParams(m, width, salt=salt))
+        inner.sketch.insert_many(stream_span(5, 10**6, preload))
+        kept = []
+        outcome = wrap(inner).scan_stream(seed, start, count, kept)
+        results.append((outcome, kept, inner.sketch.registers))
+    return results
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
+def test_reference_scan_stream_matches_the_in_process_one(kernels, monkeypatch, count):
+    monkeypatch.setattr(_pykernel, "_records", None)
+    for kernel in kernels:
+        for m, width, salt in ((16, 6, 0), (1024, 5, MASK64), (4096, 6, 0x0123456789ABCDEF)):
+            for seed, start in ((5, 0), (MASK64, 2**64 - 3), (3, -7)):
+                for preload in (0, 3000):
+                    reference, in_process = scan_stream_reference_and_kernel(
+                        kernel, monkeypatch, m, width, salt, preload, seed, start, count
+                    )
+                    assert reference == in_process, (kernel.__name__, m, seed, start, preload)
+                    assert reference[0][1] == count
+
+
+def test_reference_scan_stream_refuses_what_the_twins_refuse():
+    # The rows of test_scan_stream_refuses_what_the_twins_refuse that keep
+    # into a list: each raises before the first insertion.
+    oracle = CountingOracle(make_oracle(HllParams(16)))
+    refused = {
+        TypeError: [(1.0, 0, 1), (0, "0", 1), (0, 0, 1.5), (0, 0, None), (None, 0, 0)],
+        ValueError: [(0, 0, -1)],
+    }
+    for error, calls in refused.items():
+        for seed, start, count in calls:
+            kept = []
+            with pytest.raises(error):
+                oracle.scan_stream(seed, start, count, kept)
+            assert not kept
+    assert oracle.insertions == 0
 
 
 # -- the pure twin's register records --------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hllrt import CountingOracle, ElementGenerator, HllParams, make_oracle
+from hllrt import CountingOracle, HllParams, make_oracle
+from hllrt._kernel import stream_elements
 
 
 def test_fresh_oracle_estimates_zero():
@@ -28,7 +29,7 @@ def test_estimate_is_side_effect_free():
 
 def test_reinsert_never_changes_estimate():
     oracle = make_oracle(HllParams(64))
-    for k, e in enumerate(ElementGenerator(1).stream(200)):
+    for k, e in enumerate(stream_elements(1, 0, 200)):
         oracle.insert(e)
         before = oracle.estimate()
         oracle.insert(e)
@@ -39,7 +40,7 @@ def test_transcript_determinism():
     params = HllParams(256, 6)
     a, b = make_oracle(params), make_oracle(params)
     transcript_a, transcript_b = [], []
-    for e in ElementGenerator(9).stream(1000):
+    for e in stream_elements(9, 0, 1000):
         a.insert(e)
         transcript_a.append(a.estimate())
         b.insert(e)
@@ -49,7 +50,7 @@ def test_transcript_determinism():
 
 def test_estimate_tracks_large_cardinality():
     oracle = make_oracle(HllParams(4096, 6))
-    oracle.sketch.insert_many(ElementGenerator(13).stream(50000))
+    oracle.sketch.insert_many(stream_elements(13, 0, 50000))
     assert abs(oracle.estimate() - 50000) < 0.05 * 50000
 
 
@@ -90,7 +91,7 @@ def test_in_process_oracle_refuses_a_bad_element_alike_everywhere(bad):
 def test_counting_oracle_counts_calls():
     oracle = CountingOracle(make_oracle(HllParams(64)))
     oracle.reset()
-    for e in ElementGenerator(2).stream(10):
+    for e in stream_elements(2, 0, 10):
         oracle.insert(e)
     oracle.estimate()
     oracle.estimate()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hllrt import (
     AttackAborted,
     CountingOracle,
-    ElementGenerator,
     HllParams,
     HllSketch,
     make_oracle,
@@ -263,6 +262,26 @@ def test_parse_endpoint_rejects_bad_urls():
             parse_endpoint(bad)
 
 
+@pytest.mark.parametrize(
+    "port, expected",
+    [
+        ("1", 1), ("80", 80), ("6380", 6380), ("65535", 65535),
+        # int() takes each of these, and the resolver would wrap 71915 to
+        # 6379 and 99999 to 34463.
+        ("0", None), ("-1", None), ("+80", None), ("8_0", None), (" 80", None),
+        ("80 ", None), ("\u0668\u0660", None), ("", None), ("65536", None),
+        ("71915", None), ("99999", None),
+    ],
+)
+def test_parse_endpoint_takes_only_ascii_digit_ports_in_range(port, expected):
+    url = f"redis://127.0.0.1:{port}/k"
+    if expected is None:
+        with pytest.raises(ValueError, match="port"):
+            parse_endpoint(url)
+    else:
+        assert parse_endpoint(url).port == expected
+
+
 # -- remote oracle vs the mini server ----------------------------------------------
 
 
@@ -411,13 +430,12 @@ def test_dropped_scan_aborts_with_a_prefix_of_the_true_set(monkeypatch):
     # applied part of it would read skewed counts, so it must not replay.
     monkeypatch.setattr(remote, "_PIPELINE", 64)
     params = HllParams(256, 6)
-    gen = ElementGenerator(8)
-    expected, _ = phase1(make_oracle(params), gen, 2000)
+    expected, _ = phase1(make_oracle(params), 8, 2000)
     with running_server(register_count=256, drop_after=300) as server:
         with RemoteOracle(server.url()) as oracle:
             oracle.reset()
             with pytest.raises(AttackAborted) as excinfo:
-                phase1(oracle, gen, 2000)
+                phase1(oracle, 8, 2000)
     partial = excinfo.value.partial.elements
     assert 0 < len(partial) < len(expected.elements)
     assert partial == expected.elements[: len(partial)]

@@ -10,22 +10,20 @@ from hypothesis import strategies as st
 
 import hllrt.sketch
 from hllrt import (
-    ElementGenerator,
     HllParams,
     HllSketch,
     alpha_for_registers,
     merge,
     witness_subset,
 )
-from hllrt._kernel import _pykernel
+from hllrt._kernel import _pykernel, stream_element, stream_elements
 from splits import hash_split
 
 
 def find_element(params, index=None, rank=None, start=0):
     """Scan the deterministic stream for an element with the wanted split."""
-    gen = ElementGenerator(999)
     for k in range(start, start + 2_000_000):
-        e = gen.element(k)
+        e = stream_element(999, k)
         i, r = hash_split(e, params)
         if (index is None or i == index) and (rank is None or r == rank):
             return e
@@ -87,7 +85,7 @@ def test_hash_split_deterministic_and_bounded():
     # names, to the split's rank.
     params = HllParams(64, 6)
     for k in range(200):
-        e = ElementGenerator(1).element(k)
+        e = stream_element(1, k)
         index, rank = hash_split(e, params)
         assert (index, rank) == hash_split(e, params)
         assert 0 <= index < 64
@@ -113,7 +111,7 @@ def test_single_element_methods_refuse_with_the_kernels_error_types(kernels, mon
 def test_hash_split_salt_changes_mapping():
     unsalted = HllParams(1024, 6)
     salted = HllParams(1024, 6, salt=12345)
-    elements = [ElementGenerator(2).element(k) for k in range(100)]
+    elements = [stream_element(2, k) for k in range(100)]
     assert any(hash_split(e, unsalted) != hash_split(e, salted) for e in elements)
     sketches = [HllSketch(unsalted), HllSketch(salted)]
     for sketch in sketches:
@@ -228,14 +226,14 @@ def test_estimate_single_element():
 def test_estimate_accuracy_single_run():
     m, n = 1024, 100 * 1024
     sketch = HllSketch(HllParams(m))
-    sketch.insert_many(ElementGenerator(31).stream(n))
+    sketch.insert_many(stream_elements(31, 0, n))
     assert abs(sketch.estimate() - n) < 3 * (1.04 / math.sqrt(m)) * n
 
 
 def test_estimate_uses_linear_counting_in_low_range():
     m = 1024
     sketch = HllSketch(HllParams(m))
-    sketch.insert_many(ElementGenerator(8).stream(100))
+    sketch.insert_many(stream_elements(8, 0, 100))
     v = sketch.zero_register_count()
     assert v > 0
     assert sketch.estimate() == round(m * math.log(m / v))
@@ -248,8 +246,8 @@ def test_merge_identity_commutative_idempotent():
     params = HllParams(256, 6)
     a = HllSketch(params)
     b = HllSketch(params)
-    a.insert_many(ElementGenerator(1).stream(500))
-    b.insert_many(ElementGenerator(2).stream(500))
+    a.insert_many(stream_elements(1, 0, 500))
+    b.insert_many(stream_elements(2, 0, 500))
     empty = HllSketch(params)
     assert merge(a, empty) == a
     assert merge(a, b) == merge(b, a)
@@ -261,7 +259,7 @@ def test_merge_associative():
     sketches = []
     for seed in (1, 2, 3):
         s = HllSketch(params)
-        s.insert_many(ElementGenerator(seed).stream(300))
+        s.insert_many(stream_elements(seed, 0, 300))
         sketches.append(s)
     a, b, c = sketches
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
@@ -269,8 +267,8 @@ def test_merge_associative():
 
 def test_merge_equals_union_stream():
     params = HllParams(256, 6)
-    gen_a = list(ElementGenerator(10).stream(1000))
-    gen_b = list(ElementGenerator(20).stream(1000))
+    gen_a = stream_elements(10, 0, 1000)
+    gen_b = stream_elements(20, 0, 1000)
     a = HllSketch(params)
     a.insert_many(gen_a)
     b = HllSketch(params)
@@ -298,7 +296,7 @@ def test_merge_rejects_parameter_mismatch():
 
 def test_permutation_invariance():
     params = HllParams(128, 6)
-    elements = list(ElementGenerator(77).stream(2000))
+    elements = stream_elements(77, 0, 2000)
     shuffled = elements[:]
     random.Random(4).shuffle(shuffled)
     a = HllSketch(params)
@@ -311,7 +309,7 @@ def test_permutation_invariance():
 
 def test_insert_many_rejects_an_empty_element_before_inserting():
     sketch = HllSketch(HllParams(64, 6))
-    elements = list(ElementGenerator(6).stream(100))
+    elements = stream_elements(6, 0, 100)
     with pytest.raises(ValueError):
         sketch.insert_many(elements + [b""])
     with pytest.raises(ValueError):
@@ -340,7 +338,7 @@ def two_pass_witness(elements, params):
 
 def test_witness_subset_keeps_the_first_element_at_each_final_rank():
     params = HllParams(64, 6)
-    elements = list(ElementGenerator(15).stream(3000))
+    elements = stream_elements(15, 0, 3000)
     expected = two_pass_witness(elements, params)
     assert witness_subset(elements, params) == expected
     assert witness_subset(iter(elements), params) == expected
@@ -358,8 +356,7 @@ MASK64 = (1 << 64) - 1
 def witness_elements(count):
     # The first block has one length, so the pure kernel hashes it in lanes;
     # later blocks mix lengths and are hashed one by one.
-    gen = ElementGenerator(21)
-    return [(gen.element(k) * 3)[: 16 if k < BLOCK else 1 + k % 40] for k in range(count)]
+    return [(stream_element(21, k) * 3)[: 16 if k < BLOCK else 1 + k % 40] for k in range(count)]
 
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 3])
@@ -413,7 +410,7 @@ def test_kernel_witness_raises_what_a_failing_iterable_raises(kernels, monkeypat
 
 def test_witness_subset_reproduces_registers():
     params = HllParams(64, 6)
-    elements = list(ElementGenerator(5).stream(3000))
+    elements = stream_elements(5, 0, 3000)
     witnesses = witness_subset(elements, params)
     assert len(witnesses) <= 64
     full = HllSketch(params)
@@ -430,7 +427,7 @@ def test_estimates_deterministic_across_instances(seed):
     params = HllParams(64, 6)
     a = HllSketch(params)
     b = HllSketch(params)
-    elements = list(ElementGenerator(seed).stream(200))
+    elements = stream_elements(seed, 0, 200)
     a.insert_many(elements)
     b.insert_many(elements)
     assert a.estimate() == b.estimate()
@@ -457,7 +454,7 @@ def test_snapshot_binary_layout():
 def test_snapshot_roundtrip_bytes():
     params = HllParams(64, 5)
     sketch = HllSketch(params)
-    sketch.insert_many(ElementGenerator(3).stream(500))
+    sketch.insert_many(stream_elements(3, 0, 500))
     again = HllSketch.from_bytes(sketch.to_bytes())
     assert again == sketch
     assert again.estimate() == sketch.estimate()

@@ -16,7 +16,9 @@ for each workload and metric, in how many seeds' pairs the change read
 better than the parent (``change_better_pairs``, by the metric's
 ``better`` in ``BENCHMARK.json``); and the kernel backend, Python version,
 nproc and the git commit of each checkout. Both checkouts must run the
-same backend.
+same backend. If any run's outputs failed their checks (``correct`` false
+in its result), it still writes the file, then names those runs and
+exits 1.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     contexts = []
+    incorrect = []
     for workload in WORKLOADS:
         runs: dict[str, list] = {side: [] for side in sides}
         for seed in SEEDS:
@@ -108,6 +111,8 @@ def main(argv=None) -> int:
                 context, result = run_once(sides[side], workload, seed, seconds)
                 runs[side].append((context, result))
                 contexts.append(context)
+                if not result["correct"]:
+                    incorrect.append(f"{workload} seed={seed} {side}")
                 values = ", ".join(f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS)
                 print(f"{workload} seed={seed} {side}: failed {result['failed']}/{result['attempted']}, "
                       f"{values}", flush=True)
@@ -122,6 +127,9 @@ def main(argv=None) -> int:
     out = sides["change"] / f"BENCH_{record['backend']}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
+    if incorrect:
+        print(f"outputs failed their checks in: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
