@@ -164,6 +164,13 @@ typedef struct {
     u128 zs;         /* Z_scaled = sum(2**(63 - r_i)) */
 } RegisterFile;
 
+static PyObject *rf_reset(RegisterFile *self, PyObject *unused) {
+    memset(self->regs, 0, self->count);
+    self->zero = self->count;
+    self->zs = (u128)self->count << 63;
+    Py_RETURN_NONE;
+}
+
 static PyObject *rf_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     static char *names[] = {"register_count", "register_width", "salt", "alpha",
                             "switch_factor", NULL};
@@ -179,7 +186,7 @@ static PyObject *rf_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     if (width < 0) return PyErr_Format(PyExc_ValueError, "negative shift count");
     RegisterFile *self = (RegisterFile *)type->tp_alloc(type, 0);
     if (!self) return NULL;
-    if (!(self->regs = PyMem_Calloc(count, 1))) {
+    if (!(self->regs = PyMem_Malloc(count))) {
         Py_DECREF(self);
         return PyErr_NoMemory();
     }
@@ -190,8 +197,7 @@ static PyObject *rf_new(PyTypeObject *type, PyObject *args, PyObject *kw) {
     self->max_reg = width >= 6 ? 63 : (1 << width) - 1;
     self->switch_factor = switch_factor;
     self->alpha_r2 = alpha * (double)count * (double)count;
-    self->zero = count;
-    self->zs = (u128)count << 63;
+    Py_DECREF(rf_reset(self, NULL)); /* drops the None it returns */
     return (PyObject *)self;
 }
 
@@ -283,6 +289,15 @@ static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
     return PyLong_FromDouble(estimate(self));
 }
 
+/* Raise a register and, if it rose, read the estimate into *last: 1 if that
+ * lifted the estimate above the one before (the element is kept), else 0. */
+static int climb(RegisterFile *self, Py_ssize_t index, int rank, double *last) {
+    if (!raise_to(self, index, rank)) return 0;
+    double after = estimate(self), before = *last;
+    *last = after;
+    return after > before;
+}
+
 static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     PyObject *a[2], *it, *element;
     Py_ssize_t index, insertions = 0;
@@ -290,14 +305,10 @@ static PyObject *rf_scan(RegisterFile *self, FASTCALL_ARGS) {
     if (PARSE("scan(elements, kept)", 2, a, "elements", "kept") < 0) return NULL;
     if (!PyList_Check(a[1])) return wrong_type("list", a[1]), NULL;
     if (!(it = PyObject_GetIter(a[0]))) return NULL;
-    double last = estimate(self), after;
+    double last = estimate(self);
     while ((element = PyIter_Next(it))) {
-        int bad = split(self, element, &index, &rank) < 0;
-        if (!bad && raise_to(self, index, rank)) {
-            after = estimate(self);
-            bad = after > last && PyList_Append(a[1], element) < 0;
-            last = after;
-        }
+        int bad = split(self, element, &index, &rank) < 0 ||
+                  (climb(self, index, rank, &last) && PyList_Append(a[1], element) < 0);
         Py_DECREF(element);
         if (bad) break;
         insertions++;
@@ -318,19 +329,15 @@ static PyObject *rf_scan_stream(RegisterFile *self, FASTCALL_ARGS) {
         return NULL;
     if (stream_args(a, &first, &count) < 0) return NULL;
     if (!PyList_Check(a[3])) return wrong_type("list", a[3]), NULL;
-    double last = estimate(self), after;
+    double last = estimate(self);
     for (Py_ssize_t j = 0; j < count; j++) {
         stream_hex(buf, first + (u64)j);
         split_hash(self, hash((const unsigned char *)buf, 16, self->salt), &index, &rank);
-        if (!raise_to(self, index, rank)) continue;
-        after = estimate(self);
-        if (after > last) {
-            if (!(element = PyBytes_FromStringAndSize(buf, 16))) return NULL;
-            int bad = PyList_Append(a[3], element) < 0;
-            Py_DECREF(element);
-            if (bad) return NULL;
-        }
-        last = after;
+        if (!climb(self, index, rank, &last)) continue;
+        if (!(element = PyBytes_FromStringAndSize(buf, 16))) return NULL;
+        int bad = PyList_Append(a[3], element) < 0;
+        Py_DECREF(element);
+        if (bad) return NULL;
     }
     return Py_BuildValue("(Nn)", PyLong_FromDouble(last), count);
 }
@@ -402,13 +409,6 @@ static PyObject *rf_merge_registers(RegisterFile *self, FASTCALL_ARGS) {
     const unsigned char *p = checked_dump(self, "merge_registers(data)", args, nargs, kwnames);
     if (!p) return NULL;
     for (Py_ssize_t i = 0; i < self->count; i++) raise_to(self, i, p[i]);
-    Py_RETURN_NONE;
-}
-
-static PyObject *rf_reset(RegisterFile *self, PyObject *unused) {
-    memset(self->regs, 0, self->count);
-    self->zero = self->count;
-    self->zs = (u128)self->count << 63;
     Py_RETURN_NONE;
 }
 

@@ -36,18 +36,20 @@ per-element path is flat: ``hash64`` reads the element once as one
 integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
-``insert`` splits its hash inline and makes a method call only when
-the rank rises. ``insert_many``, ``scan``, ``scan_stream`` and
-``witness`` go further:
-they read ``_BLOCK`` elements at a time and hash a whole block in one
-pass, SIMD within a register with Python's big integers. Each then
-splits every hash inline; ``insert_many`` and ``scan``, the attack's
-loop, make a method call (raise the register; for ``scan`` then
-estimate) only for an element that raises its register, and ``witness``
-keeps the ranks in a local array. A block whose elements all have one
-length n is hashed together: each gets a 128-bit lane of one big
-integer, its accumulator in the lane's low 64 bits and the upper 64
-bits zero. For each of the element's 8-byte words (the last
+``insert`` splits its one hash inline. The other element methods take
+``_BLOCK`` elements at a time through three pieces. The block reader
+``_hashed_blocks`` hands out each block with its elements' hashes; a bad
+element, or a source that raises, cuts them short, and its error is
+raised after the caller has judged the good prefix. The block split
+``_splits`` turns the hashes into register indices and (clamped) ranks.
+The climb ``_climb``, shared by ``scan``, ``scan_stream`` and its record
+rescan, raises each register in turn and reads the estimate after each
+rise; it returns the positions that lifted the estimate, the ones a scan
+keeps. ``insert_many`` and ``witness`` read and split but do not climb.
+A block is hashed in one pass, SIMD within a register with Python's big
+integers, when its elements all have one length n: each gets a 128-bit
+lane of one big integer, its accumulator in the lane's low 64 bits and
+the upper 64 bits zero. For each of the element's 8-byte words (the last
 one zero-padded), the word of every element is copied into the low half
 of its lane, and ``hash64``'s step runs once on the whole integer, each
 result masked back to 64 bits per lane. No lane can carry into the next:
@@ -67,16 +69,16 @@ against.
 ``stream_elements`` runs the stream's splitmix64 round on the same
 lanes and formats a whole block as one hex string (``_stream_hex``),
 which it splits into elements. ``scan_stream``, the attack's scan of the
-stream, hashes that hex string's words in place: an element's 16 digits
-are two whole words. It slices out ``bytes`` only for an element it
-keeps, so it equals ``scan(stream_elements(...))`` without building the
-elements the scan drops.
+stream, hashes that hex string's words in place (an element's 16 digits
+are two whole words) and splits and climbs them. It slices out ``bytes``
+only for an element it keeps, so it equals ``scan(stream_elements(...))``
+without building the elements the scan drops.
 
 ``scan_stream`` also remembers the register records of the span it last
 scanned: the elements that raised their register in a scan that started
 from an all-zero file, each as its offset in the span, register index and
 (clamped) rank. A later ``scan_stream`` of the same span, from any state,
-visits only those records, with no stream block and no hash; the
+replays only those indices and ranks through the climb, with no hash; the
 attack's phase 2 rescans the span phase 1 scanned this way. It is exact:
 registers only rise, so at each element a scan from any state meets a
 register at least as high as the from-empty scan met there. An element
@@ -197,9 +199,8 @@ def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> list[int]:
     words_each = -(-n // 8)
     lanes = bytearray(16 * count)
     low = memoryview(lanes).cast("Q")[::2]
-    ones, mask = _lane_constants(count)
-    acc = ((salt * _P1 + n * _P5 + _P4) & MASK64) * ones
-    p4 = _P4 * ones
+    mask, p4 = _lanes(MASK64, count), _lanes(_P4, count)
+    acc = _lanes((salt * _P1 + n * _P5 + _P4) & MASK64, count)
     for j in range(n // 8):
         low[:] = words[j::words_each]
         x = acc ^ ((int.from_bytes(lanes, "little") * _P2) & mask)
@@ -207,18 +208,17 @@ def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> list[int]:
     if n % 8:
         low[:] = words[words_each - 1 :: words_each]
         x = acc ^ ((int.from_bytes(lanes, "little") * _P3) & mask)
-        acc = ((((x << 27) | (x >> 37)) & mask) * _P2 + _P5 * ones) & mask
+        acc = ((((x << 27) | (x >> 37)) & mask) * _P2 + _lanes(_P5, count)) & mask
     acc = (((acc ^ (acc >> 33)) & mask) * 0xFF51AFD7ED558CCD) & mask
     acc = (((acc ^ (acc >> 33)) & mask) * 0xC4CEB9FE1A85EC53) & mask
     acc ^= acc >> 33  # only each lane's low 64 bits are read back
     return memoryview(acc.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
 
 
-@lru_cache(maxsize=4)
-def _lane_constants(count: int) -> tuple[int, int]:
-    """1 and 2**64 - 1 in each of ``count`` 128-bit lanes."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-    return ones, ones * MASK64
+@lru_cache(maxsize=16)
+def _lanes(value: int, count: int) -> int:
+    """``value``, below 2**64, in each of ``count`` 128-bit lanes."""
+    return int.from_bytes((value.to_bytes(8, "little") + bytes(8)) * count, "little")
 
 
 # The register records of the stream span last scanned to its end from an
@@ -246,8 +246,8 @@ def _stream_hex(base: int, n: int) -> bytes:
     Runs the element's splitmix64 round on 128-bit lanes, as
     ``_word_hashes`` runs ``hash64``, and formats all of them at once.
     """
-    ones, mask = _lane_constants(n)
-    x = ((base & MASK64) * ones + _stream_lanes(n)[0]) & mask
+    mask = _lanes(MASK64, n)
+    x = ((base & MASK64) * _lanes(1, n) + _stream_lanes(n)[0]) & mask
     x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
     x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
     x ^= x >> 31  # only each lane's low 64 bits are read back
@@ -280,22 +280,28 @@ def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
     return out
 
 
-def _blocks(elements):
-    """``elements`` as lists of up to ``_BLOCK``, in order.
+def _hashed_blocks(elements, salt: int):
+    """``elements`` in blocks of up to ``_BLOCK``, each with its ``_block_hashes``.
 
-    An iterable that raises mid-block has the elements it yielded handed
-    out first; the error propagates when the next block is asked for.
+    The hashes stop at the block's first bad element, or where the source
+    raised. The caller judges them first; when it asks for the next block,
+    the bad element's error is raised, else the source's.
     """
     elements = iter(elements)
     while True:
         block: list = []
+        failure = None
         try:
             block.extend(islice(elements, _BLOCK))  # keeps what it read before a raise
-        except BaseException:
-            yield block
-            raise
-        if block:
-            yield block
+        except BaseException as exc:  # raised below, once the block is judged
+            failure = exc
+        hashes = _block_hashes(block, salt)
+        if hashes:
+            yield block, hashes
+        if len(hashes) < len(block):
+            _refuse(block[len(hashes)])
+        if failure is not None:
+            raise failure
         if len(block) < _BLOCK:
             return
 
@@ -371,9 +377,7 @@ class RegisterFile:
         # representation relies on that bound.
         self._max_reg = min((1 << register_width) - 1, 63)
         self._alpha_r2 = alpha * register_count * register_count
-        self._regs = bytearray(register_count)
-        self._zero = register_count
-        self._zs = register_count << 63
+        self.reset()
 
     # -- updates ---------------------------------------------------------
 
@@ -388,6 +392,38 @@ class RegisterFile:
             self._zero -= 1
         self._zs -= (1 << (63 - old)) - (1 << (63 - rank))
         return rank - old
+
+    def _splits(self, hashes: list[int]) -> tuple[list[int], list[int]]:
+        """The register index and the (clamped) rank each hash selects."""
+        bits, max_reg = self._bits, self._max_reg
+        top = 65 - bits  # the rank of a hash whose bits above the index are all zero
+        ranks = [top - (h >> bits).bit_length() for h in hashes]
+        if top > max_reg:
+            ranks = [rank if rank < max_reg else max_reg for rank in ranks]
+        mask = self._count - 1
+        return [h & mask for h in hashes], ranks
+
+    def _climb(self, indices, ranks, last: int) -> tuple[int, list[int], list[int]]:
+        """Raise each register in turn, reading the estimate after each rise.
+
+        Returns the last estimate, the positions whose rise left the
+        estimate above the one before (the ones a scan keeps), and the
+        positions that raised a register but not the estimate.
+        """
+        regs, raise_, estimate = self._regs, self._raise, self.estimate
+        risers: list[int] = []
+        stalls: list[int] = []
+        for j, rank in enumerate(ranks):
+            index = indices[j]
+            if rank > regs[index]:
+                raise_(index, rank)
+                after = estimate()
+                if after > last:
+                    risers.append(j)
+                else:
+                    stalls.append(j)
+                last = after
+        return last, risers, stalls
 
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
@@ -408,22 +444,16 @@ class RegisterFile:
 
         Checks every element first (an input that is not a ``list`` is
         copied into one), so a bad one, or an iterable that raises, changes
-        nothing. Then hashes ``_BLOCK`` at a time with ``_block_hashes``.
+        nothing. Then hashes ``_BLOCK`` at a time with ``_hashed_blocks``.
         """
         if type(elements) is not list:
             elements = list(elements)
         if not set(map(type, elements)) <= {bytes} or not all(elements):
             _refuse(next(e for e in elements if type(e) is not bytes or not e))
-        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
-        top = 65 - bits
+        regs = self._regs
         changed = 0
-        for block in _blocks(elements):
-            regs = self._regs
-            for h in _block_hashes(block, self._salt):
-                index = h & mask
-                rank = top - (h >> bits).bit_length()
-                if rank > max_reg:
-                    rank = max_reg
+        for _, hashes in _hashed_blocks(elements, self._salt):
+            for index, rank in zip(*self._splits(hashes)):
                 if rank > regs[index]:
                     self._raise(index, rank)
                     changed += 1
@@ -437,34 +467,18 @@ class RegisterFile:
         insertions): ``CardinalityOracle.scan`` over this register file,
         except that the estimate is computed only after an insertion that
         changed a register, since it depends on the registers alone.
-        Blocks are read and hashed as in ``insert_many``; a bad element
+        Blocks are read and hashed with ``_hashed_blocks``; a bad element
         raises what ``insert`` would, after every element before it was
         inserted and judged.
         """
         if not isinstance(kept, list):
             raise TypeError(f"expected list, got {type(kept).__name__}")
-        append = kept.append
-        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
-        top = 65 - bits
         last = self.estimate()
         insertions = 0
-        for block in _blocks(elements):
-            hashes = _block_hashes(block, self._salt)
-            regs = self._regs
-            for element, h in zip(block, hashes):
-                index = h & mask
-                rank = top - (h >> bits).bit_length()
-                if rank > max_reg:
-                    rank = max_reg
-                if rank > regs[index]:
-                    self._raise(index, rank)
-                    after = self.estimate()
-                    if after > last:
-                        append(element)
-                    last = after
+        for block, hashes in _hashed_blocks(elements, self._salt):
+            last, risers, _ = self._climb(*self._splits(hashes), last)
+            kept.extend(map(block.__getitem__, risers))
             insertions += len(hashes)
-            if len(hashes) < len(block):
-                _refuse(block[len(hashes)])
         return last, insertions
 
     def scan_stream(self, seed: int, start: int, count: int, kept: list) -> tuple[int, int]:
@@ -473,7 +487,7 @@ class RegisterFile:
         Generates each block as the hex string ``_stream_hex`` formats and
         hashes its words in place, so ``bytes`` are made only for the
         elements it keeps. A scan from an all-zero file remembers which
-        elements raised a register; a later scan of the same span visits
+        elements raised a register; a later scan of the same span replays
         only those (see the module docstring).
         """
         global _records
@@ -482,22 +496,14 @@ class RegisterFile:
             raise TypeError(f"expected list, got {type(kept).__name__}")
         if not _LANES:
             return self.scan(stream_elements(seed, start, count), kept)
-        append = kept.append
-        regs = self._regs
         last = self.estimate()
         key = (base & MASK64, count, self._salt, self._count, self._max_reg)
         records = _records
         if records is not None and records[0] == key:
-            for j, index, rank in zip(*records[1:]):
-                if rank > regs[index]:
-                    self._raise(index, rank)
-                    after = self.estimate()
-                    if after > last:
-                        append(stream_element(seed, start + j))
-                    last = after
+            _, offsets, indices, ranks = records
+            last, risers, _ = self._climb(indices, ranks, last)
+            kept.extend(stream_element(seed, start + offsets[j]) for j in risers)
             return last, count
-        bits, mask, max_reg, salt = self._bits, self._count - 1, self._max_reg, self._salt
-        top = 65 - bits
         # Offsets and indices are kept as 32-bit words, so a longer span or a
         # larger file is never recorded.
         record = self._zero == self._count and max(count, self._count) <= 1 << 32
@@ -505,21 +511,15 @@ class RegisterFile:
         for offset in range(0, count, _BLOCK):
             n = min(_BLOCK, count - offset)
             hexed = _stream_hex(base + offset, n)
-            for j, h in enumerate(_word_hashes(memoryview(hexed).cast("Q"), 16, n, salt)):
-                index = h & mask
-                rank = top - (h >> bits).bit_length()
-                if rank > max_reg:
-                    rank = max_reg
-                if rank > regs[index]:
-                    if record:
-                        offsets.append(offset + j)
-                        indices.append(index)
-                        ranks.append(rank)
-                    self._raise(index, rank)
-                    after = self.estimate()
-                    if after > last:
-                        append(hexed[16 * j : 16 * j + 16])
-                    last = after
+            hashes = _word_hashes(memoryview(hexed).cast("Q"), 16, n, self._salt)
+            block_indices, block_ranks = self._splits(hashes)
+            last, risers, stalls = self._climb(block_indices, block_ranks, last)
+            kept.extend(hexed[16 * j : 16 * j + 16] for j in risers)
+            if record:
+                raised = sorted(risers + stalls)
+                offsets.extend([offset + j for j in raised])
+                indices.extend(map(block_indices.__getitem__, raised))
+                ranks.extend(map(block_ranks.__getitem__, raised))
         if record:
             _records = (key, offsets, indices, ranks)
         return last, count
@@ -531,22 +531,13 @@ class RegisterFile:
         file's registers are neither read nor changed. Blocks are read and
         hashed, and a bad element refused, as in ``scan``.
         """
-        bits, mask, max_reg = self._bits, self._count - 1, self._max_reg
-        top = 65 - bits
         ranks = bytearray(self._count)
         slots: list = [None] * self._count
-        for block in _blocks(elements):
-            hashes = _block_hashes(block, self._salt)
-            for element, h in zip(block, hashes):
-                index = h & mask
-                rank = top - (h >> bits).bit_length()
-                if rank > max_reg:
-                    rank = max_reg
+        for block, hashes in _hashed_blocks(elements, self._salt):
+            for element, index, rank in zip(block, *self._splits(hashes)):
                 if rank > ranks[index]:
                     ranks[index] = rank
                     slots[index] = element
-            if len(hashes) < len(block):
-                _refuse(block[len(hashes)])
         return list(filter(None, slots))  # a kept element is never empty
 
     # -- estimates -------------------------------------------------------

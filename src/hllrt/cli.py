@@ -204,7 +204,7 @@ def _cmd_attack(args) -> int:
     if args.report:
         payload = {
             "target_cardinality": args.cardinality,
-            "seed": args.seed,
+            "seed": run.attack_set.source_seed,
             "backend": kernel_backend(),
             "total_insertions": run.total_insertions,
             "phases": [asdict(report) for report in run.reports],
@@ -299,7 +299,7 @@ def _cmd_experiment(args) -> int:
                     rows.append({
                         "R": args.registers,
                         "C": cardinality,
-                        "seed": seed,
+                        "seed": phase_set.source_seed,
                         "phase": phase_index + 1,
                         "set_size": len(phase_set.elements),
                         "estimate": verify(oracle, phase_set),

@@ -233,14 +233,21 @@ class RedisEndpoint:
 
 
 def parse_endpoint(url: str) -> RedisEndpoint:
-    """Parse redis://host:port/keyname."""
+    """Parse redis://host:port/keyname; an IPv6 host goes in brackets, [::1],
+    and is returned without them."""
     if not url.startswith("redis://"):
         raise ValueError(f"endpoint must start with redis://, got {url!r}")
     rest = url[len("redis://") :]
     hostport, sep, key = rest.partition("/")
     if not sep or not key:
         raise ValueError(f"endpoint must name a key: redis://host:port/key, got {url!r}")
-    host, sep, port_text = hostport.partition(":")
+    if hostport.startswith("["):
+        host, closed, after = hostport[1:].partition("]")
+        if not closed or after[:1] not in ("", ":"):
+            raise ValueError(f"bad bracketed host in endpoint {url!r}: want [host] or [host]:port")
+        sep, port_text = after[:1], after[1:]
+    else:
+        host, sep, port_text = hostport.partition(":")
     if not host:
         raise ValueError(f"endpoint missing host: {url!r}")
     port = 6379

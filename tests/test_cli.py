@@ -29,19 +29,22 @@ def attack_file(tmp_path):
 def test_attack_writes_set_and_report(tmp_path):
     out = tmp_path / "v.txt"
     report_path = tmp_path / "report.json"
-    code = run_cli(
-        "attack", "--registers", "1024", "--cardinality", "4096",
-        "--seed", "1", "--out", str(out), "--report", str(report_path),
-    )
-    assert code == 0
-    lines = out.read_text().splitlines()
-    meta = [l for l in lines if l.startswith("#")]
-    elements = [l for l in lines if not l.startswith("#")]
-    assert "# phase=3" in meta
-    report = json.loads(report_path.read_text())
-    assert [p["phase"] for p in report["phases"]] == [1, 2, 3]
-    assert report["phases"][2]["set_size"] == len(elements)
-    assert report["total_insertions"] <= 3 * 4096
+    # The set and the report both record the seed mod 2**64.
+    for seed, recorded in (("1", 1), ("-1", 2**64 - 1)):
+        code = run_cli(
+            "attack", "--registers", "1024", "--cardinality", "4096",
+            "--seed", seed, "--out", str(out), "--report", str(report_path),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        meta = [l for l in lines if l.startswith("#")]
+        elements = [l for l in lines if not l.startswith("#")]
+        assert "# phase=3" in meta
+        report = json.loads(report_path.read_text())
+        assert [p["phase"] for p in report["phases"]] == [1, 2, 3]
+        assert report["phases"][2]["set_size"] == len(elements)
+        assert report["total_insertions"] <= 3 * 4096
+        assert f"# seed={recorded}" in meta and report["seed"] == recorded
 
 
 def test_attack_cardinality_one(tmp_path):
@@ -144,12 +147,14 @@ def test_experiment_csv_schema_and_reproducibility(tmp_path):
 
 def test_experiment_json_format(tmp_path):
     out = tmp_path / "rows.json"
-    assert run_cli("experiment", "--registers", "64", "--cardinalities", "500",
-                   "--seeds", "7", "--format", "json", "--out", str(out)) == 0
-    rows = json.loads(out.read_text())
-    assert len(rows) == 3
-    assert rows[2]["phase"] == 3
-    assert rows[1]["estimate"] >= rows[0]["estimate"]  # monotone phases
+    for seed, recorded in (("7", 7), ("-1", 2**64 - 1)):  # rows record the seed mod 2**64
+        assert run_cli("experiment", "--registers", "64", "--cardinalities", "500",
+                       "--seeds", seed, "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 3
+        assert rows[2]["phase"] == 3
+        assert rows[1]["estimate"] >= rows[0]["estimate"]  # monotone phases
+        assert [row["seed"] for row in rows] == [recorded] * 3
 
 
 def test_attack_at_table_scale(tmp_path, capsys):

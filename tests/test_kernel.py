@@ -445,16 +445,19 @@ def test_insert_many_inserts_nothing_from_a_failing_iterable(kernels):
     elements = [stream_element(9, k) for k in range(BLOCK + 10)]
     stop = BLOCK + 5  # mid-way through the second block
 
-    def failing():
-        yield from elements[:stop]
+    def failing(prefix):
+        yield from prefix
         raise RuntimeError("source failed")
 
-    for kernel in kernels:
-        bulk = make_rf(kernel)
-        with pytest.raises(RuntimeError):
-            bulk.insert_many(failing())
-        assert bulk.dump_registers() == bytes(1024)
-        assert bulk.z_sum() == make_rf(kernel).z_sum()
+    # The last two rows put a bad element before the source fails: the
+    # source's error still comes first, since nothing is inserted.
+    for prefix in (elements[:stop], [b"a", b""], [b"a", None]):
+        for kernel in kernels:
+            bulk = make_rf(kernel)
+            with pytest.raises(RuntimeError):
+                bulk.insert_many(failing(prefix))
+            assert bulk.dump_registers() == bytes(1024)
+            assert bulk.z_sum() == make_rf(kernel).z_sum()
 
 
 @pytest.mark.parametrize(
@@ -557,9 +560,16 @@ def test_scan_refuses_a_bad_element_after_judging_the_ones_before(kernels, monke
         assert fast.sketch.registers == slow.sketch.registers
 
 
-@pytest.mark.parametrize("stop", [1, BLOCK, BLOCK + 5])
-def test_scan_judges_what_a_failing_iterable_yielded_then_raises(kernels, monkeypatch, stop):
-    elements = scan_elements(stop, [16, 1, 40])
+@pytest.mark.parametrize(
+    "stop, bad",
+    [pytest.param(stop, (), id=str(stop)) for stop in (1, BLOCK, BLOCK + 5)]
+    # A bad element just before the source fails: its error comes first,
+    # once b"a" has been judged.
+    + [pytest.param(0, (b"",), id="a-empty"), pytest.param(0, (None,), id="a-None")],
+)
+def test_scan_judges_what_a_failing_iterable_yielded_then_raises(kernels, monkeypatch, stop, bad):
+    elements = [b"a", *bad] if bad else scan_elements(stop, [16, 1, 40])
+    error = (ValueError if bad == (b"",) else TypeError) if bad else RuntimeError
 
     def failing():
         yield from elements
@@ -570,10 +580,12 @@ def test_scan_judges_what_a_failing_iterable_yielded_then_raises(kernels, monkey
         results = []
         for oracle, scan in ((fast, fast.scan), (slow, lambda *a: CardinalityOracle.scan(slow, *a))):
             kept = []
-            with pytest.raises(RuntimeError):
+            with pytest.raises(error):
                 scan(failing(), kept)
             results.append((kept, oracle.sketch.registers))
         assert results[0] == results[1]
+        if bad:
+            assert results[0][0] == [b"a"]
 
 
 def test_scan_wants_a_list_to_keep_into(kernels):

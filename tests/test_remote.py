@@ -254,10 +254,19 @@ def test_parse_endpoint():
     ep = parse_endpoint("redis://localhost:6380/mykey")
     assert (ep.host, ep.port, ep.key) == ("localhost", 6380, "mykey")
     assert parse_endpoint("redis://10.0.0.1/k").port == 6379
+    ep = parse_endpoint("redis://[::1]:6380/k")
+    assert (ep.host, ep.port, ep.key) == ("::1", 6380, "k")
+    ep = parse_endpoint("redis://[::1]/k")
+    assert (ep.host, ep.port, ep.key) == ("::1", 6379, "k")
 
 
 def test_parse_endpoint_rejects_bad_urls():
-    for bad in ("http://x/k", "redis://hostonly", "redis://host:port/k", "redis://:1/k"):
+    for bad in (
+        "http://x/k", "redis://hostonly", "redis://host:port/k", "redis://:1/k",
+        # An unclosed bracket, an empty one, and anything but :port after it.
+        "redis://[::1/k", "redis://[::1:6379/k", "redis://[]/k", "redis://[]:6379/k",
+        "redis://[::1]6379/k", "redis://[::1]x/k", "redis://[::1]]:6379/k", "redis://[::1]:/k",
+    ):
         with pytest.raises(ValueError):
             parse_endpoint(bad)
 

@@ -398,14 +398,20 @@ def test_kernel_witness_refuses_a_bad_element_and_changes_nothing(kernels, monke
 
 
 def test_kernel_witness_raises_what_a_failing_iterable_raises(kernels, monkeypatch):
-    def failing():
-        yield from witness_elements(BLOCK + 5)
+    def failing(prefix):
+        yield from prefix
         raise RuntimeError("source failed")
 
-    for kernel in kernels:
-        monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
-        with pytest.raises(RuntimeError):
-            witness_subset(failing(), HllParams(64, 6))
+    # A bad element just before the source fails raises its own error.
+    for prefix, error in (
+        (witness_elements(BLOCK + 5), RuntimeError),
+        ([b"a", b""], ValueError),
+        ([b"a", None], TypeError),
+    ):
+        for kernel in kernels:
+            monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
+            with pytest.raises(error):
+                witness_subset(failing(prefix), HllParams(64, 6))
 
 
 def test_witness_subset_reproduces_registers():
