@@ -289,8 +289,7 @@ static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
     return PyLong_FromDouble(estimate(self));
 }
 
-/* Raise a register and, if it rose, read the estimate into *last: 1 if that
- * lifted the estimate above the one before (the element is kept), else 0. */
+/* Raise a register; if it rose, read the estimate into *last: 1 if it lifted it. */
 static int climb(RegisterFile *self, Py_ssize_t index, int rank, double *last) {
     if (!raise_to(self, index, rank)) return 0;
     double after = estimate(self), before = *last;

@@ -37,15 +37,12 @@ integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
 ``insert`` splits its one hash inline. The other element methods take
-``_BLOCK`` elements at a time through three pieces. The block reader
-``_hashed_blocks`` hands out each block with its elements' hashes; a bad
-element, or a source that raises, cuts them short, and its error is
-raised after the caller has judged the good prefix. The block split
-``_splits`` turns the hashes into register indices and (clamped) ranks.
-The climb ``_climb``, shared by ``scan``, ``scan_stream`` and its record
-rescan, raises each register in turn and reads the estimate after each
-rise; it returns the positions that lifted the estimate, the ones a scan
-keeps. ``insert_many`` and ``witness`` read and split but do not climb.
+``_BLOCK`` elements at a time through one block reader, ``_hashed_blocks``
+(which raises for a bad element only once the caller has judged the
+elements before it), and one block split, ``_splits``; ``scan``,
+``scan_stream`` and its record rescan then raise registers and judge the
+estimate in one loop, ``_climb``, keeping the positions that lifted it.
+
 A block is hashed in one pass, SIMD within a register with Python's big
 integers, when its elements all have one length n: each gets a 128-bit
 lane of one big integer, its accumulator in the lane's low 64 bits and
@@ -115,6 +112,8 @@ _BLOCK = 512
 # The lanes are read back as native 8-byte words, so the block path
 # needs a little-endian host; elsewhere blocks are hashed one by one.
 _LANES = sys.byteorder == "little"
+# Where a native 8-byte word keeps its top byte.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 
 # 2**-63 is an exact double, so scaling Z_scaled by it only rounds once
 # (in the int -> float conversion).
@@ -283,9 +282,8 @@ def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
 def _hashed_blocks(elements, salt: int):
     """``elements`` in blocks of up to ``_BLOCK``, each with its ``_block_hashes``.
 
-    The hashes stop at the block's first bad element, or where the source
-    raised. The caller judges them first; when it asks for the next block,
-    the bad element's error is raised, else the source's.
+    These stop at a bad element or where the source raised; that error, the
+    element's first, is raised when the caller asks for the next block.
     """
     elements = iter(elements)
     while True:
@@ -350,7 +348,8 @@ class RegisterFile:
     """
 
     __slots__ = (
-        "_count", "_salt", "_switch", "_bits", "_max_reg", "_regs", "_zero", "_zs", "_alpha_r2"
+        "_count", "_salt", "_switch", "_bits", "_max_reg", "_regs", "_zero", "_zs", "_alpha_r2",
+        "_rank_table",
     )
 
     def __init__(
@@ -375,8 +374,11 @@ class RegisterFile:
         self._bits = register_count.bit_length() - 1
         # Ranks above 63 cannot occur from a 64-bit hash; the scaled-Z
         # representation relies on that bound.
-        self._max_reg = min((1 << register_width) - 1, 63)
+        self._max_reg = max_reg = min((1 << register_width) - 1, 63)
         self._alpha_r2 = alpha * register_count * register_count
+        # A hash's clamped rank by its top byte, 0 if that byte is zero. Such a
+        # rank is at most 8, below the bound 65 - bits since R < 2**56.
+        self._rank_table = bytes([0] + [min(9 - b.bit_length(), max_reg) for b in range(1, 256)])
         self.reset()
 
     # -- updates ---------------------------------------------------------
@@ -393,22 +395,23 @@ class RegisterFile:
         self._zs -= (1 << (63 - old)) - (1 << (63 - rank))
         return rank - old
 
-    def _splits(self, hashes: list[int]) -> tuple[list[int], list[int]]:
-        """The register index and the (clamped) rank each hash selects."""
-        bits, max_reg = self._bits, self._max_reg
-        top = 65 - bits  # the rank of a hash whose bits above the index are all zero
-        ranks = [top - (h >> bits).bit_length() for h in hashes]
-        if top > max_reg:
-            ranks = [rank if rank < max_reg else max_reg for rank in ranks]
-        mask = self._count - 1
+    def _splits(self, hashes: list[int]) -> tuple[list[int], bytearray]:
+        """The register index and the (clamped) rank each hash selects, the rank
+        by ``_rank_table`` unless the hash's top byte is zero (one in 256)."""
+        bits, mask = self._bits, self._count - 1
+        top_bytes = array("Q", hashes).tobytes()[_TOP_BYTE::8]
+        ranks = bytearray(top_bytes.translate(self._rank_table))
+        j = ranks.find(0)
+        while j >= 0:
+            ranks[j] = min(65 - bits - (hashes[j] >> bits).bit_length(), self._max_reg)
+            j = ranks.find(0, j + 1)
         return [h & mask for h in hashes], ranks
 
     def _climb(self, indices, ranks, last: int) -> tuple[int, list[int], list[int]]:
         """Raise each register in turn, reading the estimate after each rise.
 
-        Returns the last estimate, the positions whose rise left the
-        estimate above the one before (the ones a scan keeps), and the
-        positions that raised a register but not the estimate.
+        Returns the last estimate, the positions that lifted the estimate
+        (the ones a scan keeps) and those that raised a register alone.
         """
         regs, raise_, estimate = self._regs, self._raise, self.estimate
         risers: list[int] = []

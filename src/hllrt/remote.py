@@ -233,8 +233,7 @@ class RedisEndpoint:
 
 
 def parse_endpoint(url: str) -> RedisEndpoint:
-    """Parse redis://host:port/keyname; an IPv6 host goes in brackets, [::1],
-    and is returned without them."""
+    """Parse redis://host:port/keyname, an IPv6 host in brackets: redis://[::1]:6379/k."""
     if not url.startswith("redis://"):
         raise ValueError(f"endpoint must start with redis://, got {url!r}")
     rest = url[len("redis://") :]

@@ -672,6 +672,20 @@ def test_scan_stream_clamps_ranks_as_scan_does(kernels, m, width):
             assert max(stream[2]) == (15 if width == 4 else 18)
 
 
+def test_block_paths_clamp_ranks_the_top_byte_decides(kernels):
+    # Below width 4, which HllParams refuses but the kernel takes, the clamp
+    # binds on ranks 1..8 too; the scalar insert is the reference.
+    elements = _pykernel.stream_elements(0, 0, 2 * BLOCK)
+    for kernel in kernels:
+        for width in (1, 2, 3):
+            bulk, one_by_one = (make_rf(kernel, m=16, width=width) for _ in range(2))
+            for element in elements:
+                one_by_one.insert(element)
+            bulk.insert_many(elements)
+            assert bulk.dump_registers() == one_by_one.dump_registers(), (kernel.__name__, width)
+            assert max(bulk.dump_registers()) == (1 << width) - 1
+
+
 def test_scan_stream_refuses_what_the_twins_refuse(kernels):
     refused = {
         TypeError: [
