@@ -289,7 +289,7 @@ static PyObject *rf_estimate(RegisterFile *self, PyObject *unused) {
     return PyLong_FromDouble(estimate(self));
 }
 
-/* Raise a register; if it rose, read the estimate into *last: 1 if it lifted it. */
+/* Raise a register; if it rose, read the estimate into *last and say if that went up. */
 static int climb(RegisterFile *self, Py_ssize_t index, int rank, double *last) {
     if (!raise_to(self, index, rank)) return 0;
     double after = estimate(self), before = *last;

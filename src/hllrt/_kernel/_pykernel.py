@@ -282,8 +282,8 @@ def stream_elements(seed: int, start: int, count: int) -> list[bytes]:
 def _hashed_blocks(elements, salt: int):
     """``elements`` in blocks of up to ``_BLOCK``, each with its ``_block_hashes``.
 
-    These stop at a bad element or where the source raised; that error, the
-    element's first, is raised when the caller asks for the next block.
+    The hashes stop at a bad element, or where the source raised; that error
+    (the element's, if both) is raised when the caller asks for the next block.
     """
     elements = iter(elements)
     while True:
