@@ -36,10 +36,12 @@ per-element path is flat: ``hash64`` reads the element once as one
 integer and shifts its 8-byte words off, rotations and avalanche inline;
 ``stream_element`` mixes each seed once (cached), not once per element.
 
-``insert`` splits its one hash inline. The other element methods take
-``_BLOCK`` elements at a time through one block reader, ``_hashed_blocks``
-(which raises for a bad element only once the caller has judged the
-elements before it), and one block split, ``_splits``; ``scan``,
+``insert`` and the block split ``_splits`` rank a hash by its top byte
+in ``_rank_table``, built from the one rank rule ``_rank``, which runs
+itself only where that byte is zero (one hash in 256). The other element
+methods take ``_BLOCK`` elements at a time through one block reader,
+``_hashed_blocks`` (which raises for a bad element only once the caller
+has judged the elements before it), and ``_splits``; ``scan``,
 ``scan_stream`` and its record rescan then raise registers and judge the
 estimate in one loop, ``_climb``, keeping the positions that lifted it.
 
@@ -374,14 +376,17 @@ class RegisterFile:
         self._bits = register_count.bit_length() - 1
         # Ranks above 63 cannot occur from a 64-bit hash; the scaled-Z
         # representation relies on that bound.
-        self._max_reg = max_reg = min((1 << register_width) - 1, 63)
+        self._max_reg = min((1 << register_width) - 1, 63)
         self._alpha_r2 = alpha * register_count * register_count
-        # A hash's clamped rank by its top byte, 0 if that byte is zero. Such a
-        # rank is at most 8, below the bound 65 - bits since R < 2**56.
-        self._rank_table = bytes([0] + [min(9 - b.bit_length(), max_reg) for b in range(1, 256)])
+        # Entry b is ``_rank`` of every hash whose top byte is b; 0 for b = 0, which fixes none.
+        self._rank_table = bytes([0] + [self._rank(b << 56) for b in range(1, 256)])
         self.reset()
 
     # -- updates ---------------------------------------------------------
+
+    def _rank(self, h: int) -> int:
+        """One plus the leading zeros above hash ``h``'s index bits, clamped."""
+        return min(65 - self._bits - (h >> self._bits).bit_length(), self._max_reg)
 
     def _raise(self, index: int, rank: int) -> int:
         """Raise a register to ``rank`` if that is higher; return the increment."""
@@ -397,13 +402,13 @@ class RegisterFile:
 
     def _splits(self, hashes: list[int]) -> tuple[list[int], bytearray]:
         """The register index and the (clamped) rank each hash selects, the rank
-        by ``_rank_table`` unless the hash's top byte is zero (one in 256)."""
-        bits, mask = self._bits, self._count - 1
+        by ``_rank_table``, or by ``_rank`` where the hash's top byte is zero."""
+        mask = self._count - 1
         top_bytes = array("Q", hashes).tobytes()[_TOP_BYTE::8]
         ranks = bytearray(top_bytes.translate(self._rank_table))
         j = ranks.find(0)
         while j >= 0:
-            ranks[j] = min(65 - bits - (hashes[j] >> bits).bit_length(), self._max_reg)
+            ranks[j] = self._rank(hashes[j])
             j = ranks.find(0, j + 1)
         return [h & mask for h in hashes], ranks
 
@@ -433,14 +438,7 @@ class RegisterFile:
         h = hash64(element, self._salt)
         if not element:
             _refuse(element)
-        bits = self._bits
-        index = h & (self._count - 1)
-        rank = 65 - bits - (h >> bits).bit_length()
-        if rank > self._max_reg:
-            rank = self._max_reg
-        if rank <= self._regs[index]:
-            return 0
-        return self._raise(index, rank)
+        return self._raise(h & (self._count - 1), self._rank_table[h >> 56] or self._rank(h))
 
     def insert_many(self, elements) -> int:
         """Insert a batch; return how many changed a register.

@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from . import analysis
 from .attack import AttackAborted, AttackSet, run_attack, verify
-from .defense import SnsGuard, StatsMonitor, default_divergence_threshold
+from .defense import SnsGuard, StatsMonitor
 from .oracle import make_oracle
 from .remote import ProtocolError, RemoteOracle, ServerError, parse_endpoint
 from .sketch import HllParams, HllSketch, kernel_backend

@@ -8,10 +8,12 @@ attack's unit of work; ``scan_stream``, the scan of a span of the
 attack's stream; and ``insert_many``, through which phase 2 preloads and
 ``verify`` replays a set. An oracle may override any of them only with
 code that observes the same estimates and leaves the same registers as
-the reference it replaces. ``InProcessOracle`` overrides all three with
-the kernel's. ``RemoteOracle`` overrides ``scan`` and ``insert_many``
-with pipelines; its inherited ``scan_stream`` pipelines through its
-``scan``.
+the reference it replaces, save ``insert_many`` of a batch that holds a
+bad element: the reference inserts the elements before it, the kernels'
+and ``RemoteOracle``'s insert none. ``InProcessOracle`` overrides all
+three with the kernel's. ``RemoteOracle`` overrides ``scan`` and
+``insert_many`` with pipelines; its inherited ``scan_stream`` pipelines
+through its ``scan``.
 """
 
 from __future__ import annotations
@@ -120,7 +122,6 @@ class InProcessOracle(CardinalityOracle):
         self._insert(element)
 
     def insert_many(self, elements: Iterable[bytes]) -> None:
-        # The kernel refuses a bad element before it inserts anything.
         self._sketch.insert_many(elements)
 
     def estimate(self) -> int:

@@ -405,21 +405,21 @@ class RemoteOracle(CardinalityOracle):
         last = self.estimate()
         key = self._key
         count = [b"PFCOUNT", key]
-        expect_int = self._expect_int
-        append = kept.append
         insertions = 0
         elements = iter(elements)
-        while chunk := [self._element(e) for e in islice(elements, _PIPELINE // 2)]:
-            commands: list[Sequence[bytes]] = []
-            for element in chunk:
-                commands.append([b"PFADD", key, element])
-                commands.append(count)
-            replies = self._exchange(commands)
-            for element, added, counted in zip(chunk, replies[::2], replies[1::2]):
-                expect_int(added, "PFADD")
-                after = expect_int(counted, "PFCOUNT")
-                if after > last:
-                    append(element)
-                last = after
-            insertions += len(chunk)
-        return last, insertions
+        while True:
+            chunk: list[bytes] = []
+            try:  # extend keeps the elements read before a bad one or a raise of the source
+                chunk.extend(map(self._element, islice(elements, _PIPELINE // 2)))
+            finally:  # which are sent and judged before that error propagates, as by the reference
+                if chunk:
+                    replies = self._exchange([c for e in chunk for c in ([b"PFADD", key, e], count)])
+                    for element, added, counted in zip(chunk, replies[::2], replies[1::2]):
+                        self._expect_int(added, "PFADD")
+                        after = self._expect_int(counted, "PFCOUNT")
+                        if after > last:
+                            kept.append(element)
+                        last = after
+                    insertions += len(chunk)
+            if len(chunk) < _PIPELINE // 2:
+                return last, insertions

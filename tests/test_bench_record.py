@@ -1,4 +1,4 @@
-"""tools/bench_record.py: what it does with a run whose outputs failed their checks."""
+"""tools/bench_record.py: its verdicts, and what it does with a run whose outputs failed their checks."""
 
 import importlib.util
 import json
@@ -37,3 +37,47 @@ def test_a_run_with_failed_checks_is_named_and_exits_nonzero(tmp_path, monkeypat
     # Every run correct: exit 0.
     monkeypatch.setattr(tool, "run_once", lambda repo, *rest: run_once(parent, *rest))
     assert tool.main(["--repo", str(change), "--parent", str(parent)]) == 0
+
+
+def test_each_metric_gets_its_verdict(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    context = {"backend": "pure", "python": "3", "nproc": 1}
+    # Parent runs: setup_s and unit_cal.p50 steady, the other two spread
+    # far past their bounds (IQR 4.5 around a median of 5.5).
+    parent_runs = {"setup_s": lambda s: 1.0, "unit_cal.p50": lambda s: 1.0,
+                   "elements_per_cal": float, "peak_rss_mb": float}
+    change_runs = {
+        "setup_s": lambda s: 1.1,  # 10% worse, within its 25% bound
+        "unit_cal.p50": lambda s: 1.5,  # 50% worse than its 20% bound
+        "elements_per_cal": lambda s: s + 0.5,  # better, but not in every pair of runs
+        "peak_rss_mb": lambda s: 0.5,  # lower than every parent run
+    }
+
+    def run_once(repo, workload, seed, seconds):
+        runs = change_runs if repo == change else parent_runs
+        metrics = {metric: {"value": runs[metric](seed), "unit": "x"} for metric in tool.METRICS}
+        return context, {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "commit_of", lambda repo: "0" * 40)
+    assert tool.main(["--repo", str(change), "--parent", str(parent)]) == 0
+    record = json.loads((change / "BENCH_pure.json").read_text())
+    for workload in tool.WORKLOADS:
+        verdicts = record["workloads"][workload]["verdicts"]
+        assert {metric: v["verdict"] for metric, v in verdicts.items()} == {
+            "setup_s": "within bound",
+            "unit_cal.p50": "worse",
+            "elements_per_cal": "unresolved",
+            "peak_rss_mb": "within bound",
+        }
+        assert verdicts["unit_cal.p50"]["move"] == 0.5
+        assert verdicts["elements_per_cal"]["move"] == 0.5 / 5.5
+    out = capsys.readouterr().out
+    for workload in tool.WORKLOADS:
+        assert f"{workload} unit_cal.p50: worse, median moved +50.0% against a bound of 20%\n" in out
+        assert f"{workload} elements_per_cal: unresolved, median moved +9.1% against a bound of 20%\n" in out
+    assert "within bound" not in out

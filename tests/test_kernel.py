@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from itertools import repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -684,6 +685,56 @@ def test_block_paths_clamp_ranks_the_top_byte_decides(kernels):
             bulk.insert_many(elements)
             assert bulk.dump_registers() == one_by_one.dump_registers(), (kernel.__name__, width)
             assert max(bulk.dump_registers()) == (1 << width) - 1
+
+
+def split_maxima(elements, params):
+    """Each register's largest ``hash_split`` rank over ``elements``."""
+    registers = bytearray(params.register_count)
+    for element in elements:
+        index, rank = hash_split(element, params)
+        registers[index] = max(registers[index], rank)
+    return bytes(registers)
+
+
+@pytest.mark.parametrize("m", [16, 4096])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_every_element_method_splits_as_hash_split(kernels, monkeypatch, m, width):
+    # hash_split shares no code with either twin, so it checks the pure
+    # twin's rank table and rule, which insert and the block paths share.
+    # Below width 4, which HllParams refuses but the kernel takes, a plain
+    # namespace stands in for it; there the clamp binds on table ranks.
+    params = (HllParams(m, width) if width >= 4
+              else SimpleNamespace(register_count=m, register_width=width, salt_value=0))
+    elements = _pykernel.stream_elements(0, 0, 2 * BLOCK)
+    assert sum(hash64(e) >> 56 == 0 for e in elements) == 4  # ranked past the table
+    expected = split_maxima(elements, params)
+    monkeypatch.setattr(_pykernel, "_records", None)  # scan_stream splits, never replays
+    for kernel in kernels:
+        names = ("insert", "insert_many", "scan", "scan_stream")
+        files = {name: make_rf(kernel, m=m, width=width) for name in names}
+        for element in elements:
+            files["insert"].insert(element)
+        files["insert_many"].insert_many(elements)
+        files["scan"].scan(elements, [])
+        files["scan_stream"].scan_stream(0, 0, 2 * BLOCK, [])
+        for name, rf in files.items():
+            assert rf.dump_registers() == expected, (kernel.__name__, name)
+
+
+def test_the_pure_twin_runs_its_rank_rule_only_where_the_table_has_no_rank(monkeypatch):
+    # The table ranks a hash by its top byte; the rule itself, a slower call,
+    # runs only for a hash whose top byte is zero, in insert and the block
+    # split alike.
+    rule = _pykernel.RegisterFile._rank
+    ruled = []
+    monkeypatch.setattr(_pykernel.RegisterFile, "_rank", lambda rf, h: ruled.append(h) or rule(rf, h))
+    rf = make_rf(_pykernel, m=16)
+    elements = _pykernel.stream_elements(0, 0, 2 * BLOCK)
+    zero_top = [h for h in map(hash64, elements) if h >> 56 == 0]
+    for insert in (lambda: [rf.insert(e) for e in elements], lambda: rf.insert_many(elements)):
+        ruled.clear()
+        insert()
+        assert ruled == zero_top
 
 
 def test_scan_stream_refuses_what_the_twins_refuse(kernels):

@@ -14,7 +14,6 @@ from hllrt import (
     AttackAborted,
     CountingOracle,
     HllParams,
-    HllSketch,
     make_oracle,
     run_attack,
     verify,
@@ -341,6 +340,38 @@ def test_oracle_refuses_a_bad_element_alike_everywhere(bad):
                 oracle.scan([bad], kept)
             assert kept == []
         assert b"PFADD" not in server.commands_seen
+
+
+@pytest.mark.parametrize("at", [1, remote._PIPELINE // 2 + 5])
+@pytest.mark.parametrize(
+    "bad", [None, "", bytearray(), b"", RuntimeError],
+    ids=["None", "str", "bytearray", "empty", "source"],
+)
+def test_scan_judges_the_elements_before_a_bad_one_as_the_in_process_oracle_does(bad, at):
+    # ``at`` good elements, then a bad one or the source raising: the good
+    # ones are sent and judged first, the second time in a later pipeline.
+    def source():
+        yield from (b"s%d" % k for k in range(at))
+        if bad is RuntimeError:
+            raise RuntimeError("source failed")
+        yield bad
+        yield b"never read"
+
+    error = RuntimeError if bad is RuntimeError else ValueError if type(bad) is bytes else TypeError
+    local = make_oracle(HllParams(256, 6))
+    expected = []
+    with pytest.raises(error):
+        local.scan(source(), expected)
+    assert expected
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url()) as oracle:
+            oracle.reset()
+            kept = []
+            with pytest.raises(error):
+                oracle.scan(source(), kept)
+            assert kept == expected
+        assert server.keys[b"k"].registers == local.sketch.registers
+        assert server.commands_seen.count(b"PFADD") == at
 
 
 def test_oracle_surfaces_wrong_type_errors():

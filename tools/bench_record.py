@@ -14,11 +14,13 @@ workload and side the median and interquartile range (IQR) of the four
 end-to-end metrics, the runs in seed order, and the failed-unit ratio;
 for each workload and metric, in how many seeds' pairs the change read
 better than the parent (``change_better_pairs``, by the metric's
-``better`` in ``BENCHMARK.json``); and the kernel backend, Python version,
-nproc and the git commit of each checkout. Both checkouts must run the
-same backend. If any run's outputs failed their checks (``correct`` false
-in its result), it still writes the file, then names those runs and
-exits 1.
+``better`` in ``BENCHMARK.json``) and, in ``verdicts``, the change's
+median move against the parent's and its verdict by the metric's
+``bound`` (see ``verdict``), printing each one that is not ``within
+bound``; and the kernel backend, Python version, nproc and the git commit
+of each checkout. Both checkouts must run the same backend. If any run's
+outputs failed their checks (``correct`` false in its result), it still
+writes the file, then names those runs and exits 1.
 """
 
 from __future__ import annotations
@@ -85,6 +87,27 @@ def better_pairs(parent: list, change: list, better: dict[str, str]) -> dict[str
     return counts
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The change's median move against the parent's, relative to the parent's, and its verdict.
+
+    ``worse`` if the move is worse than ``bound``; else ``unresolved`` if the
+    parent's IQR is wider than ``bound`` of its median, unless every change
+    run reads better than every parent run; else ``within bound``.
+    """
+    base = summary(parent)
+    move = (statistics.median(change) - base["median"]) / base["median"]
+    sign = 1 if better == "higher" else -1
+    if sign * move < -bound:
+        result = "worse"
+    elif base["iqr"] > bound * base["median"] and not all(
+        sign * (c - p) > 0 for c in change for p in parent
+    ):
+        result = "unresolved"
+    else:
+        result = "within bound"
+    return {"move": move, "verdict": result}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="the change's checkout (default: this one)")
@@ -94,6 +117,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    bound = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
 
     record = {
         "commits": {side: commit_of(repo) for side, repo in sides.items()},
@@ -116,8 +140,17 @@ def main(argv=None) -> int:
                 values = ", ".join(f"{m}={result['metrics'][m]['value']:.4g}" for m in METRICS)
                 print(f"{workload} seed={seed} {side}: failed {result['failed']}/{result['attempted']}, "
                       f"{values}", flush=True)
-        record["workloads"][workload] = {side: side_record(runs[side]) for side in sides}
-        record["workloads"][workload]["change_better_pairs"] = better_pairs(runs["parent"], runs["change"], better)
+        entry = record["workloads"][workload] = {side: side_record(runs[side]) for side in sides}
+        entry["change_better_pairs"] = better_pairs(runs["parent"], runs["change"], better)
+        entry["verdicts"] = {
+            metric: verdict(entry["parent"]["metrics"][metric]["runs"], entry["change"]["metrics"][metric]["runs"],
+                            better[metric], bound[metric])
+            for metric in METRICS
+        }
+        for metric, judged in entry["verdicts"].items():
+            if judged["verdict"] != "within bound":
+                print(f"{workload} {metric}: {judged['verdict']}, median moved {judged['move']:+.1%} "
+                      f"against a bound of {bound[metric]:.0%}", flush=True)
     for key in ("backend", "python", "nproc"):
         found = {context[key] for context in contexts}
         if len(found) != 1:
