@@ -28,13 +28,14 @@ from .attack import (
     verify,
 )
 from .defense import DetectionReport, SnsGuard, StatsMonitor, default_divergence_threshold
-from .oracle import CardinalityOracle, CountingOracle, InProcessOracle, make_oracle
+from .oracle import CardinalityOracle, CountingOracle
 from .remote import RemoteOracle, parse_endpoint
 from .sketch import (
     HllParams,
     HllSketch,
     alpha_for_registers,
     kernel_backend,
+    make_oracle,
     merge,
     witness_subset,
 )
@@ -49,7 +50,6 @@ __all__ = [
     "witness_subset",
     "kernel_backend",
     "CardinalityOracle",
-    "InProcessOracle",
     "CountingOracle",
     "make_oracle",
     "AttackSet",

@@ -102,12 +102,13 @@ class AttackSet:
     # in insertion order.
 
     def save(self, path) -> None:
-        """Write the file form; refuse, before writing, an element it cannot hold.
+        """Write the file form; refuse, before writing, a set ``load`` would refuse.
 
-        An element must be non-empty UTF-8 with no CR or LF and must not
-        start with '#', or ``load`` would skip it, split it or read it
-        as metadata.
+        The set must pass ``validate``. An element must be non-empty UTF-8
+        with no CR or LF and must not start with '#', or ``load`` would
+        skip it, split it or read it as metadata.
         """
+        self.validate()
         lines = []
         for element in self.elements:
             try:

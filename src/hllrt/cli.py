@@ -25,9 +25,8 @@ from dataclasses import asdict
 from . import analysis
 from .attack import AttackAborted, AttackSet, run_attack, verify
 from .defense import SnsGuard, StatsMonitor
-from .oracle import make_oracle
 from .remote import ProtocolError, RemoteOracle, ServerError, parse_endpoint
-from .sketch import HllParams, HllSketch, kernel_backend
+from .sketch import HllParams, HllSketch, kernel_backend, make_oracle
 
 __all__ = ["main"]
 
@@ -280,42 +279,46 @@ def _cmd_experiment(args) -> int:
     if any(c < 1 for c in cardinalities):
         raise _UsageError("cardinalities must be >= 1")
     rows: list[dict] = []
-    aborted: AttackAborted | None = None
+    failure: Exception | None = None
     with _target_oracle(args) as oracle:
-        for cardinality in cardinalities:
-            for seed in seeds:
-                try:
-                    run = run_attack(lambda: oracle, seed, cardinality)
-                except AttackAborted as exc:
-                    aborted = exc
-                    break
-                scan_insertions = [
-                    run.reports[0].insertions_performed,
-                    len(run.phase_sets[0].elements) + run.reports[1].insertions_performed,
-                    run.reports[2].insertions_performed,
-                ]
-                for phase_index in range(3):
-                    phase_set = run.phase_sets[phase_index]
-                    rows.append({
-                        "R": args.registers,
-                        "C": cardinality,
-                        "seed": phase_set.source_seed,
-                        "phase": phase_index + 1,
-                        "set_size": len(phase_set.elements),
-                        "estimate": verify(oracle, phase_set),
-                        "insertions": scan_insertions[phase_index],
-                        "wall_time_ms": round(run.wall_times_ms[phase_index], 3),
-                    })
-            if aborted:
-                break
+        try:
+            for cardinality in cardinalities:
+                for seed in seeds:
+                    rows.extend(_experiment_rows(oracle, args.registers, seed, cardinality))
+        except (AttackAborted, ServerError, ProtocolError, OSError) as exc:
+            failure = exc
     _write_rows(args.out, rows, args.format)
     if args.plot_data:
         _write_plot_data(args.plot_data, rows)
     _print_aggregate(rows)
-    if aborted:
-        print(f"aborted: {aborted}; partial results flushed", file=sys.stderr)
+    if failure:
+        kind = "aborted" if isinstance(failure, AttackAborted) else "target error"
+        print(f"{kind}: {failure}; partial results flushed", file=sys.stderr)
         return EXIT_TARGET
     return EXIT_OK
+
+
+def _experiment_rows(oracle, registers: int, seed: int, cardinality: int) -> list[dict]:
+    """One row per phase of one attack run, each phase set verified on ``oracle``."""
+    run = run_attack(lambda: oracle, seed, cardinality)
+    scan_insertions = [
+        run.reports[0].insertions_performed,
+        len(run.phase_sets[0].elements) + run.reports[1].insertions_performed,
+        run.reports[2].insertions_performed,
+    ]
+    return [
+        {
+            "R": registers,
+            "C": cardinality,
+            "seed": phase_set.source_seed,
+            "phase": phase_index + 1,
+            "set_size": len(phase_set.elements),
+            "estimate": verify(oracle, phase_set),
+            "insertions": scan_insertions[phase_index],
+            "wall_time_ms": round(run.wall_times_ms[phase_index], 3),
+        }
+        for phase_index, phase_set in enumerate(run.phase_sets)
+    ]
 
 
 def _write_rows(path: str, rows: list[dict], fmt: str) -> None:
@@ -414,10 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (_UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ServerError, ProtocolError, OSError) as exc:

@@ -8,12 +8,11 @@ attack's unit of work; ``scan_stream``, the scan of a span of the
 attack's stream; and ``insert_many``, through which phase 2 preloads and
 ``verify`` replays a set. An oracle may override any of them only with
 code that observes the same estimates and leaves the same registers as
-the reference it replaces, save ``insert_many`` of a batch that holds a
-bad element: the reference inserts the elements before it, the kernels'
-and ``RemoteOracle``'s insert none. ``InProcessOracle`` overrides all
-three with the kernel's. ``RemoteOracle`` overrides ``scan`` and
-``insert_many`` with pipelines; its inherited ``scan_stream`` pipelines
-through its ``scan``.
+the reference it replaces; every ``insert_many`` refuses a batch that
+holds a bad element before it inserts any. ``HllSketch`` is the
+in-process oracle and overrides all three with the kernel's.
+``RemoteOracle`` overrides ``scan`` and ``insert_many`` with pipelines;
+its inherited ``scan_stream`` pipelines through its ``scan``.
 """
 
 from __future__ import annotations
@@ -22,17 +21,31 @@ import abc
 from typing import Iterable
 
 from ._kernel import stream_elements
-from .sketch import HllParams, HllSketch
 
-__all__ = ["CardinalityOracle", "InProcessOracle", "CountingOracle", "make_oracle"]
+__all__ = ["CardinalityOracle", "CountingOracle"]
 
 # Stream elements the reference scan_stream generates at a time: few
 # enough that a long span is never held whole.
 _BLOCK = 512
 
 
+def checked_element(element: bytes) -> bytes:
+    """``element``, if a kernel would take it; else ``TypeError``, or ``ValueError`` if empty.
+
+    The one copy of the kernel's element rule above a kernel, for the
+    oracles in which none runs.
+    """
+    if type(element) is not bytes:
+        raise TypeError(f"expected bytes, got {type(element).__name__}")
+    if not element:
+        raise ValueError("element must be non-empty")
+    return element
+
+
 class CardinalityOracle(abc.ABC):
     """reset / insert / estimate — nothing else is observable."""
+
+    __slots__ = ()
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -47,7 +60,8 @@ class CardinalityOracle(abc.ABC):
         """Current integer cardinality estimate (side-effect free)."""
 
     def insert_many(self, elements: Iterable[bytes]) -> None:
-        """Insert every element in order: ``insert`` for each."""
+        """Insert every element in order: ``insert`` for each, once all pass ``checked_element``."""
+        elements = [checked_element(element) for element in elements]
         insert = self.insert
         for element in elements:
             insert(element)
@@ -95,59 +109,6 @@ class CardinalityOracle(abc.ABC):
         return self.scan(span(), kept)
 
 
-class InProcessOracle(CardinalityOracle):
-    """Oracle backed by a local HllSketch.
-
-    Oracles built from equal params share hash functions, matching the
-    adversarial assumption that the attacker can instantiate sketches
-    hash-compatible with the target.
-    """
-
-    def __init__(self, params: HllParams) -> None:
-        self._sketch = HllSketch(params)
-        # Bound kernel methods keep the per-call overhead flat.
-        self._insert = self._sketch._core.insert
-        self._estimate = self._sketch._core.estimate
-        self._scan = self._sketch._core.scan
-
-    @property
-    def sketch(self) -> HllSketch:
-        """The underlying sketch (evaluation plumbing, not attack surface)."""
-        return self._sketch
-
-    def reset(self) -> None:
-        self._sketch.reset()
-
-    def insert(self, element: bytes) -> None:
-        self._insert(element)
-
-    def insert_many(self, elements: Iterable[bytes]) -> None:
-        self._sketch.insert_many(elements)
-
-    def estimate(self) -> int:
-        return self._estimate()
-
-    def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
-        # The kernel's scan reads the estimate only after an insertion that
-        # changed a register: the estimate depends on the registers alone.
-        return self._scan(elements, kept)
-
-    def scan_stream(self, seed: int, start: int, count: int, kept: list[bytes]) -> tuple[int, int]:
-        """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel.
-
-        The same estimates, kept elements and registers as that scan. The
-        pure kernel remembers which elements raised a register in the span
-        it last scanned from empty, so phase 2's rescan of phase 1's span
-        touches only those; the compiled kernel scans every element.
-        """
-        return self._sketch._core.scan_stream(seed, start, count, kept)
-
-
-def make_oracle(params: HllParams) -> InProcessOracle:
-    """Fresh in-process oracle; estimate() == 0 until something is inserted."""
-    return InProcessOracle(params)
-
-
 class CountingOracle(CardinalityOracle):
     """Wrapper counting every interface call made against another oracle.
 
@@ -157,7 +118,8 @@ class CountingOracle(CardinalityOracle):
     only the three oracle methods plus counters, and inherits the
     reference ``insert_many``, ``scan`` and ``scan_stream``, which call
     them. ``inner`` needs only those three methods, so the wrapper also
-    adapts a bare object that has nothing else.
+    adapts a bare object that has nothing else. An insertion is counted
+    once ``inner`` has taken it.
     """
 
     def __init__(self, inner) -> None:
@@ -171,8 +133,8 @@ class CountingOracle(CardinalityOracle):
         self._inner.reset()
 
     def insert(self, element: bytes) -> None:
-        self.insertions += 1
         self._inner.insert(element)
+        self.insertions += 1
 
     def estimate(self) -> int:
         self.estimate_queries += 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .oracle import CardinalityOracle
+from .oracle import CardinalityOracle, checked_element
 
 __all__ = [
     "ErrorReply",
@@ -372,17 +372,8 @@ class RemoteOracle(CardinalityOracle):
     def reset(self) -> None:
         self._expect_int(self._exchange([[b"DEL", self._key]])[0], "DEL")
 
-    # The one copy of the kernel's element rule above a kernel: none runs here.
-    @staticmethod
-    def _element(element: bytes) -> bytes:
-        if type(element) is not bytes:
-            raise TypeError(f"expected bytes, got {type(element).__name__}")
-        if not element:
-            raise ValueError("element must be non-empty")
-        return element
-
     def insert(self, element: bytes) -> None:
-        reply = self._exchange([[b"PFADD", self._key, self._element(element)]])[0]
+        reply = self._exchange([[b"PFADD", self._key, checked_element(element)]])[0]
         self._expect_int(reply, "PFADD")
 
     def insert_many(self, elements: Iterable[bytes]) -> None:
@@ -390,7 +381,7 @@ class RemoteOracle(CardinalityOracle):
 
         A bad element is refused before any PFADD is sent.
         """
-        elements = [self._element(e) for e in elements]
+        elements = [checked_element(e) for e in elements]
         key = self._key
         for start in range(0, len(elements), _PIPELINE):
             chunk = elements[start : start + _PIPELINE]
@@ -410,7 +401,7 @@ class RemoteOracle(CardinalityOracle):
         while True:
             chunk: list[bytes] = []
             try:  # extend keeps the elements read before a bad one or a raise of the source
-                chunk.extend(map(self._element, islice(elements, _PIPELINE // 2)))
+                chunk.extend(map(checked_element, islice(elements, _PIPELINE // 2)))
             finally:  # which are sent and judged before that error propagates, as by the reference
                 if chunk:
                     replies = self._exchange([c for e in chunk for c in ([b"PFADD", key, e], count)])

@@ -8,7 +8,9 @@ the count of zero registers still carries more information.
 
 The hot loop lives in ``hllrt._kernel`` (compiled extension when
 available, pure Python otherwise); this module owns parameters,
-validation, serialization and the merge/witness algebra.
+validation, serialization and the merge/witness algebra. ``HllSketch``
+is also the in-process ``CardinalityOracle``: its oracle calls, ``scan``
+and ``scan_stream`` included, are each one kernel call.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ._kernel import BACKEND, RegisterFile
+from .oracle import CardinalityOracle
 
 __all__ = [
     "HllParams",
     "HllSketch",
+    "make_oracle",
     "alpha_for_registers",
     "merge",
     "witness_subset",
@@ -109,8 +113,8 @@ def _make_core(params: HllParams) -> RegisterFile:
     )
 
 
-class HllSketch:
-    """A HyperLogLog register array plus its parameters.
+class HllSketch(CardinalityOracle):
+    """A HyperLogLog register array plus its parameters; the in-process oracle.
 
     Value-like and single-writer: no internal locking, safe to hand
     between threads when not mutated concurrently; merge is pure.
@@ -126,7 +130,7 @@ class HllSketch:
 
     def insert(self, element: bytes) -> bool:
         """Insert an element; True iff a register value increased."""
-        return self.insert_increment(element) > 0
+        return self._core.insert(element) > 0
 
     def insert_increment(self, element: bytes) -> int:
         """Insert an element; return the register increment (0 if none)."""
@@ -139,6 +143,24 @@ class HllSketch:
         or is empty (``ValueError``) before it inserts anything.
         """
         return self._core.insert_many(elements)
+
+    def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
+        """``CardinalityOracle.scan`` in the kernel.
+
+        The kernel reads the estimate only after an insertion that changed
+        a register: the estimate depends on the registers alone.
+        """
+        return self._core.scan(elements, kept)
+
+    def scan_stream(self, seed: int, start: int, count: int, kept: list[bytes]) -> tuple[int, int]:
+        """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel.
+
+        The same estimates, kept elements and registers as that scan. The
+        pure kernel remembers which elements raised a register in the span
+        it last scanned from empty, so phase 2's rescan of phase 1's span
+        touches only those; the compiled kernel scans every element.
+        """
+        return self._core.scan_stream(seed, start, count, kept)
 
     # -- estimates -------------------------------------------------------
 
@@ -218,6 +240,16 @@ class HllSketch:
         sketch = cls(params)
         sketch._core.load_registers(body)
         return sketch
+
+
+def make_oracle(params: HllParams) -> HllSketch:
+    """Fresh in-process oracle; estimate() == 0 until something is inserted.
+
+    Oracles built from equal params share hash functions, matching the
+    adversarial assumption that the attacker can instantiate sketches
+    hash-compatible with the target.
+    """
+    return HllSketch(params)
 
 
 def merge(a: HllSketch, b: HllSketch) -> HllSketch:

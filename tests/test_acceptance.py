@@ -72,7 +72,7 @@ def presto_runs():
 
             def factory():
                 inner = make_oracle(params)
-                sketches.append(inner.sketch)
+                sketches.append(inner)
                 counters.append(CountingOracle(inner))
                 return counters[-1]
 

@@ -13,7 +13,6 @@ from hllrt import (
     CountingOracle,
     HllParams,
     HllSketch,
-    InProcessOracle,
     make_oracle,
     run_attack,
     verify,
@@ -232,7 +231,7 @@ def test_in_process_phases_run_their_stream_and_preload_in_the_kernel(monkeypatc
     calls = []
 
     def spy(name):
-        method = getattr(InProcessOracle, name)
+        method = getattr(HllSketch, name)
 
         def recorded(self, *args):
             calls.append(name)
@@ -241,9 +240,28 @@ def test_in_process_phases_run_their_stream_and_preload_in_the_kernel(monkeypatc
         return recorded
 
     for name in ("scan_stream", "scan", "insert_many", "insert"):
-        monkeypatch.setattr(InProcessOracle, name, spy(name))
+        monkeypatch.setattr(HllSketch, name, spy(name))
     run_attack(factory_for(HllParams(64, 6)), 3, 1000)
     assert calls == ["scan_stream", "insert_many", "scan_stream", "scan"]
+
+
+def test_a_bare_sketch_runs_the_kernel_paths_unwrapped(monkeypatch):
+    # HllSketch is a CardinalityOracle, so run_attack takes it as it is:
+    # its own scan_stream runs, not CountingOracle's reference one.
+    params = HllParams(64, 6)
+    plain = run_attack(factory_for(params), 3, 1000)
+    scan_stream = HllSketch.scan_stream
+    scanned = []
+
+    def spy(self, *args):
+        scanned.append(type(self))
+        return scan_stream(self, *args)
+
+    monkeypatch.setattr(HllSketch, "scan_stream", spy)
+    run = run_attack(lambda: HllSketch(params), 3, 1000)
+    assert scanned == [HllSketch, HllSketch]
+    assert [s.elements for s in run.phase_sets] == [s.elements for s in plain.phase_sets]
+    assert run.reports == plain.reports
 
 
 def test_attack_only_touches_the_oracle_interface():
@@ -394,6 +412,16 @@ def test_attack_set_file_refuses_elements_it_cannot_load(tmp_path):
     valid = AttackSet([b"a#b", b" spaced ", "\u00e9t\u00e9".encode(), b"x" * 300], 2, 100, 90, 1)
     valid.save(path)
     assert AttackSet.load(path) == valid
+
+
+def test_attack_set_file_refuses_a_set_load_would_refuse(tmp_path):
+    # A duplicate element or a phase outside 1-3 fails validate; save
+    # refuses the set and writes nothing.
+    path = tmp_path / "v.txt"
+    for attack_set in (AttackSet([b"a", b"a"], 1, 10, 5, 1), AttackSet([b"a"], 7, 10, 5, 1)):
+        with pytest.raises(ValueError):
+            attack_set.save(path)
+        assert not path.exists()
 
 
 def test_attack_set_file_rejects_duplicates(tmp_path):

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+import hllrt.cli
 from hllrt.cli import main
 from respserver import running_server
 
@@ -155,6 +156,30 @@ def test_experiment_json_format(tmp_path):
         assert rows[2]["phase"] == 3
         assert rows[1]["estimate"] >= rows[0]["estimate"]  # monotone phases
         assert [row["seed"] for row in rows] == [recorded] * 3
+
+
+def test_experiment_flushes_finished_runs_when_verify_hits_a_target_error(
+    tmp_path, monkeypatch, capsys
+):
+    # The 4th verify is the second run's first: the first run's three rows
+    # are written, the second run's none.
+    real_verify = hllrt.cli.verify
+    calls = []
+
+    def failing_verify(oracle, attack_set):
+        calls.append(attack_set.phase)
+        if len(calls) == 4:
+            raise ConnectionResetError("connection reset by peer")
+        return real_verify(oracle, attack_set)
+
+    monkeypatch.setattr(hllrt.cli, "verify", failing_verify)
+    out = tmp_path / "rows.json"
+    code = run_cli("experiment", "--registers", "64", "--cardinalities", "300,600",
+                   "--seeds", "1", "--format", "json", "--out", str(out))
+    assert code == 2
+    assert "partial results flushed" in capsys.readouterr().err
+    rows = json.loads(out.read_text())
+    assert [(row["C"], row["phase"]) for row in rows] == [(300, 1), (300, 2), (300, 3)]
 
 
 def test_attack_at_table_scale(tmp_path, capsys):

@@ -1,0 +1,48 @@
+"""No dead imports: every name a module imports is read somewhere in it.
+
+Scans every module under ``src/``, ``tests/`` and ``tools/``. A name
+listed in the module's ``__all__`` counts as read, since re-exporting it
+is its use. ``from __future__`` imports are directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"name (line n)"`` for each imported name that ``source`` never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_the_scan_finds_a_dead_import():
+    source = "import os, os.path as p\nfrom a import b as c, d\n__all__ = ['d']\nprint(p)\n"
+    assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
+
+
+def test_every_imported_name_is_used():
+    assert Path(__file__).resolve() in MODULES
+    dead = {}
+    for path in MODULES:
+        names = unused_imports(path.read_text(encoding="utf-8"))
+        if names:
+            dead[str(path.relative_to(ROOT))] = names
+    assert dead == {}

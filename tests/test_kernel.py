@@ -505,7 +505,7 @@ def twin_oracles(kernel, monkeypatch, salt, preload):
     monkeypatch.setattr(hllrt.sketch, "RegisterFile", kernel.RegisterFile)
     oracles = [make_oracle(HllParams(256, 6, salt=salt)) for _ in range(2)]
     for oracle in oracles:
-        oracle.sketch.insert_many(stream_span(5, 10**6, preload))
+        oracle.insert_many(stream_span(5, 10**6, preload))
     return oracles
 
 
@@ -544,7 +544,7 @@ def test_scan_matches_the_reference_loop(kernels, monkeypatch, count, lengths):
                 (outcome, kept), reference = scan_both(fast, slow, elements)
                 assert (outcome, kept) == reference, (kernel.__name__, salt, preload)
                 assert outcome[1] == count
-                assert fast.sketch.registers == slow.sketch.registers
+                assert fast.registers == slow.registers
 
 
 @pytest.mark.parametrize("bad", [b"", "not bytes", bytearray(b"abc"), 7])
@@ -558,7 +558,7 @@ def test_scan_refuses_a_bad_element_after_judging_the_ones_before(kernels, monke
         assert outcome is (ValueError if bad == b"" else TypeError)
         assert (outcome, kept) == reference
         assert kept or at == 0
-        assert fast.sketch.registers == slow.sketch.registers
+        assert fast.registers == slow.registers
 
 
 @pytest.mark.parametrize(
@@ -583,7 +583,7 @@ def test_scan_judges_what_a_failing_iterable_yielded_then_raises(kernels, monkey
             kept = []
             with pytest.raises(error):
                 scan(failing(), kept)
-            results.append((kept, oracle.sketch.registers))
+            results.append((kept, oracle.registers))
         assert results[0] == results[1]
         if bad:
             assert results[0][0] == [b"a"]
@@ -761,7 +761,7 @@ def test_scan_stream_refuses_what_the_twins_refuse(kernels):
 
 # -- the reference scan of a stream span -------------------------------------------
 # CardinalityOracle.scan_stream, which CountingOracle and RemoteOracle inherit,
-# is the reference InProcessOracle's kernel scan_stream replaces: the same
+# is the reference HllSketch's kernel scan_stream replaces: the same
 # return value, kept elements and registers on every span.
 
 
@@ -771,10 +771,10 @@ def scan_stream_reference_and_kernel(kernel, monkeypatch, m, width, salt, preloa
     results = []
     for wrap in (CountingOracle, lambda oracle: oracle):
         inner = make_oracle(HllParams(m, width, salt=salt))
-        inner.sketch.insert_many(stream_span(5, 10**6, preload))
+        inner.insert_many(stream_span(5, 10**6, preload))
         kept = []
         outcome = wrap(inner).scan_stream(seed, start, count, kept)
-        results.append((outcome, kept, inner.sketch.registers))
+        results.append((outcome, kept, inner.registers))
     return results
 
 

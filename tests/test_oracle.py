@@ -2,8 +2,13 @@
 
 import pytest
 
-from hllrt import CountingOracle, HllParams, make_oracle
+from hllrt import CardinalityOracle, CountingOracle, HllParams, HllSketch, make_oracle
 from hllrt._kernel import stream_elements
+
+
+def test_the_sketch_is_the_in_process_oracle():
+    assert isinstance(HllSketch(HllParams(64)), CardinalityOracle)
+    assert type(make_oracle(HllParams(64))) is HllSketch
 
 
 def test_fresh_oracle_estimates_zero():
@@ -24,7 +29,7 @@ def test_estimate_is_side_effect_free():
     first = oracle.estimate()
     for _ in range(10):
         assert oracle.estimate() == first
-    assert oracle.sketch.registers == oracle.sketch.registers
+    assert oracle.registers == oracle.registers
 
 
 def test_reinsert_never_changes_estimate():
@@ -50,7 +55,7 @@ def test_transcript_determinism():
 
 def test_estimate_tracks_large_cardinality():
     oracle = make_oracle(HllParams(4096, 6))
-    oracle.sketch.insert_many(stream_elements(13, 0, 50000))
+    oracle.insert_many(stream_elements(13, 0, 50000))
     assert abs(oracle.estimate() - 50000) < 0.05 * 50000
 
 
@@ -77,7 +82,7 @@ def test_in_process_oracle_refuses_a_bad_element_alike_everywhere(bad):
     ):
         with pytest.raises(error):
             call()
-        assert oracle.sketch.registers == bytes(64) and kept == []
+        assert oracle.registers == bytes(64) and kept == []
     # scan_stream takes no element: each of these in any argument's place
     # is a TypeError.
     for at in range(4):
@@ -85,7 +90,21 @@ def test_in_process_oracle_refuses_a_bad_element_alike_everywhere(bad):
         args[at] = bad
         with pytest.raises(TypeError):
             oracle.scan_stream(*args)
-        assert oracle.sketch.registers == bytes(64) and kept == []
+        assert oracle.registers == bytes(64) and kept == []
+
+
+@pytest.mark.parametrize("bad", [None, "", bytearray(), b""])
+def test_reference_insert_many_refuses_a_bad_batch_before_inserting(bad):
+    # As the kernel does: the same exception, and nothing inserted or counted.
+    with pytest.raises(Exception) as kernel_error:
+        make_oracle(HllParams(64)).insert_many([b"a", bad])
+    inner = make_oracle(HllParams(64))
+    oracle = CountingOracle(inner)
+    for call in (lambda: oracle.insert_many([b"a", bad]), lambda: oracle.insert(bad)):
+        with pytest.raises(Exception) as error:
+            call()
+        assert error.type is kernel_error.type
+        assert oracle.insertions == 0 and inner.registers == bytes(64)
 
 
 def test_counting_oracle_counts_calls():

@@ -370,7 +370,7 @@ def test_scan_judges_the_elements_before_a_bad_one_as_the_in_process_oracle_does
             with pytest.raises(error):
                 oracle.scan(source(), kept)
             assert kept == expected
-        assert server.keys[b"k"].registers == local.sketch.registers
+        assert server.keys[b"k"].registers == local.registers
         assert server.commands_seen.count(b"PFADD") == at
 
 
