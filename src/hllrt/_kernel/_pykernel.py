@@ -44,6 +44,8 @@ methods take ``_BLOCK`` elements at a time through one block reader,
 has judged the elements before it), and ``_splits``; ``scan``,
 ``scan_stream`` and its record rescan then raise registers and judge the
 estimate in one loop, ``_climb``, keeping the positions that lifted it.
+``_climb`` and ``insert_many`` keep the zero count and Z_scaled in locals,
+stored back once per block.
 
 A block is hashed in one pass, SIMD within a register with Python's big
 integers, when its elements all have one length n: each gets a 128-bit
@@ -56,14 +58,17 @@ a product of two values below 2**64, plus P4 or P5, stays below 2**128.
 A right shift (the rotations' ``>> 33``/``>> 37``, the avalanche's
 ``>> 33``) pulls the next lane's low bits into this lane's upper half, so
 its result is masked before the next multiply. The low 64 bits of each lane
-are then that element's ``hash64``. The lane pass takes the block as
+are then that element's ``hash64``. ``_splits`` reads the lanes' bytes
+as little-endian on any host: the rank from each hash's top byte, the
+indices from one mask of all lanes by R - 1, and a hash as an int only
+where its top byte is zero, for ``_rank``. The lane pass takes the block as
 8-byte words (``_word_hashes``), so any buffer that lays the elements
 out one after another, each zero-padded to whole words, can be hashed
 without building the elements: ``_lane_hashes`` joins a block of
 ``bytes`` into such a buffer. The scalar ``hash64`` stays: it hashes
-single elements for ``insert``, blocks that mix lengths or hold
-anything but ``bytes``, and it is the reference the lanes are tested
-against.
+single elements for ``insert``, and blocks that are short, mix lengths
+or hold anything but ``bytes``, whose hashes it packs into lanes for
+``_splits``; it is the reference the lanes are tested against.
 
 ``stream_elements`` runs the stream's splitmix64 round on the same
 lanes and formats a whole block as one hex string (``_stream_hex``),
@@ -96,7 +101,6 @@ this twin keeps it: the C twin scans every element.
 
 from __future__ import annotations
 
-import math
 import operator
 import struct
 import sys
@@ -104,6 +108,7 @@ from array import array
 from binascii import hexlify
 from functools import lru_cache
 from itertools import islice
+from math import log
 
 MASK64 = (1 << 64) - 1
 
@@ -111,15 +116,15 @@ MASK64 = (1 << 64) - 1
 # generates, at a time. Speed is flat from 256 to 4096; a smaller block
 # keeps fewer elements and lane integers alive at once.
 _BLOCK = 512
-# The lanes are read back as native 8-byte words, so the block path
-# needs a little-endian host; elsewhere blocks are hashed one by one.
+# The lane pass copies native 8-byte words into lanes read as little-endian,
+# so it needs a little-endian host; elsewhere blocks are hashed one by one.
 _LANES = sys.byteorder == "little"
-# Where a native 8-byte word keeps its top byte.
-_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 
 # 2**-63 is an exact double, so scaling Z_scaled by it only rounds once
 # (in the int -> float conversion).
 _Z_SCALE = 2.0**-63
+# Entry r is register value r's term of Z_scaled.
+_POW = [1 << (63 - r) for r in range(64)]
 
 _P1 = 0x9E3779B185EBCA87
 _P2 = 0xC2B2AE3D27D4EB4F
@@ -186,17 +191,15 @@ def stream_element(seed: int, k: int) -> bytes:
     return b"%016x" % (x ^ (x >> 31))
 
 
-def _lane_hashes(block: list[bytes], n: int, salt: int) -> list[int]:
-    """``hash64(e, salt)`` for each element of ``block``, all of length ``n``."""
-    if len(block) < 4:  # a lane pass costs about as much as four scalar hashes
-        return [hash64(e, salt) for e in block]
+def _lane_hashes(block: list[bytes], n: int, salt: int) -> int:
+    """``_word_hashes`` of ``block``, whose elements all have length ``n``."""
     pad = bytes(-n % 8)
     return _word_hashes(memoryview(pad.join(block) + pad).cast("Q"), n, len(block), salt)
 
 
-def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> list[int]:
-    """``hash64(e, salt)`` for ``count`` elements of length ``n`` laid out in
-    ``words``, one after another, each zero-padded to whole 8-byte words."""
+def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> int:
+    """Lanes whose low 64 bits are ``hash64(e, salt)`` (the upper bits are left over) for
+    ``count`` elements of length ``n`` in ``words``, each zero-padded to whole words."""
     words_each = -(-n // 8)
     lanes = bytearray(16 * count)
     low = memoryview(lanes).cast("Q")[::2]
@@ -212,14 +215,19 @@ def _word_hashes(words: memoryview, n: int, count: int, salt: int) -> list[int]:
         acc = ((((x << 27) | (x >> 37)) & mask) * _P2 + _lanes(_P5, count)) & mask
     acc = (((acc ^ (acc >> 33)) & mask) * 0xFF51AFD7ED558CCD) & mask
     acc = (((acc ^ (acc >> 33)) & mask) * 0xC4CEB9FE1A85EC53) & mask
-    acc ^= acc >> 33  # only each lane's low 64 bits are read back
-    return memoryview(acc.to_bytes(16 * count, "little")).cast("Q")[::2].tolist()
+    return acc ^ (acc >> 33)
 
 
 @lru_cache(maxsize=16)
 def _lanes(value: int, count: int) -> int:
     """``value``, below 2**64, in each of ``count`` 128-bit lanes."""
     return int.from_bytes((value.to_bytes(8, "little") + bytes(8)) * count, "little")
+
+
+@lru_cache(maxsize=4)
+def _lane_words(count: int):
+    """Reads the low 64 bits of each of ``count`` lanes from their little-endian bytes."""
+    return struct.Struct("<" + "Q8x" * count).unpack
 
 
 # The register records of the stream span last scanned to its end from an
@@ -295,34 +303,34 @@ def _hashed_blocks(elements, salt: int):
             block.extend(islice(elements, _BLOCK))  # keeps what it read before a raise
         except BaseException as exc:  # raised below, once the block is judged
             failure = exc
-        hashes = _block_hashes(block, salt)
-        if hashes:
-            yield block, hashes
-        if len(hashes) < len(block):
-            _refuse(block[len(hashes)])
+        lanes, count = _block_hashes(block, salt)
+        if count:
+            yield block, lanes, count
+        if count < len(block):
+            _refuse(block[count])
         if failure is not None:
             raise failure
         if len(block) < _BLOCK:
             return
 
 
-def _block_hashes(block: list, salt: int) -> list[int]:
-    """``hash64(e, salt)`` for the elements of ``block`` up to the first bad one.
+def _block_hashes(block: list, salt: int) -> tuple[int, int]:
+    """Lanes of ``hash64(e, salt)`` for ``block`` up to its first bad element, and their count.
 
-    A bad element is one ``_refuse`` raises for; a result shorter than the
-    block marks it. A block of ``bytes`` that all have one length is
-    hashed in one lane pass, any other block one element at a time.
+    A bad element is one ``_refuse`` raises for; a count short of the block
+    marks it. Four or more ``bytes`` of one length (a lane pass costs about
+    four scalar hashes) are hashed in one lane pass, any other block one by one.
     """
-    if _LANES and set(map(type, block)) == {bytes}:
+    if _LANES and len(block) >= 4 and set(map(type, block)) == {bytes}:
         lengths = set(map(len, block))
         if len(lengths) == 1 and 0 not in lengths:
-            return _lane_hashes(block, lengths.pop(), salt)
-    hashes = []
+            return _lane_hashes(block, lengths.pop(), salt), len(block)
+    lanes = []
     for element in block:
         if type(element) is not bytes or not element:
             break
-        hashes.append(hash64(element, salt))
-    return hashes
+        lanes.append(hash64(element, salt).to_bytes(16, "little"))
+    return int.from_bytes(b"".join(lanes), "little"), len(lanes)
 
 
 def _refuse(element) -> None:
@@ -330,6 +338,15 @@ def _refuse(element) -> None:
     if type(element) is not bytes:
         raise TypeError(f"expected bytes, got {type(element).__name__}")
     raise ValueError("element must be non-empty")
+
+
+def _estimate(count: int, zero: int, zs: int, switch: float, alpha_r2: float) -> int:
+    """The estimate of ``count`` registers, ``zero`` of them zero, whose Z_scaled is ``zs``."""
+    if zero > 0:
+        lc = count * log(count / zero)
+        if lc <= switch * count:
+            return round(lc)
+    return round(alpha_r2 / (float(zs) * _Z_SCALE))
 
 
 def _real(x) -> float:
@@ -397,20 +414,21 @@ class RegisterFile:
         regs[index] = rank
         if old == 0:
             self._zero -= 1
-        self._zs -= (1 << (63 - old)) - (1 << (63 - rank))
+        self._zs += _POW[rank] - _POW[old]
         return rank - old
 
-    def _splits(self, hashes: list[int]) -> tuple[list[int], bytearray]:
-        """The register index and the (clamped) rank each hash selects, the rank
-        by ``_rank_table``, or by ``_rank`` where the hash's top byte is zero."""
-        mask = self._count - 1
-        top_bytes = array("Q", hashes).tobytes()[_TOP_BYTE::8]
-        ranks = bytearray(top_bytes.translate(self._rank_table))
+    def _splits(self, lanes: int, count: int) -> tuple[tuple[int, ...], bytearray]:
+        """The register index and the (clamped) rank of each hash in the low 64
+        bits of ``count`` lanes: the rank by ``_rank_table``, or by ``_rank``
+        where the hash's top byte is zero, the indices by one mask of all lanes."""
+        raw = lanes.to_bytes(16 * count, "little")
+        ranks = bytearray(raw[7::16].translate(self._rank_table))
         j = ranks.find(0)
         while j >= 0:
-            ranks[j] = self._rank(hashes[j])
+            ranks[j] = self._rank(int.from_bytes(raw[16 * j : 16 * j + 8], "little"))
             j = ranks.find(0, j + 1)
-        return [h & mask for h in hashes], ranks
+        masked = lanes & _lanes(self._count - 1, count)
+        return _lane_words(count)(masked.to_bytes(16 * count, "little")), ranks
 
     def _climb(self, indices, ranks, last: int) -> tuple[int, list[int], list[int]]:
         """Raise each register in turn, reading the estimate after each rise.
@@ -418,19 +436,21 @@ class RegisterFile:
         Returns the last estimate, the positions that lifted the estimate
         (the ones a scan keeps) and those that raised a register alone.
         """
-        regs, raise_, estimate = self._regs, self._raise, self.estimate
+        regs, zero, zs = self._regs, self._zero, self._zs
+        count, switch, alpha_r2 = self._count, self._switch, self._alpha_r2
         risers: list[int] = []
         stalls: list[int] = []
-        for j, rank in enumerate(ranks):
-            index = indices[j]
-            if rank > regs[index]:
-                raise_(index, rank)
-                after = estimate()
-                if after > last:
-                    risers.append(j)
-                else:
-                    stalls.append(j)
+        for j, index, rank in zip(range(len(ranks)), indices, ranks):
+            old = regs[index]
+            if rank > old:
+                regs[index] = rank
+                if not old:
+                    zero -= 1
+                zs += _POW[rank] - _POW[old]
+                after = _estimate(count, zero, zs, switch, alpha_r2)
+                (risers if after > last else stalls).append(j)
                 last = after
+        self._zero, self._zs = zero, zs
         return last, risers, stalls
 
     def insert(self, element: bytes) -> int:
@@ -451,13 +471,18 @@ class RegisterFile:
             elements = list(elements)
         if not set(map(type, elements)) <= {bytes} or not all(elements):
             _refuse(next(e for e in elements if type(e) is not bytes or not e))
-        regs = self._regs
+        regs, zero, zs = self._regs, self._zero, self._zs
         changed = 0
-        for _, hashes in _hashed_blocks(elements, self._salt):
-            for index, rank in zip(*self._splits(hashes)):
-                if rank > regs[index]:
-                    self._raise(index, rank)
+        for _, lanes, count in _hashed_blocks(elements, self._salt):
+            for index, rank in zip(*self._splits(lanes, count)):
+                old = regs[index]
+                if rank > old:
+                    regs[index] = rank
+                    if not old:
+                        zero -= 1
+                    zs += _POW[rank] - _POW[old]
                     changed += 1
+            self._zero, self._zs = zero, zs
         return changed
 
     def scan(self, elements, kept: list) -> tuple[int, int]:
@@ -476,10 +501,10 @@ class RegisterFile:
             raise TypeError(f"expected list, got {type(kept).__name__}")
         last = self.estimate()
         insertions = 0
-        for block, hashes in _hashed_blocks(elements, self._salt):
-            last, risers, _ = self._climb(*self._splits(hashes), last)
+        for block, lanes, count in _hashed_blocks(elements, self._salt):
+            last, risers, _ = self._climb(*self._splits(lanes, count), last)
             kept.extend(map(block.__getitem__, risers))
-            insertions += len(hashes)
+            insertions += count
         return last, insertions
 
     def scan_stream(self, seed: int, start: int, count: int, kept: list) -> tuple[int, int]:
@@ -512,8 +537,8 @@ class RegisterFile:
         for offset in range(0, count, _BLOCK):
             n = min(_BLOCK, count - offset)
             hexed = _stream_hex(base + offset, n)
-            hashes = _word_hashes(memoryview(hexed).cast("Q"), 16, n, self._salt)
-            block_indices, block_ranks = self._splits(hashes)
+            lanes = _word_hashes(memoryview(hexed).cast("Q"), 16, n, self._salt)
+            block_indices, block_ranks = self._splits(lanes, n)
             last, risers, stalls = self._climb(block_indices, block_ranks, last)
             kept.extend(hexed[16 * j : 16 * j + 16] for j in risers)
             if record:
@@ -534,8 +559,8 @@ class RegisterFile:
         """
         ranks = bytearray(self._count)
         slots: list = [None] * self._count
-        for block, hashes in _hashed_blocks(elements, self._salt):
-            for element, index, rank in zip(block, *self._splits(hashes)):
+        for block, lanes, count in _hashed_blocks(elements, self._salt):
+            for element, index, rank in zip(block, *self._splits(lanes, count)):
                 if rank > ranks[index]:
                     ranks[index] = rank
                     slots[index] = element
@@ -548,11 +573,7 @@ class RegisterFile:
         return float(self._zs) * _Z_SCALE
 
     def estimate(self) -> int:
-        if self._zero > 0:
-            lc = self._count * math.log(self._count / self._zero)
-            if lc <= self._switch * self._count:
-                return round(lc)
-        return round(self._alpha_r2 / (float(self._zs) * _Z_SCALE))
+        return _estimate(self._count, self._zero, self._zs, self._switch, self._alpha_r2)
 
     # -- register access -------------------------------------------------
 
@@ -577,7 +598,7 @@ class RegisterFile:
         self._check_dump(data)
         self._regs = bytearray(data)
         self._zero = sum(1 for v in data if v == 0)
-        self._zs = sum(1 << (63 - v) for v in data)
+        self._zs = sum(map(_POW.__getitem__, data))
 
     def merge_registers(self, data: bytes) -> None:
         """Take the elementwise maximum with another register dump."""

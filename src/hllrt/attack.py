@@ -235,9 +235,9 @@ def phase1(
 def phase2(oracle: CardinalityOracle, y: AttackSet) -> tuple[AttackSet, PhaseReport]:
     """Recovery pass: preload Y, rescan Y's stream, append the new risers."""
     _checked(y.source_seed, y.target_cardinality)
-    oracle.insert_many(y.elements)
     kept = list(y.elements)
     with _aborting(kept, 2, y.target_cardinality, y.source_seed):
+        oracle.insert_many(y.elements)
         last, insertions = oracle.scan_stream(y.source_seed, 0, y.target_cardinality, kept)
     result = AttackSet(kept, 2, y.target_cardinality, last, y.source_seed)
     return result, PhaseReport(2, len(kept), last, insertions, insertions + 1)
@@ -273,31 +273,33 @@ def run_attack(
 ) -> AttackRun:
     """Run phases 1-3, each against a fresh oracle from the factory.
 
-    ``checkpoint``, when given, receives each phase's completed set (so
-    a remote run that dies later can resume). Total insertions are
+    ``checkpoint``, when given, receives each phase's completed set; the
+    README shows how a run resumes from one. An oracle failure, also in a
+    phase's ``reset``, raises ``AttackAborted``. Total insertions are
     C (phase 1) + |Y| + C (phase 2 preload and rescan) + |Y2| (phase 3),
     bounded by 3C whenever |Y| + |Y2| <= C. A factory result that is not
     a ``CardinalityOracle`` is wrapped in ``CountingOracle``.
     """
     seed = _checked(seed, target_cardinality)
 
-    def fresh() -> CardinalityOracle:
+    def fresh(phase: int, kept: list[bytes]) -> CardinalityOracle:
         oracle = oracle_factory()
         if not isinstance(oracle, CardinalityOracle):
             oracle = CountingOracle(oracle)
-        oracle.reset()
+        with _aborting(kept, phase, target_cardinality, seed):
+            oracle.reset()
         return oracle
 
     t0 = time.perf_counter()
-    y1, report1 = phase1(fresh(), seed, target_cardinality)
+    y1, report1 = phase1(fresh(1, []), seed, target_cardinality)
     t1 = time.perf_counter()
     if checkpoint:
         checkpoint(y1)
-    y2, report2 = phase2(fresh(), y1)
+    y2, report2 = phase2(fresh(2, list(y1.elements)), y1)
     t2 = time.perf_counter()
     if checkpoint:
         checkpoint(y2)
-    v, report3 = phase3(fresh(), y2)
+    v, report3 = phase3(fresh(3, []), y2)
     t3 = time.perf_counter()
     if checkpoint:
         checkpoint(v)

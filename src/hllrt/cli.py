@@ -284,7 +284,7 @@ def _cmd_experiment(args) -> int:
         try:
             for cardinality in cardinalities:
                 for seed in seeds:
-                    rows.extend(_experiment_rows(oracle, args.registers, seed, cardinality))
+                    rows.extend(_experiment_rows(oracle, seed, cardinality))
         except (AttackAborted, ServerError, ProtocolError, OSError) as exc:
             failure = exc
     _write_rows(args.out, rows, args.format)
@@ -298,8 +298,9 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _experiment_rows(oracle, registers: int, seed: int, cardinality: int) -> list[dict]:
-    """One row per phase of one attack run, each phase set verified on ``oracle``."""
+def _experiment_rows(oracle, seed: int, cardinality: int) -> list[dict]:
+    """One row per phase of one attack run, each phase set verified on ``oracle``.
+    A remote target's ``R`` is None: its register count is not known here."""
     run = run_attack(lambda: oracle, seed, cardinality)
     scan_insertions = [
         run.reports[0].insertions_performed,
@@ -308,7 +309,7 @@ def _experiment_rows(oracle, registers: int, seed: int, cardinality: int) -> lis
     ]
     return [
         {
-            "R": registers,
+            "R": oracle.params.register_count if isinstance(oracle, HllSketch) else None,
             "C": cardinality,
             "seed": phase_set.source_seed,
             "phase": phase_index + 1,

@@ -120,7 +120,8 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
 @contextmanager
 def running_server(**kwargs):
     server = MiniRedisServer(**kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown return within 0.05 s, not serve_forever's 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server

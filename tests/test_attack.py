@@ -13,6 +13,7 @@ from hllrt import (
     CountingOracle,
     HllParams,
     HllSketch,
+    RemoteOracle,
     make_oracle,
     run_attack,
     verify,
@@ -20,6 +21,7 @@ from hllrt import (
 )
 from hllrt._kernel import _pykernel, stream_elements
 from hllrt.attack import phase1, phase2, phase3
+from respserver import running_server
 
 
 def factory_for(params):
@@ -382,6 +384,63 @@ def test_phase2_abort_keeps_the_preloaded_prefix():
     partial = excinfo.value.partial
     assert partial.phase == 2
     assert partial.elements[: len(y1.elements)] == y1.elements
+
+
+def test_phase2_preload_failure_aborts_with_y():
+    params = HllParams(64, 6)
+    y1, _ = phase1(make_oracle(params), 4, 300)
+    with pytest.raises(AttackAborted) as excinfo:
+        phase2(FlakyOracle(params, fail_after=5), y1)
+    partial = excinfo.value.partial
+    assert (partial.phase, partial.elements) == (2, y1.elements)
+    assert isinstance(excinfo.value.__cause__, ConnectionError)
+
+
+class ResetFailingOracle(FlakyOracle):
+    def reset(self):
+        raise ConnectionError("simulated outage")
+
+
+@pytest.mark.parametrize("phase", [1, 2, 3])
+def test_a_failed_reset_aborts_its_phase(phase):
+    # The partial set is the phase's set before its first insertion: Y for
+    # phase 2, which starts from Y, and empty otherwise.
+    params = HllParams(64, 6)
+    y1, _ = phase1(make_oracle(params), 4, 300)
+    made = []
+
+    def factory():
+        made.append(None)
+        return ResetFailingOracle(params, 10**6) if len(made) == phase else make_oracle(params)
+
+    with pytest.raises(AttackAborted) as excinfo:
+        run_attack(factory, 4, 300)
+    partial = excinfo.value.partial
+    assert (partial.phase, partial.elements) == (phase, y1.elements if phase == 2 else [])
+    assert isinstance(excinfo.value.__cause__, ConnectionError)
+
+
+def test_a_dropped_connection_at_any_reply_aborts_with_a_prefix_or_changes_nothing():
+    # One attack over RESP takes 1,557 replies at R=64, C=320. The server
+    # drops the connection once, after reply k; the client either recovers
+    # and returns the in-process phase sets, or raises AttackAborted whose
+    # partial set is a prefix of the failed phase's in-process set.
+    params = HllParams(64, 6)
+    expected = [s.elements for s in run_attack(factory_for(params), 3, 320).phase_sets]
+    outcomes = set()
+    for k in list(range(1, 12)) + list(range(12, 1600, 61)):
+        with running_server(register_count=64, drop_after=k) as server:
+            with RemoteOracle(server.url()) as oracle:
+                try:
+                    run = run_attack(lambda: oracle, 3, 320)
+                except AttackAborted as exc:
+                    phase, partial = exc.partial.phase, exc.partial.elements
+                    assert partial == expected[phase - 1][: len(partial)], k
+                    outcomes.add(phase)
+                else:
+                    assert [s.elements for s in run.phase_sets] == expected, k
+                    outcomes.add("complete")
+    assert outcomes == {1, 2, 3, "complete"}
 
 
 # -- attack-set files -------------------------------------------------------------

@@ -158,6 +158,24 @@ def test_experiment_json_format(tmp_path):
         assert [row["seed"] for row in rows] == [recorded] * 3
 
 
+def test_experiment_writes_no_register_count_for_a_remote_target(tmp_path):
+    # The CLI never learns a remote target's R, so it writes none, whatever
+    # --registers says; the in-process target's R is its own.
+    with running_server(register_count=64) as server:
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"rows.{fmt}"
+            assert run_cli("experiment", "--registers", "4096", "--cardinalities", "320",
+                           "--seeds", "3", "--format", fmt, "--out", str(out),
+                           "--target", server.url(fmt)) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh)) if fmt == "csv" else json.load(fh)
+            assert [row["R"] for row in rows] == (["", "", ""] if fmt == "csv" else [None] * 3)
+    out = tmp_path / "inproc.json"
+    assert run_cli("experiment", "--registers", "64", "--cardinalities", "320",
+                   "--seeds", "3", "--format", "json", "--out", str(out)) == 0
+    assert [row["R"] for row in json.loads(out.read_text())] == [64] * 3
+
+
 def test_experiment_flushes_finished_runs_when_verify_hits_a_target_error(
     tmp_path, monkeypatch, capsys
 ):

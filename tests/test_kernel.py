@@ -365,8 +365,9 @@ def test_block_hash_matches_hash64():
     for salt in SALTS:
         for n in list(range(41)) + [64, 100, 1000]:
             block = [data[i : i + n] for i in range(0, 100, 3)]
-            lanes = _pykernel._lane_hashes(block, n, salt)
-            assert lanes == [hash64(e, salt) for e in block], (n, salt)
+            lanes = _pykernel._lane_hashes(block, n, salt).to_bytes(16 * len(block), "little")
+            low = [int.from_bytes(lanes[i : i + 8], "little") for i in range(0, len(lanes), 16)]
+            assert low == [hash64(e, salt) for e in block], (n, salt)
 
 
 # Several blocks, ending just before, at and just after a block boundary.
@@ -735,6 +736,70 @@ def test_the_pure_twin_runs_its_rank_rule_only_where_the_table_has_no_rank(monke
         ruled.clear()
         insert()
         assert ruled == zero_top
+
+
+def assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, step):
+    """The zero count, Z and estimate ``rf`` kept equal those a reload of its registers computes."""
+    reloaded = make_rf(kernel, m=m, width=width, salt=salt)
+    reloaded.load_registers(rf.dump_registers())
+    kept = (rf.zero_registers(), rf.z_sum(), rf.estimate())
+    assert kept == (reloaded.zero_registers(), reloaded.z_sum(), reloaded.estimate()), (
+        kernel.__name__, m, step)
+
+
+@pytest.mark.parametrize(
+    "m, width, salt", [(16, 4, 0), (256, 6, MASK64), (4096, 6, 0x0123456789ABCDEF)]
+)
+def test_block_paths_keep_the_zero_count_and_z_of_their_registers(
+    kernels, monkeypatch, m, width, salt
+):
+    # The block paths raise registers with the zero count and Z_scaled held
+    # aside; after each, both must equal what the registers alone give.
+    count = 3 * BLOCK + 5
+    mixed = _pykernel.stream_elements(8, 0, BLOCK + 3) + [b"e%d" % k for k in range(700)]
+    monkeypatch.setattr(_pykernel, "_records", None)
+    for kernel in kernels:
+        rf = make_rf(kernel, m=m, width=width, salt=salt)
+        rf.scan_stream(6, 0, count, [])  # from empty: the pure twin records the span
+        assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "scan_stream")
+        rf.reset()
+        rf.insert_many(_pykernel.stream_elements(7, 0, count))
+        assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "insert_many")
+        with monkeypatch.context() as patch:
+            refuse_streams(patch)  # the pure twin replays its records
+            rf.scan_stream(6, 0, count, [])
+        assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "rescan")
+        rf.reset()
+        rf.scan(mixed, [])
+        assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "scan")
+        other = make_rf(kernel, m=m, width=width, salt=salt)
+        other.insert_many(_pykernel.stream_elements(9, 0, count))
+        rf.merge_registers(other.dump_registers())
+        assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "merge_registers")
+
+
+def test_the_pure_block_methods_agree_without_lanes(monkeypatch):
+    # Without lanes (a big-endian host) every block is hashed one element at
+    # a time and packed into lanes for the split; nothing else may change.
+    count = 3 * BLOCK + 7
+    elements = _pykernel.stream_elements(4, 0, count) + [b"x" * n for n in range(1, 40)]
+
+    def outcomes():
+        monkeypatch.setattr(_pykernel, "_records", None)
+        results = []
+        rf = make_rf(_pykernel, m=256)
+        results.append((rf.insert_many(elements), rf.dump_registers()))
+        for scan in (lambda rf, kept: rf.scan(elements, kept),
+                     lambda rf, kept: rf.scan_stream(4, 0, count, kept)):
+            rf, kept = make_rf(_pykernel, m=256), []
+            results.append((scan(rf, kept), kept, rf.dump_registers()))
+        results.append(make_rf(_pykernel, m=256).witness(elements))
+        return results
+
+    with_lanes = outcomes()
+    monkeypatch.setattr(_pykernel, "_LANES", False)
+    monkeypatch.setattr(_pykernel, "_word_hashes", None)  # no lane pass may run
+    assert outcomes() == with_lanes
 
 
 def test_scan_stream_refuses_what_the_twins_refuse(kernels):
