@@ -47,6 +47,14 @@ estimate in one loop, ``_climb``, keeping the positions that lifted it.
 ``_climb`` and ``insert_many`` keep the zero count and Z_scaled in locals,
 stored back once per block.
 
+The estimate is linear counting, R * log(R / zero), while that is at most
+the switch factor times R, else the harmonic mean. That rule holds from a
+zero-count floor up, which ``_lc_floor`` finds by binary search once per R
+and switch factor, so ``log`` runs only from it up. There the estimate
+reads the zero count alone, so ``_climb`` counts a non-zero register's rise
+as a stall without computing it. ``estimate`` keeps its result in ``_est``;
+``_climb`` stores its last one, and every other register change clears it.
+
 A block is hashed in one pass, SIMD within a register with Python's big
 integers, when its elements all have one length n: each gets a 128-bit
 lane of one big integer, its accumulator in the lane's low 64 bits and
@@ -340,12 +348,23 @@ def _refuse(element) -> None:
     raise ValueError("element must be non-empty")
 
 
-def _estimate(count: int, zero: int, zs: int, switch: float, alpha_r2: float) -> int:
+@lru_cache(maxsize=16)
+def _lc_floor(count: int, switch: float) -> int:
+    """The fewest zero registers at which linear counting applies, else ``count + 1``."""
+    low, high = 1, count + 1
+    while low < high:
+        mid = (low + high) // 2
+        if count * log(count / mid) <= switch * count:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def _estimate(count: int, zero: int, zs: int, lc_floor: int, alpha_r2: float) -> int:
     """The estimate of ``count`` registers, ``zero`` of them zero, whose Z_scaled is ``zs``."""
-    if zero > 0:
-        lc = count * log(count / zero)
-        if lc <= switch * count:
-            return round(lc)
+    if zero >= lc_floor:
+        return round(count * log(count / zero))
     return round(alpha_r2 / (float(zs) * _Z_SCALE))
 
 
@@ -367,8 +386,8 @@ class RegisterFile:
     """
 
     __slots__ = (
-        "_count", "_salt", "_switch", "_bits", "_max_reg", "_regs", "_zero", "_zs", "_alpha_r2",
-        "_rank_table",
+        "_count", "_salt", "_lc_floor", "_bits", "_max_reg", "_regs", "_zero", "_zs", "_alpha_r2",
+        "_rank_table", "_est",
     )
 
     def __init__(
@@ -389,7 +408,7 @@ class RegisterFile:
             raise ValueError("register_count must be a power of two")
         self._count = register_count
         self._salt = salt & MASK64
-        self._switch = switch_factor
+        self._lc_floor = _lc_floor(register_count, switch_factor)
         self._bits = register_count.bit_length() - 1
         # Ranks above 63 cannot occur from a 64-bit hash; the scaled-Z
         # representation relies on that bound.
@@ -415,6 +434,7 @@ class RegisterFile:
         if old == 0:
             self._zero -= 1
         self._zs += _POW[rank] - _POW[old]
+        self._est = None
         return rank - old
 
     def _splits(self, lanes: int, count: int) -> tuple[tuple[int, ...], bytearray]:
@@ -437,20 +457,23 @@ class RegisterFile:
         (the ones a scan keeps) and those that raised a register alone.
         """
         regs, zero, zs = self._regs, self._zero, self._zs
-        count, switch, alpha_r2 = self._count, self._switch, self._alpha_r2
+        count, floor, alpha_r2 = self._count, self._lc_floor, self._alpha_r2
         risers: list[int] = []
         stalls: list[int] = []
         for j, index, rank in zip(range(len(ranks)), indices, ranks):
             old = regs[index]
             if rank > old:
                 regs[index] = rank
+                zs += _POW[rank] - _POW[old]
                 if not old:
                     zero -= 1
-                zs += _POW[rank] - _POW[old]
-                after = _estimate(count, zero, zs, switch, alpha_r2)
+                elif zero >= floor:  # linear counting reads the zero count alone
+                    stalls.append(j)
+                    continue
+                after = _estimate(count, zero, zs, floor, alpha_r2)
                 (risers if after > last else stalls).append(j)
                 last = after
-        self._zero, self._zs = zero, zs
+        self._zero, self._zs, self._est = zero, zs, last
         return last, risers, stalls
 
     def insert(self, element: bytes) -> int:
@@ -482,7 +505,7 @@ class RegisterFile:
                         zero -= 1
                     zs += _POW[rank] - _POW[old]
                     changed += 1
-            self._zero, self._zs = zero, zs
+            self._zero, self._zs, self._est = zero, zs, None
         return changed
 
     def scan(self, elements, kept: list) -> tuple[int, int]:
@@ -573,7 +596,9 @@ class RegisterFile:
         return float(self._zs) * _Z_SCALE
 
     def estimate(self) -> int:
-        return _estimate(self._count, self._zero, self._zs, self._switch, self._alpha_r2)
+        if self._est is None:
+            self._est = _estimate(self._count, self._zero, self._zs, self._lc_floor, self._alpha_r2)
+        return self._est
 
     # -- register access -------------------------------------------------
 
@@ -599,6 +624,7 @@ class RegisterFile:
         self._regs = bytearray(data)
         self._zero = sum(1 for v in data if v == 0)
         self._zs = sum(map(_POW.__getitem__, data))
+        self._est = None
 
     def merge_registers(self, data: bytes) -> None:
         """Take the elementwise maximum with another register dump."""
@@ -612,3 +638,4 @@ class RegisterFile:
         self._regs = bytearray(self._count)
         self._zero = self._count
         self._zs = self._count << 63
+        self._est = None

@@ -49,6 +49,12 @@ class DetectionReport:
         return json.dumps(asdict(self))
 
 
+def _check_threshold(name: str, threshold: float) -> None:
+    # A NaN threshold would never alarm, a negative one always.
+    if not threshold >= 0:
+        raise ValueError(f"{name} must be a non-negative number, got {threshold!r}")
+
+
 class SnsGuard:
     """Salted / not-salted dual-sketch comparator.
 
@@ -68,6 +74,7 @@ class SnsGuard:
             divergence_threshold = default_divergence_threshold(params.register_count)
         if shadow_salt is None:
             shadow_salt = secrets.randbits(64) | 1  # never the unsalted mapping
+        _check_threshold("divergence_threshold", divergence_threshold)
         self.params = params
         self.divergence_threshold = divergence_threshold
         self.public_sketch = HllSketch(params)
@@ -117,6 +124,8 @@ class StatsMonitor:
             window_size = 4 * register_count
         if window_size < 1:
             raise ValueError("window_size must be positive")
+        _check_threshold("fraction_threshold", fraction_threshold)
+        _check_threshold("increment_threshold", increment_threshold)
         self.register_count = register_count
         self.window_size = window_size
         self.fraction_threshold = fraction_threshold
@@ -126,7 +135,7 @@ class StatsMonitor:
         self._increment_sum = 0
 
     def observe(self, changed: bool, increment: int, current_estimate: int) -> DetectionReport:
-        """Record one insertion outcome and return the current verdict."""
+        """Record one insertion outcome and return the verdict, built positionally for speed."""
         if changed and increment < 1:
             raise ValueError("a changing insertion must have increment >= 1")
         if not changed:
@@ -148,10 +157,4 @@ class StatsMonitor:
         alarm = bool(window) and (
             fraction > self.fraction_threshold or mean_inc > self.increment_threshold
         )
-        return DetectionReport(
-            alarm=alarm,
-            detector="stats",
-            public_estimate=current_estimate,
-            change_fraction=fraction,
-            mean_increment=mean_inc,
-        )
+        return DetectionReport(alarm, "stats", current_estimate, None, fraction, mean_inc)

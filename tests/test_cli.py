@@ -113,6 +113,20 @@ def test_detect_honest_stream_is_quiet(tmp_path, capsys):
                        str(stream_file), "--mode", mode) == 0
 
 
+@pytest.mark.parametrize("flag, mode", [
+    ("--threshold", "sns"), ("--fraction-threshold", "stats"), ("--increment-threshold", "stats"),
+])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_detect_refuses_a_threshold_that_is_not_a_non_negative_number(
+    attack_file, capsys, flag, mode, value
+):
+    code = run_cli("detect", "--registers", "1024", "--input", str(attack_file),
+                   "--mode", mode, flag, value)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be a non-negative number" in captured.err
+
+
 def test_experiment_csv_schema_and_reproducibility(tmp_path):
     args = [
         "experiment", "--registers", "256", "--cardinalities", "2560,5120",

@@ -1,5 +1,6 @@
 """Detectors: SNS dual sketch and insertion-statistics monitor."""
 
+import hashlib
 import json
 import statistics
 
@@ -213,3 +214,37 @@ def test_stats_report_shape():
     assert payload["shadow_estimate"] is None
     assert payload["change_fraction"] == 1.0
     assert payload["mean_increment"] == 4.0
+
+
+def monitor_verdicts(elements):
+    """Every verdict JSON of a StatsMonitor fed ``elements`` through a sketch, one line each."""
+    sketch, monitor = HllSketch(HllParams(256, 6)), StatsMonitor(256, window_size=256)
+    lines = []
+    for element in elements:
+        increment = sketch.insert_increment(element)
+        lines.append(monitor.observe(increment > 0, increment, sketch.estimate()).to_json())
+    return lines
+
+
+def test_monitor_verdicts_golden_digest():
+    # Pins every verdict, and its JSON text, over an honest stream and then
+    # an attack-set replay into the same sketch.
+    attack = run_attack(lambda: make_oracle(HllParams(256, 6)), 4, 2560).attack_set
+    lines = monitor_verdicts(stream_elements(21, 0, 4 * 256) + attack.elements)
+    assert json.loads(lines[1023])["alarm"] is False
+    assert json.loads(lines[-1])["alarm"] is True
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "04003933f3d26643e236fcde6768bf18c4e6cdfdf47602fc03760a4d23daa881"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("-inf")])
+def test_detectors_refuse_a_threshold_that_is_not_a_non_negative_number(bad):
+    # A NaN threshold would switch a detector off, a negative one make it always alarm.
+    with pytest.raises(ValueError, match="divergence_threshold"):
+        SnsGuard(PARAMS, divergence_threshold=bad)
+    with pytest.raises(ValueError, match="fraction_threshold"):
+        StatsMonitor(1024, fraction_threshold=bad)
+    with pytest.raises(ValueError, match="increment_threshold"):
+        StatsMonitor(1024, increment_threshold=bad)
+    assert SnsGuard(PARAMS, divergence_threshold=0.0).check().alarm is False
+    assert StatsMonitor(1024, fraction_threshold=0.0, increment_threshold=0.0)

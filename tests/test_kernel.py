@@ -1253,3 +1253,79 @@ def test_twins_agree_step_by_step(compiled_kernel):
         lambda: TwinRegisterFiles(compiled_kernel),
         settings=settings(max_examples=150, stateful_step_count=30, deadline=None),
     )
+
+
+# -- the pure twin's linear-counting floor and its estimate once per change ----
+
+
+def lc_applies(count, zero, switch):
+    """The direct rule, as the C twin writes it: linear counting at ``zero`` zeros."""
+    return zero > 0 and count * math.log(count / zero) <= switch * count
+
+
+@pytest.mark.parametrize("count", [1, 16, 4096, 1 << 20])
+@pytest.mark.parametrize("switch", [2.5, 0.0, -1.0, math.inf, math.nan])
+def test_lc_floor_gives_the_direct_rule_at_every_zero_count(count, switch):
+    floor = _pykernel._lc_floor(count, switch)
+    assert 1 <= floor <= count + 1
+    applies = [lc_applies(count, zero, switch) for zero in range(count + 1)]
+    assert applies == [zero >= floor for zero in range(count + 1)], (count, switch, floor)
+
+
+@pytest.mark.parametrize("m, switch", [(16, 2.5), (4096, 2.5), (256, -1.0), (256, 0.0)])
+def test_the_estimate_follows_every_change_to_the_registers(kernels, monkeypatch, m, switch):
+    # Each step reads the estimate first (the pure twin keeps it), changes the
+    # file or is refused, and must then estimate as a fresh file given its dump.
+    count = 3 * BLOCK + 5
+    monkeypatch.setattr(_pykernel, "_records", None)
+    for kernel in kernels:
+        rf = make_rf(kernel, m=m, switch=switch)
+        other = make_rf(kernel, m=m, switch=switch)
+        other.insert_many(_pykernel.stream_elements(9, 0, count))
+        raiser = next(e for e in _pykernel.stream_elements(3, 0, 50)
+                      if make_rf(kernel, m=m).insert(e))
+        steps = [
+            ("insert that changes", lambda: rf.insert(raiser)),
+            ("insert that does not", lambda: rf.insert(raiser)),
+            ("insert_many", lambda: rf.insert_many(_pykernel.stream_elements(7, 0, count))),
+            ("reset", rf.reset),
+            ("scan_stream from empty", lambda: rf.scan_stream(6, 0, count, [])),
+            ("reset", rf.reset),
+            ("scan", lambda: rf.scan(_pykernel.stream_elements(8, 0, count), [])),
+            ("record rescan", lambda: rf.scan_stream(6, 0, count, [])),
+            ("refused batch", lambda: rf.insert_many([b"x", b""])),
+            ("refused dump", lambda: rf.load_registers(bytes([99]) * m)),
+            ("load_registers", lambda: rf.load_registers(bytes(k % 7 for k in range(m)))),
+            ("merge_registers", lambda: rf.merge_registers(other.dump_registers())),
+            ("reset", rf.reset),
+        ]
+        for name, step in steps:
+            rf.estimate()
+            try:
+                step()
+            except ValueError:
+                assert name.startswith("refused"), name
+            fresh = make_rf(kernel, m=m, switch=switch)
+            fresh.load_registers(rf.dump_registers())
+            assert rf.estimate() == fresh.estimate(), (kernel.__name__, m, switch, name)
+
+
+@pytest.mark.parametrize("m", [16, 4096])
+def test_the_twins_estimate_and_scan_alike_on_both_sides_of_the_lc_floor(
+    pure_kernel, compiled_kernel, m
+):
+    # From exactly lc_floor zero registers, and one fewer, the pure twin's
+    # estimate and its climb (which skips the estimate for a non-zero
+    # register's rise while linear counting applies) must match the C twin's.
+    floor = _pykernel._lc_floor(m, 2.5)
+    rng = random.Random(m)
+    elements = _pykernel.stream_elements(11, 0, 64)
+    for zero in (floor - 1, floor):
+        dump = bytes([0] * zero + [rng.randint(1, 2) for _ in range(m - zero)])
+        outcomes = []
+        for kernel in (pure_kernel, compiled_kernel):
+            rf = make_rf(kernel, m=m)
+            rf.load_registers(dump)
+            estimate, kept = rf.estimate(), []
+            outcomes.append((estimate, rf.scan(elements, kept), kept, rf.dump_registers()))
+        assert outcomes[0] == outcomes[1], (m, zero)
