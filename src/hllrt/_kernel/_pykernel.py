@@ -41,9 +41,9 @@ in ``_rank_table``, built from the one rank rule ``_rank``, which runs
 itself only where that byte is zero (one hash in 256). The other element
 methods take ``_BLOCK`` elements at a time through one block reader,
 ``_hashed_blocks`` (which raises for a bad element only once the caller
-has judged the elements before it), and ``_splits``; ``scan``,
-``scan_stream`` and its record rescan then raise registers and judge the
-estimate in one loop, ``_climb``, keeping the positions that lifted it.
+has judged the elements before it), and ``_splits``; ``scan`` and
+``scan_stream`` then raise registers and judge the estimate in one loop,
+``_climb``, keeping the positions that lifted it.
 ``_climb`` and ``insert_many`` keep the zero count and Z_scaled in locals,
 stored back once per block.
 
@@ -80,31 +80,29 @@ or hold anything but ``bytes``, whose hashes it packs into lanes for
 
 ``stream_elements`` runs the stream's splitmix64 round on the same
 lanes and formats a whole block as one hex string (``_stream_hex``),
-which it splits into elements. ``scan_stream``, the attack's scan of the
-stream, hashes that hex string's words in place (an element's 16 digits
-are two whole words) and splits and climbs them. It slices out ``bytes``
-only for an element it keeps, so it equals ``scan(stream_elements(...))``
-without building the elements the scan drops.
+which it splits into elements.
 
-``scan_stream`` also remembers the register records of the span it last
-scanned: the elements that raised their register in a scan that started
-from an all-zero file, each as its offset in the span, register index and
-(clamped) rank. A later ``scan_stream`` of the same span, from any state,
-replays only those indices and ranks through the climb, with no hash; the
-attack's phase 2 rescans the span phase 1 scanned this way. It is exact:
-registers only rise, so at each element a scan from any state meets a
-register at least as high as the from-empty scan met there. An element
-that was not a record raises nothing, so it changes neither the registers
-nor the estimate (which depends on the registers alone) and is never
-kept. The return value, ``kept`` and the registers stay bit-identical to
-``scan(stream_elements(...))``; a kept element's ``bytes`` are
-regenerated with ``stream_element``. The memo is keyed by the span's
-splitmix64 input (the first element's, mod 2**64), its count, and the
-file's salt, R and largest rank; alpha and the crossover are not in the
-key, since the scanning file computes its own estimate. There is one
-slot, filled only by a from-empty scan that ran to its end and published
-as one tuple, so threads see either the old memo or the new one. Only
-this twin keeps it: the C twin scans every element.
+``scan_stream``, the attack's scan of the stream, climbs over the span's
+register records alone: the elements that raise their register in a scan
+of the span from an all-zero file, each as its register index, (clamped)
+rank and the 8 bytes its 16 hex digits spell. ``_span_records`` finds
+them: it hashes each block's hex string's words in place (an element's
+16 digits are two whole words), splits them, and keeps each element that
+tops its register so far. The records are a function of the span alone,
+keyed by its splitmix64 input (the first element's, mod 2**64), its
+count, and the file's salt, R and largest rank (alpha and the crossover
+are not in the key: the scanning file computes its own estimate). The
+last span's are cached as immutable buffers, so phase 2's rescan of the
+span phase 1 scanned hashes nothing. Climbing the records alone is exact
+from any state: registers only rise, so at each element a scan from any
+state meets a register at least as high as the from-empty scan met
+there. An element that was not a record raises nothing, so it changes
+neither the registers nor the estimate (which depends on the registers
+alone) and is never kept. So the return value, ``kept`` and the
+registers are bit-identical to ``scan(stream_elements(...))``, with
+``bytes`` made only for the elements kept. ``_climb`` keeps positions in
+an array, 8 bytes each, since a span's kept positions run to thousands.
+Only this twin keeps records: the C twin scans every element.
 """
 
 from __future__ import annotations
@@ -113,7 +111,7 @@ import operator
 import struct
 import sys
 from array import array
-from binascii import hexlify
+from binascii import hexlify, unhexlify
 from functools import lru_cache
 from itertools import islice
 from math import log
@@ -236,12 +234,6 @@ def _lanes(value: int, count: int) -> int:
 def _lane_words(count: int):
     """Reads the low 64 bits of each of ``count`` lanes from their little-endian bytes."""
     return struct.Struct("<" + "Q8x" * count).unpack
-
-
-# The register records of the stream span last scanned to its end from an
-# all-zero file, as (key, offsets, register indices, ranks), or None; see
-# the module docstring. Replaced whole, never changed in place.
-_records = None
 
 
 def _stream_args(seed, start, count) -> int:
@@ -375,6 +367,30 @@ def _real(x) -> float:
     raise TypeError(f"must be real number, not {type(x).__name__}")
 
 
+@lru_cache(maxsize=1)
+def _span_records(base: int, count: int, salt: int, register_count: int, max_reg: int):
+    """The register records of the ``count`` stream elements from splitmix64
+    input ``base`` in a file of this salt, R and largest rank, from all-zero
+    registers: read-only views of their register indices and their ranks,
+    and their elements' hex digits as ``bytes``, 8 to an element (see the
+    module docstring)."""
+    # max_reg is 2**width - 1 for the width this file's splits clamp to.
+    empty = RegisterFile(register_count, max_reg.bit_length(), salt, 0.0, 0.0)
+    regs = empty._regs
+    indices, ranks, digits = array("Q"), bytearray(), bytearray()
+    for offset in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - offset)
+        hexed = _stream_hex(base + offset, n)
+        lanes = _word_hashes(memoryview(hexed).cast("Q"), 16, n, salt)
+        for j, index, rank in zip(range(n), *empty._splits(lanes, n)):
+            if rank > regs[index]:
+                regs[index] = rank
+                indices.append(index)
+                ranks.append(rank)
+                digits += hexed[16 * j : 16 * j + 16]
+    return memoryview(indices).toreadonly(), memoryview(ranks).toreadonly(), unhexlify(digits)
+
+
 class RegisterFile:
     """R max-rank registers with incremental estimate bookkeeping.
 
@@ -450,16 +466,15 @@ class RegisterFile:
         masked = lanes & _lanes(self._count - 1, count)
         return _lane_words(count)(masked.to_bytes(16 * count, "little")), ranks
 
-    def _climb(self, indices, ranks, last: int) -> tuple[int, list[int], list[int]]:
+    def _climb(self, indices, ranks, last: int) -> tuple[int, array]:
         """Raise each register in turn, reading the estimate after each rise.
 
-        Returns the last estimate, the positions that lifted the estimate
-        (the ones a scan keeps) and those that raised a register alone.
+        Returns the last estimate and the positions that lifted the
+        estimate (the ones a scan keeps), as 8-byte words.
         """
         regs, zero, zs = self._regs, self._zero, self._zs
         count, floor, alpha_r2 = self._count, self._lc_floor, self._alpha_r2
-        risers: list[int] = []
-        stalls: list[int] = []
+        risers = array("Q")
         for j, index, rank in zip(range(len(ranks)), indices, ranks):
             old = regs[index]
             if rank > old:
@@ -468,13 +483,13 @@ class RegisterFile:
                 if not old:
                     zero -= 1
                 elif zero >= floor:  # linear counting reads the zero count alone
-                    stalls.append(j)
                     continue
                 after = _estimate(count, zero, zs, floor, alpha_r2)
-                (risers if after > last else stalls).append(j)
+                if after > last:
+                    risers.append(j)
                 last = after
         self._zero, self._zs, self._est = zero, zs, last
-        return last, risers, stalls
+        return last, risers
 
     def insert(self, element: bytes) -> int:
         """Insert one element; return the register increment (0 if none)."""
@@ -525,7 +540,7 @@ class RegisterFile:
         last = self.estimate()
         insertions = 0
         for block, lanes, count in _hashed_blocks(elements, self._salt):
-            last, risers, _ = self._climb(*self._splits(lanes, count), last)
+            last, risers = self._climb(*self._splits(lanes, count), last)
             kept.extend(map(block.__getitem__, risers))
             insertions += count
         return last, insertions
@@ -533,44 +548,20 @@ class RegisterFile:
     def scan_stream(self, seed: int, start: int, count: int, kept: list) -> tuple[int, int]:
         """``scan(stream_elements(seed, start, count), kept)``, bit for bit.
 
-        Generates each block as the hex string ``_stream_hex`` formats and
-        hashes its words in place, so ``bytes`` are made only for the
-        elements it keeps. A scan from an all-zero file remembers which
-        elements raised a register; a later scan of the same span replays
-        only those (see the module docstring).
+        Climbs over the span's register records (``_span_records``, cached
+        per span), from whatever state the file is in, and makes ``bytes``
+        only for the elements it keeps (see the module docstring).
         """
-        global _records
         base = _stream_args(seed, start, count)
         if not isinstance(kept, list):
             raise TypeError(f"expected list, got {type(kept).__name__}")
         if not _LANES:
             return self.scan(stream_elements(seed, start, count), kept)
-        last = self.estimate()
-        key = (base & MASK64, count, self._salt, self._count, self._max_reg)
-        records = _records
-        if records is not None and records[0] == key:
-            _, offsets, indices, ranks = records
-            last, risers, _ = self._climb(indices, ranks, last)
-            kept.extend(stream_element(seed, start + offsets[j]) for j in risers)
-            return last, count
-        # Offsets and indices are kept as 32-bit words, so a longer span or a
-        # larger file is never recorded.
-        record = self._zero == self._count and max(count, self._count) <= 1 << 32
-        offsets, indices, ranks = array("I"), array("I"), bytearray()
-        for offset in range(0, count, _BLOCK):
-            n = min(_BLOCK, count - offset)
-            hexed = _stream_hex(base + offset, n)
-            lanes = _word_hashes(memoryview(hexed).cast("Q"), 16, n, self._salt)
-            block_indices, block_ranks = self._splits(lanes, n)
-            last, risers, stalls = self._climb(block_indices, block_ranks, last)
-            kept.extend(hexed[16 * j : 16 * j + 16] for j in risers)
-            if record:
-                raised = sorted(risers + stalls)
-                offsets.extend([offset + j for j in raised])
-                indices.extend(map(block_indices.__getitem__, raised))
-                ranks.extend(map(block_ranks.__getitem__, raised))
-        if record:
-            _records = (key, offsets, indices, ranks)
+        indices, ranks, words = _span_records(
+            base & MASK64, count, self._salt, self._count, self._max_reg
+        )
+        last, risers = self._climb(indices, ranks, self.estimate())
+        kept.extend(hexlify(words[8 * j : 8 * j + 8]) for j in risers)
         return last, count
 
     def witness(self, elements) -> list[bytes]:

@@ -30,7 +30,12 @@ __all__ = ["DetectionReport", "SnsGuard", "StatsMonitor", "default_divergence_th
 
 
 def default_divergence_threshold(register_count: int) -> float:
-    """Five combined standard errors of the HLL estimate (5 * 1.04/sqrt(R))."""
+    """Five standard errors of one HLL estimate (5 * 1.04/sqrt(R)).
+
+    ``SnsGuard.check`` compares two estimates of one stream, whose difference
+    has sqrt(2) times that error: the threshold is about 3.5 of its standard
+    errors, so an honest stream alarms in about 1 of 2,500 checks.
+    """
     return 5.0 * 1.04 / register_count**0.5
 
 

@@ -156,9 +156,9 @@ class HllSketch(CardinalityOracle):
         """``scan(stream_elements(seed, start, count), kept)``, generated inside the kernel.
 
         The same estimates, kept elements and registers as that scan. The
-        pure kernel remembers which elements raised a register in the span
-        it last scanned from empty, so phase 2's rescan of phase 1's span
-        touches only those; the compiled kernel scans every element.
+        pure kernel climbs over the span's register records alone, cached
+        for the last span, so phase 2's rescan of phase 1's span hashes
+        nothing; the compiled kernel scans every element.
         """
         return self._core.scan_stream(seed, start, count, kept)
 

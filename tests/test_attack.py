@@ -188,13 +188,13 @@ def test_attack_set_is_a_subset_chain():
     assert len(v.elements) <= len(y2.elements)
 
 
-def test_phase_sets_golden_digests(monkeypatch):
+def test_phase_sets_golden_digests():
     # Pins the attack's output bit for bit, on whichever kernel is active:
     # a kernel rewrite that changed one hash or one stream element would
     # change these sets. Both kernels produced exactly these digests. On the
     # pure kernel the first run's phase 2 rescans phase 1's span from its
     # register records, and the second run's phase 1 does too.
-    monkeypatch.setattr(_pykernel, "_records", None)
+    _pykernel._span_records.cache_clear()
     runs = [run_attack(factory_for(HllParams(256, 6)), 7, 2000) for _ in range(2)]
     for run in runs:
         digests = [

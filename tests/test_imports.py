@@ -1,8 +1,10 @@
 """No dead imports: every name a module imports is read somewhere in it.
+And no module state is rebound: no ``global`` statement under ``src/``.
 
-Scans every module under ``src/``, ``tests/`` and ``tools/``. A name
-listed in the module's ``__all__`` counts as read, since re-exporting it
-is its use. ``from __future__`` imports are directives, not names.
+Scans every module under ``src/``, ``tests/`` and ``tools/`` for imports.
+A name listed in the module's ``__all__`` counts as read, since
+re-exporting it is its use. ``from __future__`` imports are directives,
+not names.
 """
 
 import ast
@@ -33,6 +35,12 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def global_statements(source: str) -> list[str]:
+    """``"names (line n)"`` for each ``global`` statement in ``source``."""
+    return [f"{', '.join(node.names)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
 def test_the_scan_finds_a_dead_import():
     source = "import os, os.path as p\nfrom a import b as c, d\n__all__ = ['d']\nprint(p)\n"
     assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
@@ -46,3 +54,18 @@ def test_every_imported_name_is_used():
         if names:
             dead[str(path.relative_to(ROOT))] = names
     assert dead == {}
+
+
+def test_the_scan_finds_a_global_statement():
+    source = "x = None\ndef f():\n    def g():\n        global x, y\n        x = 1\n"
+    assert global_statements(source) == ["x, y (line 4)"]
+
+
+def test_no_module_under_src_rebinds_module_state():
+    rebinds = {}
+    for path in MODULES:
+        if path.is_relative_to(ROOT / "src"):
+            found = global_statements(path.read_text(encoding="utf-8"))
+            if found:
+                rebinds[str(path.relative_to(ROOT))] = found
+    assert rebinds == {}

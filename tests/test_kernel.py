@@ -699,7 +699,7 @@ def split_maxima(elements, params):
 
 @pytest.mark.parametrize("m", [16, 4096])
 @pytest.mark.parametrize("width", range(1, 9))
-def test_every_element_method_splits_as_hash_split(kernels, monkeypatch, m, width):
+def test_every_element_method_splits_as_hash_split(kernels, m, width):
     # hash_split shares no code with either twin, so it checks the pure
     # twin's rank table and rule, which insert and the block paths share.
     # Below width 4, which HllParams refuses but the kernel takes, a plain
@@ -709,7 +709,7 @@ def test_every_element_method_splits_as_hash_split(kernels, monkeypatch, m, widt
     elements = _pykernel.stream_elements(0, 0, 2 * BLOCK)
     assert sum(hash64(e) >> 56 == 0 for e in elements) == 4  # ranked past the table
     expected = split_maxima(elements, params)
-    monkeypatch.setattr(_pykernel, "_records", None)  # scan_stream splits, never replays
+    _pykernel._span_records.cache_clear()  # scan_stream splits the span afresh
     for kernel in kernels:
         names = ("insert", "insert_many", "scan", "scan_stream")
         files = {name: make_rf(kernel, m=m, width=width) for name in names}
@@ -757,7 +757,7 @@ def test_block_paths_keep_the_zero_count_and_z_of_their_registers(
     # aside; after each, both must equal what the registers alone give.
     count = 3 * BLOCK + 5
     mixed = _pykernel.stream_elements(8, 0, BLOCK + 3) + [b"e%d" % k for k in range(700)]
-    monkeypatch.setattr(_pykernel, "_records", None)
+    _pykernel._span_records.cache_clear()
     for kernel in kernels:
         rf = make_rf(kernel, m=m, width=width, salt=salt)
         rf.scan_stream(6, 0, count, [])  # from empty: the pure twin records the span
@@ -785,7 +785,7 @@ def test_the_pure_block_methods_agree_without_lanes(monkeypatch):
     elements = _pykernel.stream_elements(4, 0, count) + [b"x" * n for n in range(1, 40)]
 
     def outcomes():
-        monkeypatch.setattr(_pykernel, "_records", None)
+        _pykernel._span_records.cache_clear()
         results = []
         rf = make_rf(_pykernel, m=256)
         results.append((rf.insert_many(elements), rf.dump_registers()))
@@ -845,7 +845,7 @@ def scan_stream_reference_and_kernel(kernel, monkeypatch, m, width, salt, preloa
 
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3])
 def test_reference_scan_stream_matches_the_in_process_one(kernels, monkeypatch, count):
-    monkeypatch.setattr(_pykernel, "_records", None)
+    _pykernel._span_records.cache_clear()
     for kernel in kernels:
         for m, width, salt in ((16, 6, 0), (1024, 5, MASK64), (4096, 6, 0x0123456789ABCDEF)):
             for seed, start in ((5, 0), (MASK64, 2**64 - 3), (3, -7)):
@@ -875,9 +875,10 @@ def test_reference_scan_stream_refuses_what_the_twins_refuse():
 
 
 # -- the pure twin's register records --------------------------------------------
-# A pure scan_stream from an all-zero file remembers the elements that raised
-# a register; a later scan_stream of the same span visits only those. Every
-# result must still equal scan(stream_elements(...)) bit for bit.
+# A pure scan_stream visits only the span's register records, the elements
+# that raise a register in a scan of the span from an all-zero file, cached
+# for the last span. Every result must still equal scan(stream_elements(...))
+# bit for bit.
 
 
 def pure_file(m, width, salt, state="empty"):
@@ -952,17 +953,34 @@ def test_spans_that_differ_in_their_key_never_share_records(other):
         assert scanned(pure_file(*setting[1], state), *args[1]) == reference, state
 
 
-def test_a_scan_from_a_non_empty_file_records_nothing(monkeypatch):
+def test_a_scan_from_a_non_empty_file_records_the_span_from_empty():
     # The preload raises registers the span would raise, so a scan from it
-    # meets only some of the span's records; kept, they would make a later
-    # scan from empty miss the rest.
-    monkeypatch.setattr(_pykernel, "_records", None)
+    # lifts only some of the span's records. The records it caches are still
+    # all of the span's from empty: the scans from empty that follow, the
+    # first of them reading the cache, both equal the reference.
+    _pykernel._span_records.cache_clear()
     span = (1024, 6, 0), (7, 0, 4 * BLOCK)
     reference = scanned(pure_file(*span[0]), *span[1], stream=False)
     scanned(pure_file(*span[0], "preload"), *span[1])
     assert scanned(pure_file(*span[0]), *span[1]) == reference
     scanned(pure_file(*span[0]), *span[1])  # now recorded from empty
     assert scanned(pure_file(*span[0]), *span[1]) == reference
+
+
+def test_a_scan_from_a_preloaded_file_fills_the_cache_for_a_scan_from_empty(monkeypatch):
+    # The cached records are a function of the span alone, so a scan from
+    # empty after one from a preload makes no stream block and hashes
+    # nothing; and no caller can change the cached buffers in place.
+    _pykernel._span_records.cache_clear()
+    (m, width, salt), (seed, start, count) = (1024, 6, 0), (7, 0, 4 * BLOCK)
+    reference = scanned(pure_file(m, width, salt), seed, start, count, stream=False)
+    scanned(pure_file(m, width, salt, "preload"), seed, start, count)
+    refuse_streams(monkeypatch)
+    assert scanned(pure_file(m, width, salt), seed, start, count) == reference
+    base = (_pykernel._stream_base(seed) + start) & MASK64
+    for buffer in _pykernel._span_records(base, count, salt, m, 63):
+        with pytest.raises(TypeError):
+            buffer[0] = 1
 
 
 def test_equal_splitmix_inputs_share_records(monkeypatch):
@@ -1273,11 +1291,11 @@ def test_lc_floor_gives_the_direct_rule_at_every_zero_count(count, switch):
 
 
 @pytest.mark.parametrize("m, switch", [(16, 2.5), (4096, 2.5), (256, -1.0), (256, 0.0)])
-def test_the_estimate_follows_every_change_to_the_registers(kernels, monkeypatch, m, switch):
+def test_the_estimate_follows_every_change_to_the_registers(kernels, m, switch):
     # Each step reads the estimate first (the pure twin keeps it), changes the
     # file or is refused, and must then estimate as a fresh file given its dump.
     count = 3 * BLOCK + 5
-    monkeypatch.setattr(_pykernel, "_records", None)
+    _pykernel._span_records.cache_clear()
     for kernel in kernels:
         rf = make_rf(kernel, m=m, switch=switch)
         other = make_rf(kernel, m=m, switch=switch)
