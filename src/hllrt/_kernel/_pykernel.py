@@ -66,17 +66,19 @@ a product of two values below 2**64, plus P4 or P5, stays below 2**128.
 A right shift (the rotations' ``>> 33``/``>> 37``, the avalanche's
 ``>> 33``) pulls the next lane's low bits into this lane's upper half, so
 its result is masked before the next multiply. The low 64 bits of each lane
-are then that element's ``hash64``. ``_splits`` reads the lanes' bytes
-as little-endian on any host: the rank from each hash's top byte, the
-indices from one mask of all lanes by R - 1, and a hash as an int only
-where its top byte is zero, for ``_rank``. The lane pass takes the block as
-8-byte words (``_word_hashes``), so any buffer that lays the elements
-out one after another, each zero-padded to whole words, can be hashed
-without building the elements: ``_lane_hashes`` joins a block of
-``bytes`` into such a buffer. The scalar ``hash64`` stays: it hashes
-single elements for ``insert``, and blocks that are short, mix lengths
-or hold anything but ``bytes``, whose hashes it packs into lanes for
-``_splits``; it is the reference the lanes are tested against.
+are then that element's ``hash64``. Words are copied as bytes, lanes read
+little-endian (as ``hash64`` reads an element) and the stream's lanes
+(below) big-endian, so the lane pass needs no check of the host's byte
+order. ``_splits`` takes from the lanes' bytes the rank by each hash's
+top byte, the indices by one mask of all lanes by R - 1, and a hash as
+an int only where its top byte is zero, for ``_rank``. The lane pass
+takes the block as 8-byte words (``_word_hashes``), so any buffer that
+lays the elements out one after another, each zero-padded to whole
+words, can be hashed without building the elements: ``_lane_hashes``
+joins a block of ``bytes`` into such a buffer. The scalar ``hash64``
+stays: it hashes single elements for ``insert``, and blocks that are
+short, mix lengths or hold anything but ``bytes``, whose hashes it packs
+into lanes for ``_splits``; the lanes are tested against it.
 
 ``stream_elements`` runs the stream's splitmix64 round on the same
 lanes and formats a whole block as one hex string (``_stream_hex``),
@@ -122,9 +124,6 @@ MASK64 = (1 << 64) - 1
 # generates, at a time. Speed is flat from 256 to 4096; a smaller block
 # keeps fewer elements and lane integers alive at once.
 _BLOCK = 512
-# The lane pass copies native 8-byte words into lanes read as little-endian,
-# so it needs a little-endian host; elsewhere blocks are hashed one by one.
-_LANES = sys.byteorder == "little"
 
 # 2**-63 is an exact double, so scaling Z_scaled by it only rounds once
 # (in the int -> float conversion).
@@ -321,7 +320,7 @@ def _block_hashes(block: list, salt: int) -> tuple[int, int]:
     marks it. Four or more ``bytes`` of one length (a lane pass costs about
     four scalar hashes) are hashed in one lane pass, any other block one by one.
     """
-    if _LANES and len(block) >= 4 and set(map(type, block)) == {bytes}:
+    if len(block) >= 4 and set(map(type, block)) == {bytes}:
         lengths = set(map(len, block))
         if len(lengths) == 1 and 0 not in lengths:
             return _lane_hashes(block, lengths.pop(), salt), len(block)
@@ -414,9 +413,14 @@ class RegisterFile:
         alpha: float,
         switch_factor: float,
     ) -> None:
-        # Every argument is converted, as "niKdd" does, before any is checked.
+        # Every argument is converted, as "niKdd" does, before any is checked:
+        # R to a Py_ssize_t, the width to a C int, in argument order.
         register_count = operator.index(register_count)
+        if not -sys.maxsize - 1 <= register_count <= sys.maxsize:
+            raise OverflowError("register_count does not fit in a Py_ssize_t")
         register_width = operator.index(register_width)
+        if not -(2**31) <= register_width < 2**31:
+            raise OverflowError("register_width does not fit in a C int")
         if not isinstance(salt, int):
             raise TypeError(f"expected int, got {type(salt).__name__}")
         alpha, switch_factor = _real(alpha), _real(switch_factor)
@@ -428,7 +432,7 @@ class RegisterFile:
         self._bits = register_count.bit_length() - 1
         # Ranks above 63 cannot occur from a 64-bit hash; the scaled-Z
         # representation relies on that bound.
-        self._max_reg = min((1 << register_width) - 1, 63)
+        self._max_reg = 63 if register_width >= 6 else (1 << register_width) - 1
         self._alpha_r2 = alpha * register_count * register_count
         # Entry b is ``_rank`` of every hash whose top byte is b; 0 for b = 0, which fixes none.
         self._rank_table = bytes([0] + [self._rank(b << 56) for b in range(1, 256)])
@@ -555,8 +559,6 @@ class RegisterFile:
         base = _stream_args(seed, start, count)
         if not isinstance(kept, list):
             raise TypeError(f"expected list, got {type(kept).__name__}")
-        if not _LANES:
-            return self.scan(stream_elements(seed, start, count), kept)
         indices, ranks, words = _span_records(
             base & MASK64, count, self._salt, self._count, self._max_reg
         )

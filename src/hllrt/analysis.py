@@ -17,9 +17,10 @@ per-register maxima and what that costs the final estimate:
   rounded integer estimate only when the resulting increment reaches
   0.5. Rounding hides a few more raises right after the crossover.
 
-All functions are pure; ``alpha`` defaults to the same bias-correction
-constant the sketch uses for that register count, and the window is
-that of the sketch's crossover, fixed at 2.5R (switch_factor = 2.5).
+All functions are pure; they use ``alpha_for_registers(R)``, the
+bias-correction constant the sketch uses for that register count, and
+the window is that of the sketch's crossover, fixed at 2.5R
+(switch_factor = 2.5).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def estimate_increment(
     delta: float,
     estimate: float,
     register_count: int,
-    alpha: float | None = None,
     z: float | None = None,
 ) -> IncrementPrediction:
     """Estimate change caused by a register update of denominator-delta.
@@ -92,9 +92,7 @@ def estimate_increment(
     with the given estimate). The approximation converges on the exact
     value as delta/Z -> 0.
     """
-    if alpha is None:
-        alpha = alpha_for_registers(register_count)
-    alpha_r2 = alpha * register_count * register_count
+    alpha_r2 = alpha_for_registers(register_count) * register_count * register_count
     if z is None:
         if estimate <= 0:
             raise ValueError("estimate must be positive when z is not given")
@@ -106,20 +104,15 @@ def estimate_increment(
     return IncrementPrediction(exact, approx)
 
 
-def undetectable_delta_threshold(
-    register_count: int, estimate: float, alpha: float | None = None
-) -> float:
+def undetectable_delta_threshold(register_count: int, estimate: float) -> float:
     """Largest denominator-delta whose rounded estimate change stays < 0.5."""
     if estimate < 1:
         raise ValueError("estimate must be at least 1")
-    if alpha is None:
-        alpha = alpha_for_registers(register_count)
+    alpha = alpha_for_registers(register_count)
     return 0.5 * alpha * register_count * register_count / (estimate * estimate)
 
 
-def miss_condition_register_value(
-    register_count: int, estimate: float, alpha: float | None = None
-) -> float:
+def miss_condition_register_value(register_count: int, estimate: float) -> float:
     """Register value above which an update can escape the rounded estimate.
 
     Solving 2**-c_old < 0.5 * alpha * R**2 / estimate**2 for c_old gives
@@ -128,8 +121,7 @@ def miss_condition_register_value(
     """
     if estimate < register_count:
         raise ValueError("requires estimate >= register_count")
-    if alpha is None:
-        alpha = alpha_for_registers(register_count)
+    alpha = alpha_for_registers(register_count)
     return 1.0 - math.log2(alpha) + 2.0 * math.log2(estimate / register_count)
 
 

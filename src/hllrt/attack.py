@@ -92,6 +92,10 @@ class AttackSet:
         return len(self.elements)
 
     def validate(self) -> None:
+        # load reads each number back as an int: True, None, 5.5 or "7" would not round-trip.
+        for name in ("phase", "target_cardinality", "achieved_estimate", "source_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.phase not in (1, 2, 3):
             raise ValueError(f"phase must be 1, 2 or 3, got {self.phase}")
         if len(set(self.elements)) != len(self.elements):

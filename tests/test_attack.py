@@ -474,10 +474,17 @@ def test_attack_set_file_refuses_elements_it_cannot_load(tmp_path):
 
 
 def test_attack_set_file_refuses_a_set_load_would_refuse(tmp_path):
-    # A duplicate element or a phase outside 1-3 fails validate; save
-    # refuses the set and writes nothing.
+    # A duplicate element, a phase outside 1-3 or a number that is not
+    # exactly an int fails validate; save refuses the set and writes nothing.
     path = tmp_path / "v.txt"
-    for attack_set in (AttackSet([b"a", b"a"], 1, 10, 5, 1), AttackSet([b"a"], 7, 10, 5, 1)):
+    for attack_set in (
+        AttackSet([b"a", b"a"], 1, 10, 5, 1),
+        AttackSet([b"a"], 7, 10, 5, 1),
+        AttackSet([b"a"], True, 10, 5, 1),
+        AttackSet([b"a"], 1, 5.5, 5, 1),
+        AttackSet([b"a"], 1, 10, None, 1),
+        AttackSet([b"a"], 1, 10, 5, "7"),
+    ):
         with pytest.raises(ValueError):
             attack_set.save(path)
         assert not path.exists()

@@ -1,5 +1,8 @@
 """No dead imports: every name a module imports is read somewhere in it.
 And no module state is rebound: no ``global`` statement under ``src/``.
+And no result hangs on the host's byte order: nothing under ``src/``
+reads ``sys.byteorder``, and every ``from_bytes``/``to_bytes`` call in
+the pure kernel names its byte order.
 
 Scans every module under ``src/``, ``tests/`` and ``tools/`` for imports.
 A name listed in the module's ``__all__`` counts as read, since
@@ -41,6 +44,24 @@ def global_statements(source: str) -> list[str]:
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
 
 
+def byteorder_reads(source: str) -> list[str]:
+    """``"line n"`` for each read of ``sys.byteorder`` in ``source``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "byteorder"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            or isinstance(node, ast.ImportFrom) and node.module == "sys"
+            and any(alias.name == "byteorder" for alias in node.names)]
+
+
+def defaulted_byte_orders(source: str) -> list[str]:
+    """``"name (line n)"`` for each ``from_bytes``/``to_bytes`` call in ``source``
+    that leaves out its byte order."""
+    return [f"{node.func.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("from_bytes", "to_bytes") and len(node.args) < 2
+            and all(keyword.arg != "byteorder" for keyword in node.keywords)]
+
+
 def test_the_scan_finds_a_dead_import():
     source = "import os, os.path as p\nfrom a import b as c, d\n__all__ = ['d']\nprint(p)\n"
     assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
@@ -69,3 +90,23 @@ def test_no_module_under_src_rebinds_module_state():
             if found:
                 rebinds[str(path.relative_to(ROOT))] = found
     assert rebinds == {}
+
+
+def test_the_scans_find_a_byte_order_left_to_the_host():
+    source = ("import sys\nfrom sys import byteorder\nnative = sys.byteorder\n"
+              "int.from_bytes(b'ab')\nint.from_bytes(b'ab', 'big')\n"
+              "(5).to_bytes(2, byteorder='little')\nx.to_bytes(2)\n")
+    assert byteorder_reads(source) == ["line 2", "line 3"]
+    assert defaulted_byte_orders(source) == ["from_bytes (line 4)", "to_bytes (line 7)"]
+
+
+def test_no_result_hangs_on_the_host_byte_order():
+    reads = {}
+    for path in MODULES:
+        if path.is_relative_to(ROOT / "src"):
+            found = byteorder_reads(path.read_text(encoding="utf-8"))
+            if found:
+                reads[str(path.relative_to(ROOT))] = found
+    assert reads == {}
+    kernel = ROOT / "src" / "hllrt" / "_kernel" / "_pykernel.py"
+    assert defaulted_byte_orders(kernel.read_text(encoding="utf-8")) == []

@@ -188,6 +188,17 @@ def test_constructor_refuses_the_types_c_parses_refuse(kernels):
         assert kernel.RegisterFile(*good).estimate() == 0
 
 
+def test_constructor_refuses_an_int_c_cannot_hold(kernels):
+    # "n" takes R as a Py_ssize_t and "i" the width as a C int, in argument
+    # order, so the first bad argument decides; a huge width is refused
+    # before any shift by it.
+    for kernel in kernels:
+        for m, width in ((2**70, 6), (-(2**63) - 1, 6), (16, -(2**31) - 1), (2**70, 1.5),
+                         (16, 2**31)):
+            with pytest.raises(OverflowError):
+                kernel.RegisterFile(m, width, 0, 0.673, 2.5)
+
+
 @pytest.mark.parametrize("m", [3, 24, 1000])
 def test_constructor_refuses_a_register_count_that_is_not_a_power_of_two(kernels, m):
     # The index is hash & (R - 1): other R would leave registers unreachable.
@@ -697,6 +708,16 @@ def split_maxima(elements, params):
     return bytes(registers)
 
 
+# Each block method's file after one pass over an input, from empty; the
+# witness file holds the witness alone, re-inserted.
+SPLIT_METHODS = {
+    "insert": lambda rf, elements: [rf.insert(e) for e in elements],
+    "insert_many": lambda rf, elements: rf.insert_many(elements),
+    "scan": lambda rf, elements: rf.scan(elements, []),
+    "witness": lambda rf, elements: rf.insert_many(rf.witness(elements)),
+}
+
+
 @pytest.mark.parametrize("m", [16, 4096])
 @pytest.mark.parametrize("width", range(1, 9))
 def test_every_element_method_splits_as_hash_split(kernels, m, width):
@@ -706,20 +727,20 @@ def test_every_element_method_splits_as_hash_split(kernels, m, width):
     # namespace stands in for it; there the clamp binds on table ranks.
     params = (HllParams(m, width) if width >= 4
               else SimpleNamespace(register_count=m, register_width=width, salt_value=0))
-    elements = _pykernel.stream_elements(0, 0, 2 * BLOCK)
-    assert sum(hash64(e) >> 56 == 0 for e in elements) == 4  # ranked past the table
-    expected = split_maxima(elements, params)
+    stream = _pykernel.stream_elements(0, 0, 2 * BLOCK)
+    assert sum(hash64(e) >> 56 == 0 for e in stream) == 4  # ranked past the table
+    # Blocks that mix lengths, then a block of three: the pure twin hashes
+    # these one by one, never in lanes.
+    mixed = [e[: 1 + k % 16] for k, e in enumerate(_pykernel.stream_elements(1, 0, 2 * BLOCK + 3))]
+    scan_stream = {"scan_stream": lambda rf, elements: rf.scan_stream(0, 0, 2 * BLOCK, [])}
     _pykernel._span_records.cache_clear()  # scan_stream splits the span afresh
-    for kernel in kernels:
-        names = ("insert", "insert_many", "scan", "scan_stream")
-        files = {name: make_rf(kernel, m=m, width=width) for name in names}
-        for element in elements:
-            files["insert"].insert(element)
-        files["insert_many"].insert_many(elements)
-        files["scan"].scan(elements, [])
-        files["scan_stream"].scan_stream(0, 0, 2 * BLOCK, [])
-        for name, rf in files.items():
-            assert rf.dump_registers() == expected, (kernel.__name__, name)
+    for elements, methods in ((stream, SPLIT_METHODS | scan_stream), (mixed, SPLIT_METHODS)):
+        expected = split_maxima(elements, params)
+        for kernel in kernels:
+            for name, run in methods.items():
+                rf = make_rf(kernel, m=m, width=width)
+                run(rf, elements)
+                assert rf.dump_registers() == expected, (kernel.__name__, name, len(elements))
 
 
 def test_the_pure_twin_runs_its_rank_rule_only_where_the_table_has_no_rank(monkeypatch):
@@ -776,30 +797,6 @@ def test_block_paths_keep_the_zero_count_and_z_of_their_registers(
         other.insert_many(_pykernel.stream_elements(9, 0, count))
         rf.merge_registers(other.dump_registers())
         assert_bookkeeping_matches_a_reload(kernel, rf, m, width, salt, "merge_registers")
-
-
-def test_the_pure_block_methods_agree_without_lanes(monkeypatch):
-    # Without lanes (a big-endian host) every block is hashed one element at
-    # a time and packed into lanes for the split; nothing else may change.
-    count = 3 * BLOCK + 7
-    elements = _pykernel.stream_elements(4, 0, count) + [b"x" * n for n in range(1, 40)]
-
-    def outcomes():
-        _pykernel._span_records.cache_clear()
-        results = []
-        rf = make_rf(_pykernel, m=256)
-        results.append((rf.insert_many(elements), rf.dump_registers()))
-        for scan in (lambda rf, kept: rf.scan(elements, kept),
-                     lambda rf, kept: rf.scan_stream(4, 0, count, kept)):
-            rf, kept = make_rf(_pykernel, m=256), []
-            results.append((scan(rf, kept), kept, rf.dump_registers()))
-        results.append(make_rf(_pykernel, m=256).witness(elements))
-        return results
-
-    with_lanes = outcomes()
-    monkeypatch.setattr(_pykernel, "_LANES", False)
-    monkeypatch.setattr(_pykernel, "_word_hashes", None)  # no lane pass may run
-    assert outcomes() == with_lanes
 
 
 def test_scan_stream_refuses_what_the_twins_refuse(kernels):
