@@ -708,8 +708,8 @@ def split_maxima(elements, params):
     return bytes(registers)
 
 
-# Each block method's file after one pass over an input, from empty; the
-# witness file holds the witness alone, re-inserted.
+# Each element method, run once on an empty file; witness leaves the file
+# empty, so its witness is inserted there.
 SPLIT_METHODS = {
     "insert": lambda rf, elements: [rf.insert(e) for e in elements],
     "insert_many": lambda rf, elements: rf.insert_many(elements),
