@@ -3,8 +3,11 @@
 Speaks just the commands the oracle uses (PING, PFADD, PFCOUNT, DEL)
 plus SET so wrong-type replies can be provoked. HLL keys are backed by
 the library's own sketch, which makes a full attack-over-TCP run
-checkable end to end. ``drop_after`` closes the connection once after
-the N-th reply to exercise the client's reconnect path.
+checkable end to end. As Redis does, the server answers all the
+commands of one read with one write, just before it reads again or
+closes. ``drop_after`` closes the connection once after exactly the N-th
+reply, sending the replies before it, to exercise the client's reconnect
+path.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from hllrt.remote import ErrorReply, ProtocolError, RespStream, encode_value
 from hllrt.sketch import HllParams, HllSketch
@@ -21,23 +24,37 @@ WRONGTYPE = "WRONGTYPE Operation against a key holding the wrong kind of value"
 
 
 class _Handler(socketserver.BaseRequestHandler):
+    """One client connection, answered a read at a time.
+
+    Replies are held back while ``RespStream`` can decode the next
+    command from bytes already read. It calls ``read`` only when it
+    cannot, and ``read`` writes the held replies first, as every way out
+    of ``handle`` does.
+    """
+
     def setup(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._held: list[bytes] = []
+
+    def read(self, size: int) -> bytes:
+        self._flush()
+        return self.request.recv(size)
+
+    def _flush(self) -> None:
+        if self._held:
+            replies = b"".join(self._held)
+            self._held.clear()
+            self.request.sendall(replies)
 
     def handle(self):
-        stream = RespStream(self.request)
-        while True:
-            try:
-                command = stream.read_value()
-            except (ProtocolError, OSError):
-                return
-            reply = self.server.dispatch(command)
-            try:
-                self.request.sendall(encode_value(reply))
-            except OSError:
-                return
-            if self.server.should_drop():
-                return  # simulate a dying connection
+        stream = RespStream(self)
+        with suppress(ProtocolError, OSError):
+            while True:
+                self._held.append(encode_value(self.server.dispatch(stream.read_value())))
+                if self.server.should_drop():
+                    break  # simulate a dying connection
+        with suppress(OSError):
+            self._flush()
 
 
 class MiniRedisServer(socketserver.ThreadingTCPServer):

@@ -395,6 +395,46 @@ def test_server_refuses_a_command_argument_that_is_not_a_bulk_string():
         assert server.commands_seen == [b"PING"]
 
 
+def read_to_end(sock):
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+def test_server_answers_the_commands_before_a_bad_frame():
+    with running_server() as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(resp_encode([b"PING"], [b"PFADD", b"k", b"a"]) + b"*1\r\n$x\r\n")
+            assert read_to_end(sock) == b"+PONG\r\n:1\r\n"
+
+
+def test_drop_after_cuts_a_batched_read_after_exactly_n_replies():
+    with running_server(drop_after=2) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(resp_encode(*[[b"PING"]] * 5))
+            assert read_to_end(sock) == b"+PONG\r\n" * 2
+
+
+def test_server_answers_a_pipeline_in_a_few_writes(monkeypatch):
+    # A server that wrote each reply on its own would make the client read
+    # about once per reply: 491-640 reads for this scan.
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url("reads")) as oracle:
+            oracle.reset()
+            reads = []
+            fill = RespStream._fill
+
+            def counted(stream, need=0):
+                if stream is oracle._stream:
+                    reads.append(need)
+                return fill(stream, need)
+
+            monkeypatch.setattr(RespStream, "_fill", counted)
+            oracle.scan([b"w%d" % k for k in range(512)], [])
+    assert 0 < len(reads) <= 16
+
+
 def test_pipelined_batch_equals_sequential():
     # ``insert_many``'s pipelines leave the registers an ``insert`` loop leaves.
     elements = [b"e%d" % k for k in range(500)]
