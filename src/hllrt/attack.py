@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .oracle import CardinalityOracle, CountingOracle
@@ -266,7 +266,7 @@ class AttackRun:
     phase_sets: tuple[AttackSet, AttackSet, AttackSet]
     reports: tuple[PhaseReport, PhaseReport, PhaseReport]
     total_insertions: int
-    wall_times_ms: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
+    wall_times_ms: tuple[float, float, float]
 
 
 def run_attack(

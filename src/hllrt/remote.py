@@ -116,7 +116,7 @@ def encode_value(value: RespValue) -> bytes:
 
 
 class RespStream:
-    """Buffered reader of RESP values from a socket or file-like source.
+    """Buffered reader of RESP values from a source with ``recv_into`` or ``readinto``.
 
     ``read_value`` returns ``:n`` as an ``int``, ``$`` as ``bytes``, ``*``
     as a ``list``, ``+`` as a ``str``, ``-`` as an ``ErrorReply``, and both
@@ -135,28 +135,25 @@ class RespStream:
     """
 
     def __init__(self, source) -> None:
-        self._source = source
+        self._read_into = getattr(source, "recv_into", None) or source.readinto
         self._buffer = b""
         self._pos = 0
         self.received = 0
-        self._block = memoryview(bytearray(65536)) if isinstance(source, socket.socket) else None
+        self._block = memoryview(bytearray(65536))
 
     def _fill(self, need: int = 0) -> None:
         """Read at least once, and on until ``need`` unread bytes are buffered.
 
-        A socket is read into one block and what came is copied out:
-        recv's own 64 KiB bytes, shrunk to what came, fragment the heap
-        (the client's RSS grew with every attack). The reads are joined
-        with the unread bytes once, so a long bulk string is not copied
-        again on every read.
+        Every read goes into one 64 KiB block and what came is copied out:
+        a fresh 64 KiB ``bytes`` per read, shrunk to what came, fragments
+        the heap (the client's RSS grew with every attack). The reads are
+        joined with the unread bytes once, so a long bulk string is not
+        copied again on every read.
         """
         parts = [self._buffer[self._pos :]]
         have = len(parts[0])
         while True:
-            if self._block is not None:
-                chunk = bytes(self._block[: self._source.recv_into(self._block)])
-            else:
-                chunk = self._source.read(65536)
+            chunk = bytes(self._block[: self._read_into(self._block)])
             if not chunk:
                 raise ProtocolError("unexpected end of stream")
             self.received += len(chunk)
@@ -373,8 +370,7 @@ class RemoteOracle(CardinalityOracle):
         self._expect_int(self._exchange([[b"DEL", self._key]])[0], "DEL")
 
     def insert(self, element: bytes) -> None:
-        reply = self._exchange([[b"PFADD", self._key, checked_element(element)]])[0]
-        self._expect_int(reply, "PFADD")
+        self.insert_many((element,))
 
     def insert_many(self, elements: Iterable[bytes]) -> None:
         """PFADD every element in order, ``_PIPELINE`` commands a round trip.

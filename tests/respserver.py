@@ -3,11 +3,13 @@
 Speaks just the commands the oracle uses (PING, PFADD, PFCOUNT, DEL)
 plus SET so wrong-type replies can be provoked. HLL keys are backed by
 the library's own sketch, which makes a full attack-over-TCP run
-checkable end to end. As Redis does, the server answers all the
+checkable end to end. Each connection's reads go into the one block of
+its ``RespStream``, and, as Redis does, the server answers all the
 commands of one read with one write, just before it reads again or
-closes. ``drop_after`` closes the connection once after exactly the N-th
-reply, sending the replies before it, to exercise the client's reconnect
-path.
+closes. ``commands_seen`` maps each dispatched command name to its
+count, so the server's memory does not grow with its traffic.
+``drop_after`` closes the connection once after exactly the N-th reply,
+sending the replies before it, to exercise the client's reconnect path.
 """
 
 from __future__ import annotations
@@ -27,18 +29,18 @@ class _Handler(socketserver.BaseRequestHandler):
     """One client connection, answered a read at a time.
 
     Replies are held back while ``RespStream`` can decode the next
-    command from bytes already read. It calls ``read`` only when it
-    cannot, and ``read`` writes the held replies first, as every way out
-    of ``handle`` does.
+    command from bytes already read. It calls ``readinto`` only when it
+    cannot, and ``readinto`` writes the held replies first, as every way
+    out of ``handle`` does.
     """
 
     def setup(self):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._held: list[bytes] = []
 
-    def read(self, size: int) -> bytes:
+    def readinto(self, buffer) -> int:
         self._flush()
-        return self.request.recv(size)
+        return self.request.recv_into(buffer)
 
     def _flush(self) -> None:
         if self._held:
@@ -66,7 +68,7 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
         self.params = HllParams(register_count, register_width)
         self.keys: dict[bytes, object] = {}
         self.lock = threading.Lock()
-        self.commands_seen: list[bytes] = []
+        self.commands_seen: dict[bytes, int] = {}
         self._drop_after = drop_after
         self._replies = 0
 
@@ -93,7 +95,7 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
                 return ErrorReply("ERR command arguments must be bulk strings")
         name = parts[0].upper()
         with self.lock:
-            self.commands_seen.append(name)
+            self.commands_seen[name] = self.commands_seen.get(name, 0) + 1
             if name == b"PING":
                 return "PONG"
             if name == b"PFADD":

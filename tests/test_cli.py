@@ -316,7 +316,7 @@ def test_remote_commands_close_their_connection_and_report_traffic(tmp_path):
             warnings.simplefilter("always")
             assert run_cli("attack", "--cardinality", "600", "--seed", "2", "--out", str(out),
                            "--report", str(report_path), "--target", url) == 0
-            attack_commands = len(server.commands_seen)
+            attack_commands = sum(server.commands_seen.values())
             assert run_cli("verify", "--set-file", str(out), "--target", url) == 0
             assert run_cli("experiment", "--cardinalities", "300", "--seeds", "1",
                            "--out", str(tmp_path / "e.csv"), "--target", url) == 0
