@@ -29,12 +29,14 @@ into plain Python values, as redis-py and hiredis do: an integer is an
 ``int``, a bulk string ``bytes``, a simple string ``str``, an array a
 ``list``, ``$-1`` and ``*-1`` are ``None``, and an error reply is an
 ``ErrorReply``. Integers and lengths must be an optional ``-`` and ASCII
-digits, and a simple string or an error must be UTF-8. Each frame is
-parsed where it sits in its buffer. A command array's bulk strings are
-parsed in one inline loop while each is buffered whole; any other item,
-or one cut by the buffer's end, takes the general path, which refills.
-The oracle counts its traffic once per exchange: round trips, commands,
-bytes each way, reconnects and replays.
+digits, and a simple string or an error must be UTF-8. As hiredis takes
+every whole reply out of its reader before it reads again, one bulk pass
+per refill decodes every whole frame of the buffer, up to the first that
+is not an integer, a bulk string or an array of bulk strings. That frame,
+and every later one until the next refill, takes the general path, which
+parses each frame where it sits in its buffer and refills. The oracle
+counts its traffic once per exchange: round trips, commands, bytes each
+way, reconnects and replays.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ class RespStream:
     optional ``-`` and ASCII digits raises ``ProtocolError``, and so does a
     ``+`` or ``-`` line that is not UTF-8.
 
-    Each frame is parsed where it sits in the buffer, an immutable
-    ``bytes``: one ``find`` per line, the type byte compared as an int
-    (the numeric types first), and a bulk string's bytes and CRLF checked
-    with one slice. An array's bulk-string items are parsed inline, in one
-    loop, while each whole item is buffered. Any other item, or one that
-    needs a refill, and every later item of that array, goes through
+    After each refill, one bulk pass (``_take_frames``) decodes every
+    whole frame up to the first that is not a non-negative integer, a bulk
+    string or an array of bulk strings, and ``read_value`` returns those
+    values in order. That frame, and every later one until the next
+    refill, takes the general path, which alone raises: it parses a frame
+    where it sits in the buffer, an immutable ``bytes``, with one ``find``
+    per line, the type byte compared as an int, a bulk string's bytes and
+    CRLF checked with one slice, and each array item read by
     ``read_value`` itself. Consumed bytes are dropped only when the buffer
     is refilled; ``received`` counts the bytes read from the source.
     """
@@ -140,6 +144,8 @@ class RespStream:
         self._pos = 0
         self.received = 0
         self._block = memoryview(bytearray(65536))
+        self._ready: list[RespValue] = []  # decoded frames, the next one last
+        self._fresh = False  # whether the buffer was refilled since the bulk pass
 
     def _fill(self, need: int = 0) -> None:
         """Read at least once, and on until ``need`` unread bytes are buffered.
@@ -163,9 +169,52 @@ class RespStream:
                 break
         self._buffer = b"".join(parts)
         self._pos = 0
+        self._fresh = True
+
+    def _take_frames(self) -> None:
+        """Decode into ``_ready`` each whole frame from ``_pos`` up to the first it does not take.
+
+        Splits the unread bytes on CRLF once. A bulk item is taken only if
+        its length token is ``b"$%d" % len(item)``: one holding CRLF splits
+        short and fails it, so the pass is binary-safe. It raises nothing.
+        """
+        self._fresh = False
+        lines = self._buffer[self._pos :].split(b"\r\n")
+        whole = len(lines) - 1  # the last piece has no CRLF yet
+        token = b"$%d".__mod__
+        values = self._ready  # empty: read_value calls this only then
+        append = values.append
+        i = 0
+        while i < whole:
+            line = lines[i]
+            text = line[1:]
+            if not text.isdigit():
+                break
+            kind = line[0]
+            if kind == 58:  # b":"
+                append(int(text))
+                i += 1
+            elif kind == 36 and i + 1 < whole and line == token(len(lines[i + 1])):  # b"$"
+                append(lines[i + 1])
+                i += 2
+            elif kind == 42 and (stop := i + 1 + 2 * int(text)) <= whole:  # b"*"
+                items = lines[i + 2 : stop : 2]
+                if lines[i + 1 : stop : 2] != list(map(token, map(len, items))):
+                    break
+                append(items)
+                i = stop
+            else:
+                break
+        self._pos += sum(map(len, lines[:i])) + 2 * i
+        values.reverse()
 
     def read_value(self) -> RespValue:
         """Consume exactly one value, leaving the stream at the next one."""
+        ready = self._ready
+        if not ready and self._fresh:
+            self._take_frames()
+        if ready:
+            return ready.pop()
         buf, pos = self._buffer, self._pos
         end = buf.find(b"\r\n", pos)
         while end < 0:
@@ -201,25 +250,7 @@ class RespStream:
                 raise ProtocolError("bulk string missing CRLF terminator")
             self._pos = stop + 2
             return buf[start:stop]
-        items: list[RespValue] = []
-        append = items.append
-        pos = end + 2
-        for _ in range(number):
-            end = buf.find(b"\r\n", pos)
-            if end < 0 or buf[pos] != 36:
-                break
-            text = buf[pos + 1 : end]
-            if not text.isdigit():
-                break  # $-1 or a bad length: the general path decides
-            start = end + 2
-            stop = start + int(text)
-            if buf[stop : stop + 2] != b"\r\n":
-                break  # a short buffer or a bad terminator
-            append(buf[start:stop])
-            pos = stop + 2
-        self._pos = pos
-        items.extend([self.read_value() for _ in range(number - len(items))])
-        return items
+        return [self.read_value() for _ in range(number)]
 
 
 @dataclass(frozen=True)

@@ -148,13 +148,26 @@ MALFORMED = [
 ]
 
 
+GOOD_FRAMES = [7, [b"PFADD", b"k", b"x"], 8, [b"PFCOUNT", b"k"], 9]
+
+
 def test_decode_malformed_framing():
-    for data in MALFORMED:
-        with pytest.raises(ProtocolError):
+    for data in MALFORMED + MALFORMED_ARRAYS:
+        with pytest.raises(ProtocolError) as alone:
             resp_decode(data)
-        for seed in range(3):
-            with pytest.raises(ProtocolError):
-                RespStream(Trickle(data, seed)).read_value()
+        if data in MALFORMED:
+            for seed in range(3):
+                with pytest.raises(ProtocolError):
+                    RespStream(Trickle(data, seed)).read_value()
+        # After good frames in the same buffer, the bad frame raises the
+        # same error, once every frame before it has been returned.
+        for k in (1, 5):
+            good = GOOD_FRAMES[:k]
+            stream = RespStream(io.BytesIO(b"".join(map(encode_value, good)) + data))
+            assert [stream.read_value() for _ in good] == good
+            with pytest.raises(ProtocolError) as after:
+                stream.read_value()
+            assert str(after.value) == str(alone.value)
 
 
 # An array whose items are all bulk strings is parsed inline; any other
@@ -200,6 +213,50 @@ def test_decode_array_items_golden(data, value):
         stream = RespStream(Trickle(data + b":1\r\n", seed))
         assert stream.read_value() == value
         assert stream.read_value() == 1
+
+
+class Cut:
+    """File-like source handing out ``data[:at]`` on its first read, then the rest."""
+
+    def __init__(self, data, at):
+        self._pieces = [data[:at], data[at:]]
+
+    def readinto(self, buffer):
+        piece = self._pieces.pop(0) if self._pieces else b""
+        buffer[: len(piece)] = piece
+        return len(piece)
+
+
+def test_decode_is_binary_safe_at_every_cut():
+    # Elements that look like framing must fail the bulk pass's length
+    # check; the frames it does not take go through the general path.
+    tricky = [b"a\r\nb", b"$1", b"*2\r\n", b":1\r\n", b"\r\n", b"$3\r\nabc\r\n", b""]
+    values = [[b"PFADD", b"k", element] for element in tricky]
+    values += [1, 0, [b"PFCOUNT", b"k"], 12345, "OK", ErrorReply("ERR x"), None]
+    values += [[], [b"a", [b"b", 2], None], b"$4\r\n:1\r\n", -3, [b"PFADD", b"k", b"*1"], 5]
+    data = b"".join(map(encode_value, values)) + b"*-1\r\n"
+    values.append(None)
+    for source in [io.BytesIO(data)] + [Cut(data, at) for at in range(1, len(data))]:
+        stream = RespStream(source)
+        assert [stream.read_value() for _ in values] == values
+        with pytest.raises(ProtocolError, match="end of stream"):
+            stream.read_value()
+
+
+def test_bulk_pass_runs_once_per_refill(monkeypatch):
+    # A block of frames the bulk pass does not take is not split again
+    # for every frame: that would be quadratic in the block.
+    calls = []
+    take = RespStream._take_frames
+
+    def counted(stream):
+        calls.append(stream._pos)
+        take(stream)
+
+    monkeypatch.setattr(RespStream, "_take_frames", counted)
+    stream = RespStream(io.BytesIO(b"+OK\r\n" * 10_000))
+    assert [stream.read_value() for _ in range(10_000)] == ["OK"] * 10_000
+    assert len(calls) == 1
 
 
 def _values(depth):

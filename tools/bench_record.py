@@ -17,10 +17,14 @@ better than the parent (``change_better_pairs``, by the metric's
 ``better`` in ``BENCHMARK.json``) and, in ``verdicts``, the change's
 median move against the parent's and its verdict by the metric's
 ``bound`` (see ``verdict``), printing each one that is not ``within
-bound``; and the kernel backend, Python version, nproc and the git commit
-of each checkout. Both checkouts must run the same backend. If any run's
-outputs failed their checks (``correct`` false in its result), it still
-writes the file, then names those runs and exits 1.
+bound``; for each workload and side the phase-set digests of every run,
+by seed (``phase_digests``, from the run's ``context`` line); and the
+kernel backend, Python version, nproc and the git commit of each
+checkout. Both checkouts must run the same backend. If any run's outputs
+failed their checks (``correct`` false in its result), or the two sides
+computed different phase sets (a different digest for the same
+workload, seed and unit), it still writes the file, then names those
+runs and exits 1.
 """
 
 from __future__ import annotations
@@ -72,7 +76,18 @@ def side_record(runs: list[tuple[dict, dict]]) -> dict:
             | summary([r["metrics"][metric]["value"] for _, r in runs])
             for metric in METRICS
         },
+        "phase_digests": {str(seed): context["phase_digests"] for seed, (context, _) in zip(SEEDS, runs)},
     }
+
+
+def digest_mismatches(workload: str, parent: dict, change: dict) -> list[str]:
+    """Each seed and unit for which both sides report a phase-set digest and the two differ."""
+    return [
+        f"{workload} seed={seed} unit={unit}"
+        for seed, digests in change.items()
+        for unit, digest in digests.items()
+        if parent[seed].get(unit, digest) != digest
+    ]
 
 
 def better_pairs(parent: list, change: list, better: dict[str, str]) -> dict[str, int]:
@@ -127,6 +142,7 @@ def main(argv=None) -> int:
     }
     contexts = []
     incorrect = []
+    mismatched = []
     for workload in WORKLOADS:
         runs: dict[str, list] = {side: [] for side in sides}
         for seed in SEEDS:
@@ -142,6 +158,8 @@ def main(argv=None) -> int:
                       f"{values}", flush=True)
         entry = record["workloads"][workload] = {side: side_record(runs[side]) for side in sides}
         entry["change_better_pairs"] = better_pairs(runs["parent"], runs["change"], better)
+        mismatched += digest_mismatches(workload, entry["parent"]["phase_digests"],
+                                        entry["change"]["phase_digests"])
         entry["verdicts"] = {
             metric: verdict(entry["parent"]["metrics"][metric]["runs"], entry["change"]["metrics"][metric]["runs"],
                             better[metric], bound[metric])
@@ -162,8 +180,9 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     if incorrect:
         print(f"outputs failed their checks in: {', '.join(incorrect)}", file=sys.stderr)
-        return 1
-    return 0
+    if mismatched:
+        print(f"the two sides computed different phase sets in: {', '.join(mismatched)}", file=sys.stderr)
+    return 1 if incorrect or mismatched else 0
 
 
 if __name__ == "__main__":
