@@ -32,11 +32,11 @@ into plain Python values, as redis-py and hiredis do: an integer is an
 digits, and a simple string or an error must be UTF-8. As hiredis takes
 every whole reply out of its reader before it reads again, one bulk pass
 per refill decodes every whole frame of the buffer, up to the first that
-is not an integer, a bulk string or an array of bulk strings. That frame,
-and every later one until the next refill, takes the general path, which
-parses each frame where it sits in its buffer and refills. The oracle
-counts its traffic once per exchange: round trips, commands, bytes each
-way, reconnects and replays.
+is not a non-negative integer, a bulk string or an array of bulk strings.
+That frame, and every later one until the next refill, takes the general
+path, which parses each frame where it sits in its buffer and refills.
+The oracle counts its traffic once per exchange: round trips, commands,
+bytes each way, reconnects and replays.
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ class RespStream:
         Splits the unread bytes on CRLF once. A bulk item is taken only if
         its length token is ``b"$%d" % len(item)``: one holding CRLF splits
         short and fails it, so the pass is binary-safe. It raises nothing.
+        It takes a lone bulk string too: after a read that cut a command
+        array, the general path reads that array's next item from here.
         """
         self._fresh = False
         lines = self._buffer[self._pos :].split(b"\r\n")
