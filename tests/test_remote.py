@@ -170,8 +170,8 @@ def test_decode_malformed_framing():
             assert str(after.value) == str(alone.value)
 
 
-# An array whose items are all bulk strings is parsed inline; any other
-# item, or one the buffer's end cuts, takes the general path.
+# An array whose items are all bulk strings is taken by the bulk pass when
+# whole and every length token matches; any other takes the general path.
 MALFORMED_ARRAYS = [
     b"*2\r\n$1\r\na\r\n$x\r\nb\r\n",  # a non-integer length
     b"*2\r\n$1\r\na\r\n$1x\r\nb\r\n",
@@ -248,12 +248,7 @@ def test_bulk_pass_runs_once_per_refill(monkeypatch):
     # for every frame: that would be quadratic in the block.
     calls = []
     take = RespStream._take_frames
-
-    def counted(stream):
-        calls.append(stream._pos)
-        take(stream)
-
-    monkeypatch.setattr(RespStream, "_take_frames", counted)
+    monkeypatch.setattr(RespStream, "_take_frames", lambda stream: calls.append(take(stream)))
     stream = RespStream(io.BytesIO(b"+OK\r\n" * 10_000))
     assert [stream.read_value() for _ in range(10_000)] == ["OK"] * 10_000
     assert len(calls) == 1
