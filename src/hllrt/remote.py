@@ -32,8 +32,7 @@ into plain Python values, as redis-py and hiredis do: an integer is an
 digits, and a simple string or an error must be UTF-8. As hiredis takes
 every whole reply out of its reader before it reads again, one bulk pass
 per refill decodes every whole frame of the buffer, up to the first that
-is not a non-negative integer, a bulk string or an array of bulk strings.
-That frame, and every later one until the next refill, takes the general
+is not a non-negative integer or an array of bulk strings. That frame, and every later one until the next refill, takes the general
 path, which parses each frame where it sits in its buffer and refills.
 The oracle counts its traffic once per exchange: round trips, commands,
 bytes each way, reconnects and replays.
@@ -127,14 +126,15 @@ class RespStream:
     ``+`` or ``-`` line that is not UTF-8.
 
     After each refill, one bulk pass (``_take_frames``) decodes every
-    whole frame up to the first that is not a non-negative integer, a bulk
-    string or an array of bulk strings, and ``read_value`` returns those
-    values in order. That frame, and every later one until the next
-    refill, takes the general path, which alone raises: it parses a frame
-    where it sits in the buffer, an immutable ``bytes``, with one ``find``
-    per line, the type byte compared as an int, a bulk string's bytes and
-    CRLF checked with one slice, and each array item read by
-    ``read_value`` itself. Consumed bytes are dropped only when the buffer
+    whole frame up to the first that is not a non-negative integer or an
+    array of bulk strings, and ``read_value`` returns those values in
+    order. A ``read_value`` that finds nothing unread refills before the
+    pass, so the pass starts at its frame. The first frame the pass does
+    not take, and every later one until the next refill, takes the
+    general path, which alone raises: it parses a frame where it sits in
+    the buffer, an immutable ``bytes``, with one ``find`` per line, the
+    type byte compared as an int, a bulk string's bytes and CRLF checked
+    with one slice, and each array item read by ``read_value`` itself. Consumed bytes are dropped only when the buffer
     is refilled; ``received`` counts the bytes read from the source.
     """
 
@@ -176,9 +176,9 @@ class RespStream:
 
         Splits the unread bytes on CRLF once. A bulk item is taken only if
         its length token is ``b"$%d" % len(item)``: one holding CRLF splits
-        short and fails it, so the pass is binary-safe. It raises nothing.
-        It takes a lone bulk string too: after a read that cut a command
-        array, the general path reads that array's next item from here.
+        short and fails it, so the pass is binary-safe. It raises nothing:
+        it stops before a token ``int()`` could refuse. After a read that
+        cut an array, it starts at the array's next item and takes nothing.
         """
         self._fresh = False
         lines = self._buffer[self._pos :].split(b"\r\n")
@@ -190,15 +190,12 @@ class RespStream:
         while i < whole:
             line = lines[i]
             text = line[1:]
-            if not text.isdigit():
+            if len(text) > 18 or not text.isdigit():  # int() refuses over 4,300 digits
                 break
             kind = line[0]
             if kind == 58:  # b":"
                 append(int(text))
                 i += 1
-            elif kind == 36 and i + 1 < whole and line == token(len(lines[i + 1])):  # b"$"
-                append(lines[i + 1])
-                i += 2
             elif kind == 42 and (stop := i + 1 + 2 * int(text)) <= whole:  # b"*"
                 items = lines[i + 2 : stop : 2]
                 if lines[i + 1 : stop : 2] != list(map(token, map(len, items))):
@@ -213,8 +210,11 @@ class RespStream:
     def read_value(self) -> RespValue:
         """Consume exactly one value, leaving the stream at the next one."""
         ready = self._ready
-        if not ready and self._fresh:
-            self._take_frames()
+        if not ready:
+            if self._pos == len(self._buffer):
+                self._fill()  # at a frame boundary: the pass then starts at this frame
+            if self._fresh:
+                self._take_frames()
         if ready:
             return ready.pop()
         buf, pos = self._buffer, self._pos

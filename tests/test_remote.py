@@ -168,6 +168,23 @@ def test_decode_malformed_framing():
             with pytest.raises(ProtocolError) as after:
                 stream.read_value()
             assert str(after.value) == str(alone.value)
+    # A token of more digits than int() takes (4,300 since Python 3.11)
+    # stops the bulk pass too, and meets the general path after the
+    # frames before it, whatever that does with it.
+    for data in (b":" + b"9" * 5000 + b"\r\n", b"*" + b"9" * 5000 + b"\r\n"):
+        for k in (1, 5):
+            good = GOOD_FRAMES[:k]
+            stream = RespStream(io.BytesIO(b"".join(map(encode_value, good)) + data))
+            assert [stream.read_value() for _ in good] == good
+            assert _outcome(stream.read_value) == _outcome(lambda: resp_decode(data))
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and message of what it raises."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the outcome itself is compared
+        return type(exc), str(exc)
 
 
 # An array whose items are all bulk strings is taken by the bulk pass when
