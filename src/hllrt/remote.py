@@ -32,8 +32,9 @@ into plain Python values, as redis-py and hiredis do: an integer is an
 digits, and a simple string or an error must be UTF-8. As hiredis takes
 every whole reply out of its reader before it reads again, one bulk pass
 per refill decodes every whole frame of the buffer, up to the first that
-is not a non-negative integer or an array of bulk strings. That frame, and every later one until the next refill, takes the general
-path, which parses each frame where it sits in its buffer and refills.
+is not a non-negative integer or an array of bulk strings. That frame,
+and every later one until the next refill, takes the general path, which
+parses each frame where it sits in its buffer and refills.
 The oracle counts its traffic once per exchange: round trips, commands,
 bytes each way, reconnects and replays.
 """
@@ -134,8 +135,9 @@ class RespStream:
     general path, which alone raises: it parses a frame where it sits in
     the buffer, an immutable ``bytes``, with one ``find`` per line, the
     type byte compared as an int, a bulk string's bytes and CRLF checked
-    with one slice, and each array item read by ``read_value`` itself. Consumed bytes are dropped only when the buffer
-    is refilled; ``received`` counts the bytes read from the source.
+    with one slice, and each array item read by ``read_value`` itself.
+    Consumed bytes are dropped only when the buffer is refilled;
+    ``received`` counts the bytes read from the source.
     """
 
     def __init__(self, source) -> None:

@@ -271,6 +271,18 @@ def test_bulk_pass_runs_once_per_refill(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bulk_pass_takes_a_whole_read_of_commands():
+    # A read made at a frame boundary comes before the bulk pass, so the
+    # pass takes every command of it, the first one too.
+    commands = [[b"PFADD", b"k", b"%d" % n] for n in range(100)]
+    data = resp_encode(*commands)
+    stream = RespStream(Cut(data + data, len(data)))
+    for _ in range(2):
+        assert stream.read_value() == commands[0]
+        assert len(stream._ready) == 99
+        assert [stream.read_value() for _ in range(99)] == commands[1:]
+
+
 def _values(depth):
     # Well-formed RESP line text: encodable (no lone surrogates) and free
     # of the CRLF framing bytes.
