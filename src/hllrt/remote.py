@@ -34,7 +34,10 @@ every whole reply out of its reader before it reads again, one bulk pass
 per refill decodes every whole frame of the buffer, up to the first that
 is not a non-negative integer or an array of bulk strings. That frame,
 and every later one until the next refill, takes the general path, which
-parses each frame where it sits in its buffer and refills.
+parses each frame where it sits in its buffer and refills. Encode and the
+bulk pass take each bulk string's length token (``$5`` for 5 bytes) from
+one bounded table, ``_length_token``; the pass checks every token of a
+read against it in one comparison.
 The oracle counts its traffic once per exchange: round trips, commands,
 bytes each way, reconnects and replays.
 """
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -85,6 +89,11 @@ class ErrorReply:
 RespValue = int | bytes | str | list | ErrorReply | None
 
 
+# A bulk string's length token: b"$5" for 5. Bounded, since on the
+# server a peer picks the lengths it decodes.
+_length_token = lru_cache(maxsize=1024)(b"$%d".__mod__)
+
+
 def resp_encode(*commands: Sequence[bytes]) -> bytes:
     """Encode commands back to back, each as a RESP array of bulk strings."""
     out: list[bytes] = []
@@ -92,22 +101,22 @@ def resp_encode(*commands: Sequence[bytes]) -> bytes:
     for command in commands:
         if not command:
             raise ValueError("command must be non-empty")
-        append(b"*%d\r\n" % len(command))
+        append(b"*%d" % len(command))
         for part in command:
-            append(b"$%d\r\n%s\r\n" % (len(part), part))
-    return b"".join(out)
+            append(_length_token(len(part)))
+            append(part)
+    append(b"")  # the last part's CRLF
+    return b"\r\n".join(out)
 
 
 def encode_value(value: RespValue) -> bytes:
     """Encode a value as ``read_value`` returns it (server side / round-trip testing)."""
+    if type(value) is int:
+        return b":%d\r\n" % value
     if value is None:
         return b"$-1\r\n"
-    if isinstance(value, bool):
-        raise TypeError("RESP has no boolean type")
-    if isinstance(value, int):
-        return b":%d\r\n" % value
     if isinstance(value, bytes):
-        return b"$%d\r\n%s\r\n" % (len(value), value)
+        return b"%s\r\n%s\r\n" % (_length_token(len(value)), value)
     if isinstance(value, str):
         return b"+%s\r\n" % value.encode("utf-8")
     if isinstance(value, ErrorReply):
@@ -123,14 +132,17 @@ class RespStream:
     ``read_value`` returns ``:n`` as an ``int``, ``$`` as ``bytes``, ``*``
     as a ``list``, ``+`` as a ``str``, ``-`` as an ``ErrorReply``, and both
     ``$-1`` and ``*-1`` as ``None``. An integer or a length that is not an
-    optional ``-`` and ASCII digits raises ``ProtocolError``, and so does a
-    ``+`` or ``-`` line that is not UTF-8.
+    optional ``-`` and ASCII digits, or has more digits than ``int()``
+    takes, raises ``ProtocolError``, and so does a ``+`` or ``-`` line that
+    is not UTF-8.
 
     After each refill, one bulk pass (``_take_frames``) decodes every
     whole frame up to the first that is not a non-negative integer or an
     array of bulk strings, and ``read_value`` returns those values in
-    order. A ``read_value`` that finds nothing unread refills before the
-    pass, so the pass starts at its frame. The first frame the pass does
+    order. The pass checks every length token of the read against the
+    table ``resp_encode`` also takes them from, ``_length_token``, in one
+    comparison. A ``read_value`` that finds nothing unread refills before
+    the pass, so the pass starts at its frame. The first frame the pass does
     not take, and every later one until the next refill, takes the
     general path, which alone raises: it parses a frame where it sits in
     the buffer, an immutable ``bytes``, with one ``find`` per line, the
@@ -176,18 +188,23 @@ class RespStream:
     def _take_frames(self) -> None:
         """Decode into ``_ready`` each whole frame from ``_pos`` up to the first it does not take.
 
-        Splits the unread bytes on CRLF once. A bulk item is taken only if
-        its length token is ``b"$%d" % len(item)``: one holding CRLF splits
-        short and fails it, so the pass is binary-safe. It raises nothing:
-        it stops before a token ``int()`` could refuse. After a read that
-        cut an array, it starts at the array's next item and takes nothing.
+        Splits the unread bytes on CRLF once and reads each line as a
+        frame's start, an array's length token or its item in turn. A bulk
+        item is taken only if its length token is ``_length_token`` of its
+        length: one holding CRLF splits short and fails it, so the pass is
+        binary-safe. The tokens and items of every array are compared in
+        one comparison. Only if that fails are the arrays compared one by
+        one, and the pass stops at the first that fails; the lines after it
+        were read out of step and are dropped. It raises nothing: it stops
+        before a token ``int()`` could refuse.
         """
         self._fresh = False
         lines = self._buffer[self._pos :].split(b"\r\n")
         whole = len(lines) - 1  # the last piece has no CRLF yet
-        token = b"$%d".__mod__
         values = self._ready  # empty: read_value calls this only then
         append = values.append
+        tokens: list[bytes] = []
+        items: list[bytes] = []
         i = 0
         while i < whole:
             line = lines[i]
@@ -199,13 +216,24 @@ class RespStream:
                 append(int(text))
                 i += 1
             elif kind == 42 and (stop := i + 1 + 2 * int(text)) <= whole:  # b"*"
-                items = lines[i + 2 : stop : 2]
-                if lines[i + 1 : stop : 2] != list(map(token, map(len, items))):
-                    break
-                append(items)
+                tokens += lines[i + 1 : stop : 2]
+                array = lines[i + 2 : stop : 2]
+                items += array
+                append(array)
                 i = stop
             else:
                 break
+        if tokens != list(map(_length_token, map(len, items))):
+            i = 0
+            for k, value in enumerate(values):
+                if type(value) is list:
+                    stop = i + 1 + 2 * len(value)
+                    if lines[i + 1 : stop : 2] != list(map(_length_token, map(len, value))):
+                        del values[k:]
+                        break
+                    i = stop
+                else:
+                    i += 1
         self._pos += sum(map(len, lines[:i])) + 2 * i
         values.reverse()
 
@@ -238,7 +266,10 @@ class RespStream:
         text = buf[pos + 1 : end]
         if not text.isdigit() and not (text[:1] == b"-" and text[1:].isdigit()):
             raise ProtocolError(f"bad integer or length {buf[pos:end]!r}")
-        number = int(text)
+        try:
+            number = int(text)
+        except ValueError as exc:  # more digits than int() takes: 4,300 by default
+            raise ProtocolError(f"integer or length of {len(text)} digits is too long") from exc
         if kind == 58:  # b":"
             return number
         if number < 0:
@@ -436,9 +467,13 @@ class RemoteOracle(CardinalityOracle):
             finally:  # which are sent and judged before that error propagates, as by the reference
                 if chunk:
                     replies = self._exchange([c for e in chunk for c in ([b"PFADD", key, e], count)])
-                    for element, added, counted in zip(chunk, replies[::2], replies[1::2]):
-                        self._expect_int(added, "PFADD")
-                        after = self._expect_int(counted, "PFCOUNT")
+                    # One check of the whole pipeline; only when it fails is each
+                    # reply checked in turn, after the elements before it are judged.
+                    checked = set(map(type, replies)) == {int}
+                    for element, added, after in zip(chunk, replies[::2], replies[1::2]):
+                        if not checked:
+                            self._expect_int(added, "PFADD")
+                            self._expect_int(after, "PFCOUNT")
                         if after > last:
                             kept.append(element)
                         last = after

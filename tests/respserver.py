@@ -49,11 +49,13 @@ class _Handler(socketserver.BaseRequestHandler):
             self.request.sendall(replies)
 
     def handle(self):
-        stream = RespStream(self)
+        read = RespStream(self).read_value
+        hold = self._held.append
+        dispatch, should_drop = self.server.dispatch, self.server.should_drop
         with suppress(ProtocolError, OSError):
             while True:
-                self._held.append(encode_value(self.server.dispatch(stream.read_value())))
-                if self.server.should_drop():
+                hold(encode_value(dispatch(read())))
+                if should_drop():
                     break  # simulate a dying connection
         with suppress(OSError):
             self._flush()
@@ -80,6 +82,8 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
         return f"redis://127.0.0.1:{self.port}/{key}"
 
     def should_drop(self) -> bool:
+        if self._drop_after is None:  # none pending: once None, it stays None
+            return False
         with self.lock:
             self._replies += 1
             if self._drop_after is not None and self._replies >= self._drop_after:
@@ -96,8 +100,15 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
         name = parts[0].upper()
         with self.lock:
             self.commands_seen[name] = self.commands_seen.get(name, 0) + 1
-            if name == b"PING":
-                return "PONG"
+            if name == b"PFCOUNT":
+                if len(parts) != 2:
+                    return ErrorReply("ERR wrong number of arguments for 'pfcount'")
+                entry = self.keys.get(parts[1])
+                if entry is None:
+                    return 0
+                if not isinstance(entry, HllSketch):
+                    return ErrorReply(WRONGTYPE)
+                return entry.estimate()
             if name == b"PFADD":
                 if len(parts) < 2:
                     return ErrorReply("ERR wrong number of arguments for 'pfadd'")
@@ -112,15 +123,8 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
                     if entry.insert(element):
                         changed = 1
                 return changed
-            if name == b"PFCOUNT":
-                if len(parts) != 2:
-                    return ErrorReply("ERR wrong number of arguments for 'pfcount'")
-                entry = self.keys.get(parts[1])
-                if entry is None:
-                    return 0
-                if not isinstance(entry, HllSketch):
-                    return ErrorReply(WRONGTYPE)
-                return entry.estimate()
+            if name == b"PING":
+                return "PONG"
             if name == b"DEL":
                 removed = 0
                 for key in parts[1:]:

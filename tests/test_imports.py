@@ -2,7 +2,8 @@
 And no module state is rebound: no ``global`` statement under ``src/``.
 And no result hangs on the host's byte order: nothing under ``src/``
 reads ``sys.byteorder``, and every ``from_bytes``/``to_bytes`` call in
-the pure kernel names its byte order.
+the pure kernel names its byte order. And RESP's encode and decode share
+one table of length tokens: ``b"$%d"`` is spelled once in ``remote.py``.
 
 Scans every module under ``src/``, ``tests/`` and ``tools/`` for imports.
 A name listed in the module's ``__all__`` counts as read, since
@@ -62,6 +63,13 @@ def defaulted_byte_orders(source: str) -> list[str]:
             and all(keyword.arg != "byteorder" for keyword in node.keywords)]
 
 
+def length_token_formats(source: str) -> list[str]:
+    """``"line n"`` for each bytes literal in ``source`` that holds ``$%d``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, bytes)
+            and b"$%d" in node.value]
+
+
 def test_the_scan_finds_a_dead_import():
     source = "import os, os.path as p\nfrom a import b as c, d\n__all__ = ['d']\nprint(p)\n"
     assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
@@ -110,3 +118,14 @@ def test_no_result_hangs_on_the_host_byte_order():
     assert reads == {}
     kernel = ROOT / "src" / "hllrt" / "_kernel" / "_pykernel.py"
     assert defaulted_byte_orders(kernel.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_length_token_format():
+    source = ('a = b"$%d" % 5\nb = "$%d" % 5\nc = b"$%d\\r\\n%s" % (1, b"x")\n'
+              'd = b"*%d" % 2\ne = b"$%d".__mod__\n')
+    assert length_token_formats(source) == ["line 1", "line 3", "line 5"]
+
+
+def test_resp_encode_and_decode_share_one_length_token_table():
+    remote = ROOT / "src" / "hllrt" / "remote.py"
+    assert len(length_token_formats(remote.read_text(encoding="utf-8"))) == 1

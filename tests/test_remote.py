@@ -30,7 +30,7 @@ from hllrt.remote import (
     parse_endpoint,
     resp_encode,
 )
-from respserver import running_server
+from respserver import WRONGTYPE, MiniRedisServer, _Handler, running_server
 
 
 def resp_decode(data):
@@ -145,6 +145,10 @@ MALFORMED = [
     # A simple string or an error is UTF-8.
     b"+\xff\r\n",
     b"-\xff\r\n",
+    # More digits than int() takes (4,300 since Python 3.11) stop the bulk
+    # pass too, and the general path refuses them.
+    b":" + b"9" * 5000 + b"\r\n",
+    b"*" + b"9" * 5000 + b"\r\n",
 ]
 
 
@@ -168,23 +172,6 @@ def test_decode_malformed_framing():
             with pytest.raises(ProtocolError) as after:
                 stream.read_value()
             assert str(after.value) == str(alone.value)
-    # A token of more digits than int() takes (4,300 since Python 3.11)
-    # stops the bulk pass too, and meets the general path after the
-    # frames before it, whatever that does with it.
-    for data in (b":" + b"9" * 5000 + b"\r\n", b"*" + b"9" * 5000 + b"\r\n"):
-        for k in (1, 5):
-            good = GOOD_FRAMES[:k]
-            stream = RespStream(io.BytesIO(b"".join(map(encode_value, good)) + data))
-            assert [stream.read_value() for _ in good] == good
-            assert _outcome(stream.read_value) == _outcome(lambda: resp_decode(data))
-
-
-def _outcome(read):
-    """What ``read()`` returns, or the type and message of what it raises."""
-    try:
-        return read()
-    except Exception as exc:  # noqa: BLE001 - the outcome itself is compared
-        return type(exc), str(exc)
 
 
 # An array whose items are all bulk strings is taken by the bulk pass when
@@ -258,6 +245,59 @@ def test_decode_is_binary_safe_at_every_cut():
         assert [stream.read_value() for _ in values] == values
         with pytest.raises(ProtocolError, match="end of stream"):
             stream.read_value()
+
+
+class GeneralPath(RespStream):
+    """A ``RespStream`` whose bulk pass takes nothing: the general path alone."""
+
+    def _take_frames(self):
+        self._fresh = False
+
+
+def _read_all(stream):
+    """Each value ``stream`` decodes, then the type and message of the error that ends it."""
+    values = []
+    while True:
+        try:
+            values.append(stream.read_value())
+        except ProtocolError as exc:
+            return values + [(type(exc), str(exc))]
+
+
+@pytest.mark.parametrize("bad", [0, 12, 24])
+def test_bulk_pass_stops_at_the_first_array_whose_tokens_fail(bad):
+    # The bulk pass compares all the length tokens of a read at once. When
+    # that fails, it still takes the arrays before the first bad one, and
+    # the rest decodes as the general path alone decodes it, up to the
+    # same error, at every cut of the read.
+    commands = [[b"PFADD", b"k", b"e%d" % n] for n in range(25)]
+    commands[bad] = [b"PFADD", b"k", b"$1\r\n:7\r\n"]
+    commands[bad + 1 :] = [[b"PFADD", b"k", b"a\r\nb"] if n % 5 == 0 else c
+                           for n, c in enumerate(commands[bad + 1 :])]
+    data = resp_encode(*commands) + b":42\r\n*2\r\n$1\r\na\r\n$x\r\n"
+    stream = RespStream(io.BytesIO(data))
+    stream._fill()
+    stream._take_frames()
+    assert stream._ready[::-1] == commands[:bad]
+    expected = _read_all(GeneralPath(io.BytesIO(data)))
+    assert expected[:-1] == commands + [42]
+    assert _read_all(stream) == expected
+    for at in range(1, len(data)):
+        assert _read_all(RespStream(Cut(data, at))) == expected
+
+
+def test_length_tokens_round_trip_from_a_bounded_table():
+    # A peer picks the lengths the server decodes, so the table of length
+    # tokens that encode and decode share must stay bounded.
+    lengths = list(range(3000)) + list(range(3000, 70_000, 40))
+    for length in lengths:
+        item = bytes([length % 251]) * length
+        command = [b"SET", b"k", item]
+        stream = RespStream(io.BytesIO(resp_encode(command) + encode_value(item)))
+        assert stream.read_value() == command
+        assert stream.read_value() == item
+    info = remote._length_token.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < len(lengths)
 
 
 def test_bulk_pass_runs_once_per_refill(monkeypatch):
@@ -657,6 +697,55 @@ class SendRecorder:
 
     def close(self):
         self.sock.close()
+
+
+class FakeConnection:
+    """Socket stand-in for the server's handler: one of ``reads`` per ``recv_into``, then end of stream."""
+
+    def __init__(self, reads):
+        self._reads = list(reads)
+        self.sent = []
+
+    def setsockopt(self, *option):
+        pass
+
+    def recv_into(self, buffer):
+        data = self._reads.pop(0) if self._reads else b""
+        buffer[: len(data)] = data
+        return len(data)
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+
+def test_server_replies_are_each_commands_dispatch_encoded(monkeypatch):
+    # The handler answers each read with one write, byte for byte the
+    # encoded dispatch of each command in turn, and counts each command.
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url("rec")) as oracle:
+            oracle.reset()
+            recorder = oracle._sock = SendRecorder(oracle._sock)
+            oracle.scan([b"r%d" % k for k in range(40)], [])
+    reads = recorder.sent + [
+        resp_encode([b"PING"], [b"DEL", b"rec", b"gone"], [b"SET", b"str", b"v"]),
+        resp_encode([b"PFADD", b"str", b"x"], [b"pfcount", b"str"], [b"FLUSHALL"]),
+        b":1\r\n" + resp_encode([b"PFCOUNT", b"rec"]),
+    ]
+    commands = _read_all(RespStream(io.BytesIO(b"".join(reads))))[:-1]
+    served, reference = MiniRedisServer(256), MiniRedisServer(256)
+    try:
+        connection = FakeConnection(reads)
+        _Handler(connection, None, served)
+        replies = [encode_value(reference.dispatch(command)) for command in commands]
+        assert replies.count(encode_value(ErrorReply(WRONGTYPE))) == 2
+        assert len(connection.sent) == len(reads)
+        assert b"".join(connection.sent) == b"".join(replies)
+        counts = Counter(command[0].upper() for command in commands if type(command) is list)
+        assert served.commands_seen == reference.commands_seen == counts
+    finally:
+        served.server_close()
+        reference.server_close()
 
 
 def test_scan_sends_each_pipeline_byte_for_byte(monkeypatch):
