@@ -14,8 +14,8 @@ it whole: its first PFCOUNT alone, then ``PFADD e`` / ``PFCOUNT`` pairs,
 ``_PIPELINE`` commands per round trip, the count after each PFADD read
 from its pair (sound under the one-writer-per-key model this oracle
 assumes). Every PFCOUNT goes to the server; no estimate is cached.
-PFADD's changed bit is ignored: the adversarial model only grants
-estimate differences.
+Every reply, a scan's too, goes through ``_expect_int``. PFADD's changed
+bit is ignored: the adversarial model only grants estimate differences.
 
 A dropped connection is reopened and the failed pipeline sent once more
 only when its replies cannot change: PFADD, DEL and PING are
@@ -37,7 +37,8 @@ and every later one until the next refill, takes the general path, which
 parses each frame where it sits in its buffer and refills. Encode and the
 bulk pass take each bulk string's length token (``$5`` for 5 bytes) from
 one bounded table, ``_length_token``; the pass checks every token of a
-read against it in one comparison.
+read against it in one comparison, and a read that fails it goes whole
+to the general path.
 The oracle counts its traffic once per exchange: round trips, commands,
 bytes each way, reconnects and replays.
 """
@@ -141,13 +142,14 @@ class RespStream:
     array of bulk strings, and ``read_value`` returns those values in
     order. The pass checks every length token of the read against the
     table ``resp_encode`` also takes them from, ``_length_token``, in one
-    comparison. A ``read_value`` that finds nothing unread refills before
-    the pass, so the pass starts at its frame. The first frame the pass does
-    not take, and every later one until the next refill, takes the
-    general path, which alone raises: it parses a frame where it sits in
-    the buffer, an immutable ``bytes``, with one ``find`` per line, the
-    type byte compared as an int, a bulk string's bytes and CRLF checked
-    with one slice, and each array item read by ``read_value`` itself.
+    comparison; if that fails, it takes nothing. A ``read_value`` that
+    finds nothing unread refills before the pass, so the pass starts at
+    its frame. Every frame the pass does not take, up to the next refill,
+    takes the general path, which alone raises: it parses a frame where
+    it sits in the buffer, an immutable ``bytes``, with one ``find`` per
+    line, the type byte compared as an int, a bulk string's bytes and
+    CRLF checked with one slice, and each array item read by
+    ``read_value`` itself.
     Consumed bytes are dropped only when the buffer is refilled;
     ``received`` counts the bytes read from the source.
     """
@@ -193,10 +195,9 @@ class RespStream:
         item is taken only if its length token is ``_length_token`` of its
         length: one holding CRLF splits short and fails it, so the pass is
         binary-safe. The tokens and items of every array are compared in
-        one comparison. Only if that fails are the arrays compared one by
-        one, and the pass stops at the first that fails; the lines after it
-        were read out of step and are dropped. It raises nothing: it stops
-        before a token ``int()`` could refuse.
+        one comparison. If that fails, the lines were read out of step: the
+        pass takes nothing and leaves the whole read to the general path.
+        It raises nothing: it stops before a token ``int()`` could refuse.
         """
         self._fresh = False
         lines = self._buffer[self._pos :].split(b"\r\n")
@@ -224,16 +225,8 @@ class RespStream:
             else:
                 break
         if tokens != list(map(_length_token, map(len, items))):
-            i = 0
-            for k, value in enumerate(values):
-                if type(value) is list:
-                    stop = i + 1 + 2 * len(value)
-                    if lines[i + 1 : stop : 2] != list(map(_length_token, map(len, value))):
-                        del values[k:]
-                        break
-                    i = stop
-                else:
-                    i += 1
+            values.clear()  # the general path decodes this whole read
+            return
         self._pos += sum(map(len, lines[:i])) + 2 * i
         values.reverse()
 
@@ -454,7 +447,12 @@ class RemoteOracle(CardinalityOracle):
         return self._expect_int(self._exchange([[b"PFCOUNT", self._key]])[0], "PFCOUNT")
 
     def scan(self, elements: Iterable[bytes], kept: list[bytes]) -> tuple[int, int]:
-        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` commands a round trip."""
+        """Pipelined scan: ``PFADD e`` / ``PFCOUNT`` pairs, ``_PIPELINE`` commands a round trip.
+
+        A ``kept`` that is not a ``list`` is refused before any command is sent.
+        """
+        if not isinstance(kept, list):
+            raise TypeError(f"expected list, got {type(kept).__name__}")
         last = self.estimate()
         key = self._key
         count = [b"PFCOUNT", key]
@@ -467,14 +465,9 @@ class RemoteOracle(CardinalityOracle):
             finally:  # which are sent and judged before that error propagates, as by the reference
                 if chunk:
                     replies = self._exchange([c for e in chunk for c in ([b"PFADD", key, e], count)])
-                    # One check of the whole pipeline; only when it fails is each
-                    # reply checked in turn, after the elements before it are judged.
-                    checked = set(map(type, replies)) == {int}
                     for element, added, after in zip(chunk, replies[::2], replies[1::2]):
-                        if not checked:
-                            self._expect_int(added, "PFADD")
-                            self._expect_int(after, "PFCOUNT")
-                        if after > last:
+                        self._expect_int(added, "PFADD")
+                        if self._expect_int(after, "PFCOUNT") > last:
                             kept.append(element)
                         last = after
                     insertions += len(chunk)

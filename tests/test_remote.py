@@ -265,23 +265,27 @@ def _read_all(stream):
 
 
 @pytest.mark.parametrize("bad", [0, 12, 24])
-def test_bulk_pass_stops_at_the_first_array_whose_tokens_fail(bad):
+def test_bulk_pass_declines_a_read_whose_tokens_fail(bad, monkeypatch):
     # The bulk pass compares all the length tokens of a read at once. When
-    # that fails, it still takes the arrays before the first bad one, and
-    # the rest decodes as the general path alone decodes it, up to the
-    # same error, at every cut of the read.
+    # that fails, it takes nothing, once for the read, and the whole read
+    # decodes as the general path alone decodes it, up to the same error,
+    # at every cut of the read.
     commands = [[b"PFADD", b"k", b"e%d" % n] for n in range(25)]
     commands[bad] = [b"PFADD", b"k", b"$1\r\n:7\r\n"]
     commands[bad + 1 :] = [[b"PFADD", b"k", b"a\r\nb"] if n % 5 == 0 else c
                            for n, c in enumerate(commands[bad + 1 :])]
     data = resp_encode(*commands) + b":42\r\n*2\r\n$1\r\na\r\n$x\r\n"
+    calls = []
+    take = RespStream._take_frames
+    monkeypatch.setattr(RespStream, "_take_frames", lambda stream: calls.append(take(stream)))
     stream = RespStream(io.BytesIO(data))
     stream._fill()
     stream._take_frames()
-    assert stream._ready[::-1] == commands[:bad]
+    assert stream._ready == [] and stream._pos == 0
     expected = _read_all(GeneralPath(io.BytesIO(data)))
     assert expected[:-1] == commands + [42]
     assert _read_all(stream) == expected
+    assert len(calls) == 1
     for at in range(1, len(data)):
         assert _read_all(RespStream(Cut(data, at))) == expected
 
@@ -461,6 +465,23 @@ def test_oracle_refuses_a_bad_element_alike_everywhere(bad):
                 oracle.scan([bad], kept)
             assert kept == []
         assert b"PFADD" not in server.commands_seen
+
+
+@pytest.mark.parametrize("kept", [None, ()], ids=["None", "tuple"])
+def test_scan_refuses_a_kept_that_is_not_a_list_before_any_command(kept):
+    # As the in-process oracle does, with the same error, and the server
+    # sees no PFCOUNT or PFADD.
+    message = f"expected list, got {type(kept).__name__}"
+    with pytest.raises(TypeError, match=message):
+        make_oracle(HllParams(256, 6)).scan([b"a"], kept)
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url()) as oracle:
+            oracle.reset()
+            with pytest.raises(TypeError, match=message):
+                oracle.scan([b"a", b"b", b"c"], kept)
+            with pytest.raises(TypeError, match=message):
+                oracle.scan_stream(1, 0, 3, kept)
+        assert server.commands_seen == {b"DEL": 1}
 
 
 @pytest.mark.parametrize("at", [1, remote._PIPELINE // 2 + 5])
@@ -771,6 +792,61 @@ def test_scan_sends_each_pipeline_byte_for_byte(monkeypatch):
     expected += [[c for e in elements[k : k + 32] for c in (add(e), count)] for k in range(0, 150, 32)]
     assert exchanged == expected
     assert recorder.sent == [b"".join(resp_encode(c) for c in commands) for commands in expected]
+
+
+def replace_reply(oracle, exchange_number, k, reply):
+    """Stub ``oracle._exchange`` so that reply ``k`` of its ``exchange_number``-th exchange is ``reply``."""
+    exchange = oracle._exchange
+    exchanges = []
+
+    def stubbed(commands):
+        replies = exchange(commands)
+        exchanges.append(commands)
+        if len(exchanges) == exchange_number:
+            replies[k] = reply
+        return replies
+
+    oracle._exchange = stubbed
+
+
+@pytest.mark.parametrize(
+    "parity, reply, error, message",
+    [(0, ErrorReply("ERR x"), ServerError, "PFADD: ERR x"),
+     (1, ErrorReply("ERR x"), ServerError, "PFCOUNT: ERR x"),
+     (1, "OK", ProtocolError, "PFCOUNT: expected integer reply")],
+    ids=["error-at-PFADD", "error-at-PFCOUNT", "string-at-PFCOUNT"],
+)
+def test_scan_raises_at_a_bad_reply_after_judging_the_elements_before_it(
+    monkeypatch, parity, reply, error, message
+):
+    # Reply ``2 * pair + parity`` of a scan pipeline is bad: the pairs
+    # before it are judged, and its own element is not.
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
+    elements = [b"r%d" % k for k in range(150)]
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url()) as oracle:
+            for pipeline, pair in [(0, 0), (0, 17), (2, 31), (4, 21)]:
+                oracle.reset()
+                replace_reply(oracle, 2 + pipeline, 2 * pair + parity, reply)  # after the first PFCOUNT
+                kept = []
+                with pytest.raises(error, match=message):
+                    oracle.scan(elements, kept)
+                expected = []
+                make_oracle(HllParams(256, 6)).scan(elements[: 32 * pipeline + pair], expected)
+                assert kept == expected
+                del oracle._exchange
+
+
+def test_insert_many_raises_at_an_error_reply_to_a_pfadd(monkeypatch):
+    # The pipelines after the one holding the error are not sent.
+    monkeypatch.setattr(remote, "_PIPELINE", 64)
+    with running_server(register_count=256) as server:
+        with RemoteOracle(server.url()) as oracle:
+            oracle.reset()
+            replace_reply(oracle, 2, 40, ErrorReply("ERR x"))
+            with pytest.raises(ServerError, match="^PFADD: ERR x$"):
+                oracle.insert_many(b"i%d" % k for k in range(150))
+        assert server.commands_seen[b"PFADD"] == 128
 
 
 def test_oracle_counts_a_scans_traffic_per_pipeline(monkeypatch):
